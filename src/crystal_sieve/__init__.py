@@ -50,7 +50,7 @@ from .qpoly import (
     orbit_basis_decompose,
     orbit_basis_element,
     parse_poly,
-    poly_divexact,
+    q_ratio,
     rem_mod,
 )
 from .tableaux import (

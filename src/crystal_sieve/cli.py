@@ -51,6 +51,24 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and orders; a bad value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    try:
+        return [_positive_int(x) for x in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise CliParseError(f"bad {what} list {text!r}: {exc}") from None
+
+
 def _parse_poly_arg(text: str) -> IntPoly:
     try:
         return parse_poly(text)
@@ -233,10 +251,11 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, int]) -> list:
     stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
     spoly = principal_specialization(lam, m)
     aa = aa_criterion(spoly, n)
-    census = orbit_census(lam, m, "c")
-    csp_verdict = ""
     if n == m:
-        csp_verdict = str(csp_check(lam, m, "c").verdict)
+        report = csp_check(lam, m, "c")
+        census, csp_verdict = report.census, str(report.verdict)
+    else:
+        census, csp_verdict = orbit_census(lam, m, "c"), ""
     a_map = ""
     if stretched and m >= 2:
         result = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n)
@@ -255,8 +274,8 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, int]) -> list:
 
 
 def cmd_sweep(args) -> int:
-    ms = [int(x) for x in args.m.split(",")]
-    ns = [int(x) for x in args.n.split(",")] if args.n else None
+    ms = _parse_int_list(args.m, "letter count")
+    ns = _parse_int_list(args.n, "order") if args.n else None
     cells = []
     for m in ms:
         if m < 2:
@@ -295,20 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("weight", help="fundamental coordinates, e.g. 2,0")
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--mod", type=int, metavar="N", help="also reduce mod q^N - 1")
+    p.add_argument("--mod", type=_positive_int, metavar="N", help="also reduce mod q^N - 1")
     add_format(p)
     p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("specialize", help="principal specialization of a Schur polynomial")
     p.add_argument("partition")
-    p.add_argument("-m", type=int, required=True, help="number of variables/letters")
+    p.add_argument("-m", type=_positive_int, required=True, help="number of variables/letters")
     add_format(p)
     p.set_defaults(func=cmd_specialize)
 
     p = sub.add_parser("congruence", help="residue of qdim mod q^n - 1 with orbit counts")
     p.add_argument("type")
     p.add_argument("weight")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--dual", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_congruence)
@@ -316,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="orbit census, fixed points, or CSP report")
     p.add_argument("partition")
     p.add_argument("what", choices=["orbits", "fixed", "csp"])
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--action", choices=["c", "pr"], default="c")
     p.add_argument("--table", action="store_true", help="per-exponent table for csp")
     add_format(p)
@@ -324,17 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("csp-check", help="sieving check with an optional custom polynomial")
     p.add_argument("partition")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_positive_int, required=True)
     p.add_argument("--action", choices=["c", "pr"], default="c")
     p.add_argument("--f", help="polynomial text or JSON coefficient array")
-    p.add_argument("-n", type=int, help="override the group order")
+    p.add_argument("-n", type=_positive_int, help="override the group order")
     p.add_argument("--table", action="store_true")
     add_format(p)
     p.set_defaults(func=cmd_csp_check)
 
     p = sub.add_parser("aa-check", help="existence criterion for a cyclic action of order n")
     p.add_argument("poly", help="polynomial text or JSON coefficient array")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=cmd_aa_check)
 
@@ -359,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliParseError, InvalidRank) as exc:
+    except (CliParseError, InvalidRank, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimit as exc:

@@ -120,8 +120,7 @@ def csp_check(
         f = principal_specialization(lam, m)
     checks = []
     for j in range(1, n + 1):
-        # powers of an order-n generator only reach exponents gcd(j, n)
-        fixed = census.fixed_by_power(math.gcd(j, n))
+        fixed = census.fixed_by_power(j)
         value = eval_root_of_unity(f, n, j)
         checks.append(ExponentCheck(j, fixed, value, value is not None and value == fixed))
     return CspReport(
@@ -182,7 +181,8 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
     n = m
     datum = build_cartan_datum(f"A{m - 1}")
     weight = gl_weight(lam, m)
-    verdict = csp_check(lam, m, action, n=n).verdict
+    report = csp_check(lam, m, action, n=n)
+    verdict = report.verdict
     if not divisibility_condition(datum, weight, n):
         # no orbit-count prediction exists at this order; a failing verdict
         # settles the comparison, a passing one leaves nothing to compare
@@ -192,7 +192,7 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
             f"differences of padded parts of {lam} are not all divisible by {n}"
         )
     predicted = congruence(datum, weight, n).a
-    census = orbit_census(lam, m, action)
+    census = report.census
     if any(n % d for d in census.by_size):
         raise ConditionViolated(f"a cycle length does not divide the order {n}")
     matches = all(census.by_size.get(d, 0) == predicted[d] for d in divisors(n))

@@ -26,10 +26,6 @@ class ShapeTooLong(CrystalSieveError):
     """Partition has more parts than the number of available entries."""
 
 
-class InexactDivision(CrystalSieveError):
-    """Polynomial division left a nonzero remainder."""
-
-
 class NotMonic(CrystalSieveError):
     """Modulus must be monic of positive degree."""
 
@@ -40,10 +36,6 @@ class NotDominant(CrystalSieveError):
 
 class ConditionViolated(CrystalSieveError):
     """A required divisibility or group-order condition fails."""
-
-
-class NonIntegerB(CrystalSieveError):
-    """A fixed-point count product did not reduce to an integer."""
 
 
 class ResourceLimit(CrystalSieveError):
@@ -80,10 +72,6 @@ class InternalError(CrystalSieveError):
 
 class CongruenceMismatch(InternalError):
     """Residue and orbit-count decomposition disagree, or an orbit count is bad."""
-
-
-class InternalNegativeExponent(InternalError):
-    """Cyclotomic bookkeeping produced a negative exponent."""
 
 
 class InternalNull(InternalError):

@@ -3,16 +3,13 @@ and principal specializations of Schur polynomials.
 
 The q-dimension of the crystal with highest weight L is the Weyl-type product
 over positive roots of (1 - q^((beta, L + rho))) / (1 - q^((beta, rho))).
-All arithmetic is exact: each factor 1 - q^k is decomposed into cyclotomic
-polynomials and the net exponent of every cyclotomic is nonnegative, so the
-quotient is assembled by multiplication only, never polynomial division.
+Every such product, and its value at q = 1, goes through the one exact
+routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q].
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import (
     CartanDatum,
@@ -27,21 +24,18 @@ from .cartan import (
 from .errors import (
     CongruenceMismatch,
     ConditionViolated,
-    InternalNegativeExponent,
-    NonIntegerB,
     NotDominant,
     ShapeTooLong,
 )
 from .partitions import Partition, as_partition
 from .qpoly import (
-    ONE,
     IntPoly,
-    cyclotomic,
     divisors,
     mobius,
     orbit_basis_element,
     poly_to_json_coeffs,
-    rem_mod,
+    q_ratio,
+    q_ratio_at_one,
 )
 
 
@@ -63,30 +57,19 @@ def _require_dominant(lam: Weight) -> None:
         raise NotDominant(f"{lam} has a negative coordinate")
 
 
-def _cyclotomic_exponents(datum: CartanDatum, lam: Weight, dual: bool) -> Counter:
-    """Net exponent of each cyclotomic polynomial in the q-dimension product."""
+def _exponents(datum: CartanDatum, lam: Weight, dual: bool, roots=None):
+    """Numerator and denominator exponents of the Weyl-type product over
+    the given positive roots (all of them by default)."""
     pair, rho = _pair_fns(datum, dual)
-    net: Counter = Counter()
-    for beta in datum.positive_roots:
-        den = rho(beta)
-        num = pair(beta, lam) + den
-        for d in divisors(num):
-            net[d] += 1
-        for d in divisors(den):
-            net[d] -= 1
-    for d, e in net.items():
-        if e < 0:
-            raise InternalNegativeExponent(f"cyclotomic {d} has net exponent {e}")
-    return net
+    roots = datum.positive_roots if roots is None else roots
+    dens = [rho(beta) for beta in roots]
+    nums = [pair(beta, lam) + r for beta, r in zip(roots, dens)]
+    return nums, dens
 
 
 def _qdim(datum: CartanDatum, lam: Weight, dual: bool) -> IntPoly:
     _require_dominant(lam)
-    out = ONE
-    for d, e in sorted(_cyclotomic_exponents(datum, lam, dual).items()):
-        if e:
-            out = out * cyclotomic(d) ** e
-    return out
+    return q_ratio(*_exponents(datum, lam, dual))
 
 
 def qdim(datum: CartanDatum, lam: Weight) -> IntPoly:
@@ -108,13 +91,7 @@ def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
     """Classical dimension: product over positive roots of
     (beta, lam + rho) / (beta, rho)."""
     _require_dominant(lam)
-    out = Fraction(1)
-    for beta in datum.positive_roots:
-        den = rho_pairing(datum, beta)
-        out *= Fraction(pairing(datum, beta, lam) + den, den)
-    if out.denominator != 1:
-        raise CongruenceMismatch(f"Weyl dimension {out} is not an integer")
-    return out.numerator
+    return q_ratio_at_one(*_exponents(datum, lam, dual=False))
 
 
 def positive_roots_divisible(datum: CartanDatum, d: int, dual: bool = False) -> tuple[Root, ...]:
@@ -170,42 +147,24 @@ class CongruenceResult:
         )
 
 
-def _residue_mod_qn(datum: CartanDatum, lam: Weight, n: int, dual: bool) -> IntPoly:
-    """q-dimension reduced mod q^n - 1, accumulated factor by factor so the
-    full polynomial is never materialized."""
-    modulus = IntPoly.monomial(n) - ONE
-    out = ONE
-    for d, e in sorted(_cyclotomic_exponents(datum, lam, dual).items()):
-        phi = cyclotomic(d)
-        for _ in range(e):
-            out = rem_mod(out * phi, modulus)
-    return out
-
-
 def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> CongruenceResult:
     """Residue of (dual) qdim mod q^n - 1 decomposed over the orbit basis.
 
     Requires lam dominant and the divisibility condition for n; the fixed
     counts b_d come from the Weyl-type product over the selected roots, the
     orbit counts a_d by Mobius inversion, and the residue is cross-checked
-    against the reconstruction from the a_d.
+    against the reconstruction from the a_d. The residue is the fold of the
+    q-dimension's coefficients by exponent mod n.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     _require_dominant(lam)
     if not divisibility_condition(datum, lam, n, dual):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
-    pair, rho = _pair_fns(datum, dual)
-
     b: dict[int, int] = {}
     for d in divisors(n):
-        prod = Fraction(1)
-        for beta in positive_roots_divisible(datum, n // d, dual):
-            r = rho(beta)
-            prod *= Fraction(pair(beta, lam) + r, r)
-        if prod.denominator != 1:
-            raise NonIntegerB(f"b_{d} = {prod} is not an integer")
-        b[d] = prod.numerator
+        roots = positive_roots_divisible(datum, n // d, dual)
+        b[d] = q_ratio_at_one(*_exponents(datum, lam, dual, roots))
 
     a: dict[int, int] = {}
     for d in divisors(n):
@@ -216,7 +175,8 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
         if a[d] < 0:
             raise CongruenceMismatch(f"orbit count a_{d} = {a[d]} is negative")
 
-    residue = _residue_mod_qn(datum, lam, n, dual)
+    coeffs = _qdim(datum, lam, dual).coeffs
+    residue = IntPoly([sum(coeffs[r::n]) for r in range(n)])
     recon = IntPoly()
     for d, coeff in a.items():
         recon = recon + coeff * orbit_basis_element(n, d)
@@ -237,26 +197,14 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     """Schur polynomial of lam at 1, q, ..., q^(m-1), divided by q^kappa(lam).
 
     Computed as the pairwise product over 1 <= i < j <= m of
-    (1 - q^(l_i - l_j)) / (1 - q^(j - i)) with l_i = lam_i + m - i, using the
-    same cyclotomic bookkeeping as the q-dimension. Nonnegative coefficients;
+    (1 - q^(l_i - l_j)) / (1 - q^(j - i)) with l_i = lam_i + m - i, through
+    the same product routine as the q-dimension. Nonnegative coefficients;
     the value at 1 counts semistandard fillings.
     """
     lam = as_partition(lam)
     if len(lam) > m:
         raise ShapeTooLong(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))
-    shifted = [padded[i] + m - 1 - i for i in range(m)]
-    net: Counter = Counter()
-    for i in range(m):
-        for j in range(i + 1, m):
-            for d in divisors(shifted[i] - shifted[j]):
-                net[d] += 1
-            for d in divisors(j - i):
-                net[d] -= 1
-    out = ONE
-    for d, e in sorted(net.items()):
-        if e < 0:
-            raise InternalNegativeExponent(f"cyclotomic {d} has net exponent {e}")
-        if e:
-            out = out * cyclotomic(d) ** e
-    return out
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    nums = [padded[i] - padded[j] + j - i for i, j in pairs]
+    return q_ratio(nums, [j - i for i, j in pairs])

@@ -9,11 +9,14 @@ settled by polynomial remainders, not numerics.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import operator
 import re
+from collections import Counter
 
-from .errors import InexactDivision, NotMonic
+from .errors import InternalError, NotMonic
 
 
 class IntPoly:
@@ -210,31 +213,39 @@ def poly_to_json_coeffs(f: IntPoly) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 
-def poly_divexact(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact quotient f/g over Z[q]; raises InexactDivision otherwise."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero:
-        return ZERO
-    if f.degree < g.degree:
-        raise InexactDivision(f"deg {f.degree} < deg {g.degree}")
-    rem = list(f.coeffs)
-    lead = g.coeffs[-1]
-    dg = g.degree
-    quot = [0] * (f.degree - dg + 1)
-    for k in range(f.degree - dg, -1, -1):
-        top = rem[k + dg]
-        if top == 0:
-            continue
-        if top % lead:
-            raise InexactDivision(f"{f} is not divisible by {g}")
-        q = top // lead
-        quot[k] = q
-        for j, c in enumerate(g.coeffs):
-            rem[k + j] -= q * c
-    if any(rem):
-        raise InexactDivision(f"{f} is not divisible by {g}")
-    return IntPoly(quot)
+def q_ratio(nums, dens) -> IntPoly:
+    """prod of (1 - q^a) over a in nums divided by prod of (1 - q^b) over b
+    in dens, for positive exponents, when the quotient is a polynomial.
+
+    Each numerator factor is multiplied in place; each denominator factor
+    is then divided out as a running sum with stride b. Every step is exact:
+    if the whole quotient is a polynomial, so is the numerator over any part
+    of the denominator. A nonzero remainder raises InternalError.
+    """
+    num, den = Counter(nums), Counter(dens)
+    if min(num | den, default=1) <= 0:
+        raise ValueError("exponents must be positive")
+    num, den = num - den, den - num
+    out = [1]
+    for a in num.elements():
+        out += [0] * a
+        out[a:] = map(operator.sub, out[a:], out[:-a])
+    for b in den.elements():
+        for r in range(b):
+            out[r::b] = itertools.accumulate(out[r::b])
+        if any(out[-b:]):
+            raise InternalError(f"1 - q^{b} does not divide the product")
+        del out[-b:]
+    return IntPoly(out)
+
+
+def q_ratio_at_one(nums, dens) -> int:
+    """Value of q_ratio(nums, dens) at q = 1: prod of nums over prod of dens,
+    which must divide exactly (InternalError otherwise)."""
+    quot, rem = divmod(math.prod(nums), math.prod(dens))
+    if rem:
+        raise InternalError(f"{math.prod(dens)} does not divide {math.prod(nums)}")
+    return quot
 
 
 def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -291,18 +302,19 @@ def mobius(k: int) -> int:
 
 @functools.cache
 def cyclotomic(d: int) -> IntPoly:
-    """The d-th cyclotomic polynomial, by exact division:
-    Phi_d = (q^d - 1) / prod of Phi_e over proper divisors e of d.
+    """The d-th cyclotomic polynomial, by Mobius inversion of
+    q^d - 1 = prod of Phi_e over divisors e of d: for d > 1,
+    Phi_d = prod of (1 - q^e)^mobius(d/e) over divisors e of d.
 
     Memoized per process; readers only, so shared use is safe.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    num = IntPoly.monomial(d) - ONE
-    for e in divisors(d):
-        if e != d:
-            num = poly_divexact(num, cyclotomic(e))
-    return num
+    if d == 1:
+        return Q - ONE
+    nums = [e for e in divisors(d) if mobius(d // e) == 1]
+    dens = [e for e in divisors(d) if mobius(d // e) == -1]
+    return q_ratio(nums, dens)
 
 
 def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     SizeMismatch,
 )
 from .partitions import Partition, as_partition, dominates, partition_size
+from .qpoly import q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
@@ -33,7 +33,10 @@ def _enum_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(ENUM_CAP_ENV)
-    return int(env) if env else DEFAULT_ENUM_CAP
+    try:
+        return int(env) if env else DEFAULT_ENUM_CAP
+    except ValueError:
+        raise ValueError(f"{ENUM_CAP_ENV}={env!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,9 @@ def ssyt_count(lam: Partition, m: int) -> int:
     if len(lam) > m:
         return 0
     padded = lam + (0,) * (m - len(lam))
-    out = Fraction(1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            out *= Fraction(padded[i] - padded[j] + j - i, j - i)
-    assert out.denominator == 1
-    return out.numerator
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    nums = [padded[i] - padded[j] + j - i for i, j in pairs]
+    return q_ratio_at_one(nums, [j - i for i, j in pairs])
 
 
 def _fillings(shape: Partition, m: int, budget: list[int] | None) -> Iterator[tuple[tuple[int, ...], ...]]:

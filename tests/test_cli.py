@@ -4,9 +4,14 @@ import contextlib
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import crystal_sieve
 from crystal_sieve.cli import main
 
 
@@ -168,6 +173,14 @@ class TestCspCheck:
         assert code == 0
         assert json.loads(out)["n"] == 4
 
+    def test_order_not_a_multiple_of_the_action_order(self):
+        # c has order 3 on the one-row shape (3) with 3 letters, so at n = 4
+        # the power j = 3 is the identity and j = 4 is c itself
+        code, out, _ = run_cli("csp-check", "3", "-m", "3", "-n", "4", "--table")
+        assert code == 0
+        fixed = {int(row.split()[0]): int(row.split()[1]) for row in out.splitlines()[4:]}
+        assert fixed == {1: 1, 2: 1, 3: 10, 4: 1}
+
     def test_bad_polynomial_exits_2(self):
         code, _, err = run_cli("csp-check", "2", "-m", "2", "--f", "2**q")
         assert code == 2
@@ -242,3 +255,37 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+class TestExitCodes:
+    """Malformed input ends with a usage (2) or domain (3) exit, never a
+    traceback. Run as a separate process so argparse exits and the
+    environment variable are seen exactly as a user would see them."""
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["aa-check", "1+q", "-n", "0"], {}),
+            (["congruence", "A2", "1,1", "-n", "0"], {}),
+            (["qdim", "G2", "1,1", "--mod", "0"], {}),
+            (["csp-check", "2", "-m", "2", "-n", "0"], {}),
+            (["crystal", "3", "orbits", "-m", "1"], {}),
+            (["sweep", "--m", "x"], {}),
+            (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "abc"}),
+        ],
+    )
+    def test_malformed_input(self, args, env):
+        src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crystal_sieve", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, **env},
+            timeout=60,
+        )
+        assert proc.returncode in (2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr
+        for name in env:
+            assert name in proc.stderr

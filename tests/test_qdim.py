@@ -7,9 +7,18 @@ checked by identities that tie independently computed quantities together
 values vs the b coefficients).
 """
 
+from fractions import Fraction
+
 import pytest
 
-from crystal_sieve.cartan import build_cartan_datum, gl_weight, pairing, rho_pairing
+from crystal_sieve.cartan import (
+    build_cartan_datum,
+    copairing,
+    corho_pairing,
+    gl_weight,
+    pairing,
+    rho_pairing,
+)
 from crystal_sieve.errors import ConditionViolated, NotDominant, ShapeTooLong
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import (
@@ -103,6 +112,32 @@ class TestQdimPolynomials:
 
     def test_b2_dual_differs(self):
         assert B2_QDIM != B2_QDIM_DUAL
+
+
+class TestProductOracle:
+    """qdim at x = 2 and x = 3 against the exact Fraction product of
+    (x^a - 1)/(x^b - 1) over the positive roots, one factor at a time."""
+
+    @pytest.mark.parametrize("name", ["A1", "A4", "B3", "C4", "D4", "E6", "E8", "F4", "G2"])
+    def test_values_at_two_and_three(self, name):
+        datum = build_cartan_datum(name)
+        rank = datum.rank
+        weights = [
+            (1,) * rank,
+            (2,) + (0,) * (rank - 1),
+            (0,) * (rank - 1) + (3,),
+            tuple(i % 3 for i in range(rank)),
+        ]
+        sides = [(qdim, pairing, rho_pairing), (qdim_dual, copairing, corho_pairing)]
+        for lam in weights:
+            for product, pair, rho in sides:
+                f = product(datum, lam)
+                for x in (2, 3):
+                    want = Fraction(1)
+                    for beta in datum.positive_roots:
+                        b = rho(datum, beta)
+                        want *= Fraction(x ** (pair(datum, beta, lam) + b) - 1, x**b - 1)
+                    assert f(x) == want
 
 
 class TestDivisibilityCondition:

@@ -13,7 +13,7 @@ import random
 import pytest
 import sympy
 
-from crystal_sieve.errors import InexactDivision, NotMonic
+from crystal_sieve.errors import InternalError, NotMonic
 from crystal_sieve.qpoly import (
     ONE,
     Q,
@@ -28,8 +28,9 @@ from crystal_sieve.qpoly import (
     orbit_basis_decompose,
     orbit_basis_element,
     parse_poly,
-    poly_divexact,
     poly_to_json_coeffs,
+    q_ratio,
+    q_ratio_at_one,
     rem_mod,
 )
 
@@ -112,31 +113,63 @@ class TestIntPoly:
             IntPoly.monomial(-1)
 
 
-class TestDivision:
-    def test_divexact_geometric(self):
-        assert poly_divexact(ONE - Q**6, ONE - IntPoly.monomial(2)) == IntPoly([1, 0, 1, 0, 1])
-        assert poly_divexact(qn_minus_1(4), qn_minus_1(2)) == IntPoly([1, 0, 1])
+def one_minus_q(k):
+    return ONE - IntPoly.monomial(k)
 
-    def test_divexact_rejects_inexact(self):
-        with pytest.raises(InexactDivision):
-            poly_divexact(ONE - Q**7, ONE - IntPoly.monomial(3))
-        with pytest.raises(InexactDivision):
-            poly_divexact(Q, qn_minus_1(2))
 
-    def test_divexact_zero_divisor(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divexact(Q, ZERO)
-        assert poly_divexact(ZERO, Q) == ZERO
+class TestQRatio:
+    def test_geometric(self):
+        assert q_ratio([6], [2]) == IntPoly([1, 0, 1, 0, 1])
+        assert q_ratio([4], [2]) == IntPoly([1, 0, 1])
+        assert q_ratio([], []) == ONE
+        assert q_ratio([3, 5], [3, 5]) == ONE
+        # 1 - q^3 survives with its sign
+        assert q_ratio([3], []) == IntPoly([1, 0, 0, -1])
 
-    def test_divexact_roundtrip(self):
+    def test_rejects_inexact(self):
+        with pytest.raises(InternalError):
+            q_ratio([7], [3])
+        with pytest.raises(InternalError):
+            q_ratio([2], [3])
+        with pytest.raises(InternalError):
+            q_ratio([], [1])
+
+    def test_rejects_nonpositive_exponents(self):
+        with pytest.raises(ValueError):
+            q_ratio([0], [])
+        with pytest.raises(ValueError):
+            q_ratio([2], [-1])
+
+    def test_times_denominator_is_numerator(self):
+        # (1 - q^b) divides (1 - q^a) whenever b | a, so numerators built
+        # as multiples of the denominators give exact quotients; the oracle
+        # is schoolbook multiplication
         rng = random.Random(7)
-        for _ in range(50):
-            f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
-            g = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
-            if g.is_zero:
-                continue
-            assert poly_divexact(f * g, g) == f or f.is_zero
+        for _ in range(60):
+            dens = [rng.randint(1, 9) for _ in range(rng.randint(0, 6))]
+            nums = [b * rng.randint(1, 4) for b in dens]
+            nums += [rng.randint(1, 12) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(nums)
+            num = den = ONE
+            for a in nums:
+                num = num * one_minus_q(a)
+            for b in dens:
+                den = den * one_minus_q(b)
+            assert q_ratio(nums, dens) * den == num
 
+    def test_value_at_one(self):
+        assert q_ratio_at_one([6, 4], [2, 3]) == 4
+        assert q_ratio_at_one([], []) == 1
+        with pytest.raises(InternalError):
+            q_ratio_at_one([7], [3])
+        rng = random.Random(11)
+        for _ in range(30):
+            dens = [rng.randint(1, 9) for _ in range(rng.randint(0, 5))]
+            nums = [b * rng.randint(1, 4) for b in dens]
+            assert q_ratio_at_one(nums, dens) == q_ratio(nums, dens)(1)
+
+
+class TestDivision:
     def test_rem_mod_requires_monic(self):
         with pytest.raises(NotMonic):
             rem_mod(Q, IntPoly([-1, 2]))
@@ -264,9 +297,7 @@ class TestOrbitBasis:
         # (q^n - 1)/(q^(n/d) - 1) computed the slow way
         for n in (6, 12):
             for d in divisors(n):
-                assert orbit_basis_element(n, d) == poly_divexact(
-                    qn_minus_1(n), qn_minus_1(n // d)
-                )
+                assert orbit_basis_element(n, d) * qn_minus_1(n // d) == qn_minus_1(n)
         with pytest.raises(ValueError):
             orbit_basis_element(4, 3)
 
