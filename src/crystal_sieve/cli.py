@@ -245,32 +245,38 @@ def cmd_orbit_formula(args) -> int:
     return 0
 
 
-def _sweep_cell(cell: tuple[tuple[int, ...], int, int]) -> list:
-    lam, m, n = cell
+def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
+    """One CSV row per order n for the shape lam on m letters; the census is
+    taken once for all of them."""
+    lam, m, ns = cell
     padded = list(lam) + [0] * (m - len(lam))
-    stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
     spoly = principal_specialization(lam, m)
-    aa = aa_criterion(spoly, n)
-    if n == m:
+    verdict = ""
+    if m in ns:
         report = csp_check(lam, m, "c")
-        census, csp_verdict = report.census, str(report.verdict)
+        census, verdict = report.census, str(report.verdict)
     else:
-        census, csp_verdict = orbit_census(lam, m, "c"), ""
-    a_map = ""
-    if stretched and m >= 2:
-        result = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n)
-        a_map = ";".join(f"{d}:{v}" for d, v in result.a.items())
-    return [
-        ",".join(map(str, lam)) if lam else "0",
-        m,
-        n,
-        census.total,
-        stretched,
-        aa.exists,
-        csp_verdict,
-        ";".join(f"{d}:{v}" for d, v in census.by_size.items()),
-        a_map,
-    ]
+        census = orbit_census(lam, m, "c")
+    sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
+    rows = []
+    for n in ns:
+        stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
+        a_map = ""
+        if stretched and m >= 2:
+            result = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n)
+            a_map = ";".join(f"{d}:{v}" for d, v in result.a.items())
+        rows.append([
+            ",".join(map(str, lam)) if lam else "0",
+            m,
+            n,
+            census.total,
+            stretched,
+            aa_criterion(spoly, n).exists,
+            verdict if n == m else "",
+            sizes,
+            a_map,
+        ])
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -281,16 +287,16 @@ def cmd_sweep(args) -> int:
         if m < 2:
             raise CliParseError("sweep needs m >= 2")
         for lam in partitions_up_to(args.max_size, max_parts=m):
-            for n in ns or [m]:
-                cells.append((lam, m, n))
+            cells.append((lam, m, ns or [m]))
     if args.jobs and args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells, chunksize=8))
+            groups = list(pool.map(_sweep_cell, cells, chunksize=8))
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        groups = [_sweep_cell(c) for c in cells]
     w = csv.writer(sys.stdout)
     w.writerow(["partition", "m", "n", "size", "stretched", "aa_exists", "csp_c", "census", "a"])
-    w.writerows(rows)
+    for rows in groups:
+        w.writerows(rows)
     return 0
 
 

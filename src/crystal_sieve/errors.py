@@ -74,9 +74,5 @@ class CongruenceMismatch(InternalError):
     """Residue and orbit-count decomposition disagree, or an orbit count is bad."""
 
 
-class InternalNull(InternalError):
-    """A crystal operator application that must succeed returned nothing."""
-
-
 class NonInteger(InternalError):
     """A Mobius sum that must be divisible by its modulus is not."""

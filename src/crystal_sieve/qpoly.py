@@ -323,11 +323,15 @@ def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
     The point is a primitive d-th root of unity for d = n / gcd(n, j mod n),
     so f reduces mod the d-th cyclotomic polynomial; the value is rational
     exactly when the remainder is constant. Returns None otherwise
-    (j = 0 mod n gives d = 1 and plain evaluation at 1).
+    (j = 0 mod n gives d = 1 and plain evaluation at 1). Since Phi_d
+    divides q^d - 1, f is first folded mod q^d - 1 by exponent.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     d = n // math.gcd(n, j % n)
+    coeffs = f.coeffs
+    if len(coeffs) > d:
+        f = IntPoly([sum(coeffs[k::d]) for k in range(d)])
     r = rem_mod(f, cyclotomic(d))
     if r.degree >= 1:
         return None

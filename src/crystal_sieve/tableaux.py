@@ -3,19 +3,29 @@ numbers, raising and lowering operators, Weyl reflections and the long-cycle
 operator built from them, Bender-Knuth involutions and promotion, fixed
 points, cores on the m-runner abacus, and orbit censuses.
 
-Tableaux are immutable row-major tuples with 1-based entries. The canonical
-order everywhere is lexicographic on the row-reading word (rows left to
-right, bottom row first).
+The public type is the validated, immutable ``Tableau`` of row tuples with
+1-based entries. Inside this module a tableau is its reading word: a flat
+tuple of entries read row by row, left to right, bottom row first, together
+with its shape. A cached table per shape gives the word positions of each
+row and of the cells above and below each cell. The operators work on the
+word in one pass each; the public functions validate a ``Tableau`` on the
+way in and out, and censuses never leave the word form.
+
+The canonical order everywhere is lexicographic on the reading word.
+Enumeration produces it directly: a depth-first search fills the word
+positions in order, each with ascending values, so nothing is sorted.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
-    InternalNull,
+    InternalError,
     NotDivisible,
     NotSemistandard,
     ResourceLimit,
@@ -28,15 +38,24 @@ from .qpoly import q_ratio_at_one
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
 
+Word = tuple[int, ...]
 
-def _enum_cap(cap: int | None) -> int:
+
+def _enum_cap(cap: int | None) -> tuple[int, str]:
+    """The enumeration cap and what set it."""
     if cap is not None:
-        return cap
+        return cap, "passed as the cap argument"
     env = os.environ.get(ENUM_CAP_ENV)
+    if not env:
+        return DEFAULT_ENUM_CAP, "by default"
     try:
-        return int(env) if env else DEFAULT_ENUM_CAP
+        return int(env), f"set by {ENUM_CAP_ENV}"
     except ValueError:
         raise ValueError(f"{ENUM_CAP_ENV}={env!r} is not an integer") from None
+
+
+def _over_cap(count: str, what: str, limit: int, source: str) -> ResourceLimit:
+    return ResourceLimit(f"{count} tableaux of {what} exceed the cap {limit} {source}")
 
 
 @dataclass(frozen=True)
@@ -126,41 +145,93 @@ def ssyt_count(lam: Partition, m: int) -> int:
     return q_ratio_at_one(nums, [j - i for i, j in pairs])
 
 
-def _fillings(shape: Partition, m: int, budget: list[int] | None) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All semistandard fillings of the shape, optionally constrained to use
-    at most budget[v] copies of each value v (1-based)."""
-    rows: list[tuple[int, ...]] = []
+class _Cells(NamedTuple):
+    """Word positions of a shape's cells; the word lists the rows bottom
+    row first. -1 marks a missing neighbour."""
 
-    def fill_row(r: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if r == len(shape):
-            yield tuple(rows)
-            return
-        length = shape[r]
-        prev = rows[r - 1] if r else None
-        row = [0] * length
+    rows: tuple[range, ...]  # positions of each row, top row first
+    above: tuple[int, ...]
+    below: tuple[int, ...]
+    floor: tuple[int, ...]  # least entry: the row number, 1-based
+    has_left: tuple[bool, ...]
 
-        def fill(c: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-            if c == length:
-                rows.append(tuple(row))
-                yield from fill_row(r + 1)
-                rows.pop()
-                return
-            lo = row[c - 1] if c else 1
-            if prev is not None:
-                lo = max(lo, prev[c] + 1)
-            for v in range(lo, m + 1):
-                if budget is not None and budget[v] <= 0:
-                    continue
-                row[c] = v
+
+@functools.cache
+def _cells(lam: Partition) -> _Cells:
+    starts = [sum(lam[r + 1:]) for r in range(len(lam))]
+    size = partition_size(lam)
+    above, below, floor, has_left = [-1] * size, [-1] * size, [0] * size, [False] * size
+    for r, length in enumerate(lam):
+        for c in range(length):
+            p = starts[r] + c
+            floor[p] = r + 1
+            has_left[p] = c > 0
+            if r:
+                above[p] = starts[r - 1] + c
+            if r + 1 < len(lam) and c < lam[r + 1]:
+                below[p] = starts[r + 1] + c
+    rows = tuple(range(s, s + length) for s, length in zip(starts, lam))
+    return _Cells(rows, tuple(above), tuple(below), tuple(floor), tuple(has_left))
+
+
+def _tableau(word, lam: Partition, m: int) -> Tableau:
+    return Tableau(tuple(tuple(word[r.start:r.stop]) for r in _cells(lam).rows), m)
+
+
+def _words(lam: Partition, m: int, budget: list[int] | None = None) -> Iterator[Word]:
+    """Reading words of the tableaux of shape lam on m letters, in
+    increasing lexicographic order; with a budget, only those using at most
+    budget[v] copies of each letter v.
+
+    Depth first over the word positions: each cell runs upward from its
+    least admissible entry (its row number, and its left neighbour) to its
+    greatest (one less than the cell below it, else m). Without a budget
+    every partial word extends, so no branch dies.
+    """
+    cells = _cells(lam)
+    n = len(cells.floor)
+    if n == 0:
+        yield ()
+        return
+    floor, below, has_left = cells.floor, cells.below, cells.has_left
+    w = [0] * n
+    last = n - 1
+    p, v = 0, floor[0]
+    while True:
+        q = below[p]
+        hi = w[q] - 1 if q >= 0 else m
+        if budget is not None:
+            while v <= hi and not budget[v]:
+                v += 1
+        if v <= hi:
+            w[p] = v
+            if p < last:
                 if budget is not None:
                     budget[v] -= 1
-                yield from fill(c + 1)
-                if budget is not None:
-                    budget[v] += 1
+                p += 1
+                v = floor[p]
+                if has_left[p] and w[p - 1] > v:
+                    v = w[p - 1]
+            else:
+                yield tuple(w)
+                v += 1
+            continue
+        p -= 1
+        if p < 0:
+            return
+        v = w[p]
+        if budget is not None:
+            budget[v] += 1
+        v += 1
 
-        yield from fill(0)
 
-    yield from fill_row(0)
+def _check_count(lam: Partition, m: int, cap: int | None) -> int:
+    """Size of the crystal, from the product formula, within the cap."""
+    limit, source = _enum_cap(cap)
+    count = ssyt_count(lam, m)
+    if count > limit:
+        raise _over_cap(str(count), f"shape {lam} on {m} letters", limit, source)
+    return count
 
 
 def enumerate_ssyt(lam: Partition, m: int, cap: int | None = None) -> list[Tableau]:
@@ -172,13 +243,8 @@ def enumerate_ssyt(lam: Partition, m: int, cap: int | None = None) -> list[Table
     lam = as_partition(lam)
     if len(lam) > m:
         return []
-    count = ssyt_count(lam, m)
-    limit = _enum_cap(cap)
-    if count > limit:
-        raise ResourceLimit(f"{count} tableaux exceed the cap {limit}")
-    out = [Tableau(rows, m) for rows in _fillings(lam, m, None)]
-    out.sort(key=Tableau.reading_word)
-    return out
+    _check_count(lam, m, cap)
+    return [_tableau(w, lam, m) for w in _words(lam, m)]
 
 
 def content(t: Tableau) -> tuple[int, ...]:
@@ -198,78 +264,131 @@ def kostka(lam: Partition, mu: tuple[int, ...], cap: int | None = None) -> int:
     if partition_size(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| = {partition_size(lam)} but content sums to {sum(mu)}")
     m = len(mu)
-    if len(lam) > m:
-        return 0
-    limit = _enum_cap(cap)
-    count = 0
-    budget = [0] + list(mu)
-    for _ in _fillings(lam, m, budget):
-        count += 1
-        if count > limit:
-            raise ResourceLimit(f"count exceeded the cap {limit}")
+    limit, source = _enum_cap(cap)
+    count = sum(1 for _ in islice(_words(lam, m, [0, *mu]), limit + 1))
+    if count > limit:
+        raise _over_cap(f"at least {count}", f"shape {lam} on {m} letters with content {mu}", limit, source)
     return count
 
 
-def _signature_stack(t: Tableau, i: int) -> tuple[list[tuple[int, int]], int]:
-    """Surviving signs for letter i in the reading word after cancelling
-    adjacent minus-plus pairs.
+def _brackets(w: Word, i: int) -> tuple[list[int], list[int]]:
+    """Positions of the unmatched letters of the i-signature: each i+1 opens
+    a bracket and each i closes the latest open one. The unmatched i's all
+    precede the unmatched i+1's, so they read i^a (i+1)^b."""
+    j = i + 1
+    free: list[int] = []
+    opened: list[int] = []
+    for p, x in enumerate(w):
+        if x == i:
+            if opened:
+                opened.pop()
+            else:
+                free.append(p)
+        elif x == j:
+            opened.append(p)
+    return free, opened
 
-    Returns (stack of (row, col) cells, number of surviving pluses); the
-    stack always has the form plus^a minus^b with cells in word order.
-    """
-    stack: list[tuple[int, int]] = []
-    pluses = 0
-    nrows = len(t.rows)
-    for r in range(nrows - 1, -1, -1):
-        for c, v in enumerate(t.rows[r]):
-            if v == i:
-                if len(stack) > pluses:
-                    stack.pop()  # a plus cancels the most recent open minus
-                else:
-                    stack.append((r, c))
-                    pluses += 1
-            elif v == i + 1:
-                stack.append((r, c))
-    return stack, pluses
+
+def _reflect(w: Word, i: int) -> Word:
+    """s_i in one bracket pass: the unmatched i^a (i+1)^b becomes
+    i^b (i+1)^a."""
+    free, opened = _brackets(w, i)
+    a, b = len(free), len(opened)
+    if a == b:
+        return w
+    out = list(w)
+    if a > b:
+        for p in free[b:]:
+            out[p] = i + 1
+    else:
+        for p in opened[:b - a]:
+            out[p] = i
+    return tuple(out)
+
+
+def _bender_knuth(w: Word, i: int, cells: _Cells) -> Word:
+    """In each row an i is free when the cell below does not hold i+1, and
+    an i+1 is free when the cell above does not hold i; the free entries of
+    a row are consecutive, and a run of a free i's then b free i+1's
+    becomes b i's then a i+1's."""
+    j = i + 1
+    above, below = cells.above, cells.below
+    out = None
+    for row in cells.rows:
+        a = b = 0
+        first = -1
+        for p in row:
+            x = w[p]
+            if x == i:
+                q = below[p]
+                if q < 0 or w[q] != j:
+                    a += 1
+                    if first < 0:
+                        first = p
+            elif x == j:
+                q = above[p]
+                if q < 0 or w[q] != i:
+                    b += 1
+                    if first < 0:
+                        first = p
+            elif x > j:
+                break
+        if a != b:
+            if out is None:
+                out = list(w)
+            out[first:first + a + b] = [i] * b + [j] * a
+    return w if out is None else tuple(out)
+
+
+def _cycle(w: Word, m: int, cells: _Cells) -> Word:
+    for i in range(m - 1, 0, -1):
+        w = _reflect(w, i)
+    return w
+
+
+def _promote(w: Word, m: int, cells: _Cells) -> Word:
+    for i in range(m - 1, 0, -1):
+        w = _bender_knuth(w, i, cells)
+    return w
+
+
+def _check_index(i: int, m: int) -> None:
+    if not 1 <= i <= m - 1:
+        raise ValueError(f"index {i} outside 1..{m - 1}")
 
 
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
-    """Lowering operator: turns the rightmost surviving i into i+1,
-    or None when no plus survives."""
-    if not 1 <= i <= t.m - 1:
-        raise ValueError(f"index {i} outside 1..{t.m - 1}")
-    stack, pluses = _signature_stack(t, i)
-    if pluses == 0:
+    """Lowering operator: turns the rightmost unmatched i into i+1,
+    or None when there is none."""
+    _check_index(i, t.m)
+    w = t.reading_word()
+    free, _ = _brackets(w, i)
+    if not free:
         return None
-    r, c = stack[pluses - 1]
-    return t.with_entry(r, c, i + 1)
+    out = list(w)
+    out[free[-1]] = i + 1
+    return _tableau(out, t.shape, t.m)
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
-    """Raising operator: turns the leftmost surviving i+1 into i,
-    or None when no minus survives."""
-    if not 1 <= i <= t.m - 1:
-        raise ValueError(f"index {i} outside 1..{t.m - 1}")
-    stack, pluses = _signature_stack(t, i)
-    if len(stack) == pluses:
+    """Raising operator: turns the leftmost unmatched i+1 into i,
+    or None when there is none."""
+    _check_index(i, t.m)
+    w = t.reading_word()
+    _, opened = _brackets(w, i)
+    if not opened:
         return None
-    r, c = stack[pluses]
-    return t.with_entry(r, c, i)
+    out = list(w)
+    out[opened[0]] = i
+    return _tableau(out, t.shape, t.m)
 
 
 def weyl_s(i: int, t: Tableau) -> Tableau:
-    """Simple reflection on the crystal: apply the lowering operator
+    """Simple reflection on the crystal: the lowering operator applied
     <h_i, wt> times when that pairing is nonnegative, else the raising
     operator as many times. An involution swapping the i and i+1 counts."""
-    cnt = t.content()
-    k = cnt[i - 1] - cnt[i]
-    step, times = (crystal_f, k) if k >= 0 else (crystal_e, -k)
-    for _ in range(times):
-        nxt = step(i, t)
-        if nxt is None:
-            raise InternalNull(f"reflection {i} ran off the string at {t}")
-        t = nxt
-    return t
+    _check_index(i, t.m)
+    return _tableau(_reflect(t.reading_word(), i), t.shape, t.m)
 
 
 def c_action(t: Tableau) -> Tableau:
@@ -278,55 +397,21 @@ def c_action(t: Tableau) -> Tableau:
     whole crystal."""
     if t.m < 2:
         raise ValueError("the cycle operator needs at least two letters")
-    for i in range(t.m - 1, 0, -1):
-        t = weyl_s(i, t)
-    return t
+    return _tableau(_cycle(t.reading_word(), t.m, _cells(t.shape)), t.shape, t.m)
 
 
 def bender_knuth(i: int, t: Tableau) -> Tableau:
-    """Involution swapping the counts of i and i+1.
-
-    In each row an i is free when the cell below does not hold i+1, and an
-    i+1 is free when the cell above does not hold i; the free entries of a
-    row are consecutive, and a run of a free i's then b free i+1's becomes
-    b i's then a i+1's.
-    """
-    if not 1 <= i <= t.m - 1:
-        raise ValueError(f"index {i} outside 1..{t.m - 1}")
-    rows = list(t.rows)
-    for r, row in enumerate(rows):
-        free: list[int] = []
-        ip1_from = None
-        for c, v in enumerate(row):
-            if v == i:
-                below = t.rows[r + 1][c] if r + 1 < len(t.rows) and c < len(t.rows[r + 1]) else None
-                if below != i + 1:
-                    free.append(c)
-            elif v == i + 1:
-                above = t.rows[r - 1][c] if r else None
-                if above != i:
-                    if ip1_from is None:
-                        ip1_from = len(free)
-                    free.append(c)
-        if not free:
-            continue
-        if ip1_from is None:
-            ip1_from = len(free)
-        b = len(free) - ip1_from  # free i+1's
-        new_row = list(row)
-        for pos, c in enumerate(free):
-            new_row[c] = i if pos < b else i + 1
-        rows[r] = tuple(new_row)
-    return Tableau(tuple(rows), t.m)
+    """Involution swapping the counts of i and i+1 row by row (see
+    _bender_knuth)."""
+    _check_index(i, t.m)
+    return _tableau(_bender_knuth(t.reading_word(), i, _cells(t.shape)), t.shape, t.m)
 
 
 def promotion(t: Tableau) -> Tableau:
     """Product of the Bender-Knuth involutions, rightmost factor first."""
     if t.m < 2:
         raise ValueError("promotion needs at least two letters")
-    for i in range(t.m - 1, 0, -1):
-        t = bender_knuth(i, t)
-    return t
+    return _tableau(_promote(t.reading_word(), t.m, _cells(t.shape)), t.shape, t.m)
 
 
 def superstandard(lam: Partition, m: int) -> Tableau:
@@ -358,17 +443,12 @@ def fixed_points(lam: Partition, m: int, cap: int | None = None) -> list[Tableau
     points of the cycle operator."""
     lam = as_partition(lam)
     size = partition_size(lam)
-    if size % m or len(lam) > m:
+    if size % m:
         return []
-    k = size // m
-    limit = _enum_cap(cap)
-    budget = [0] + [k] * m
-    out = []
-    for rows in _fillings(lam, m, budget):
-        out.append(Tableau(rows, m))
-        if len(out) > limit:
-            raise ResourceLimit(f"count exceeded the cap {limit}")
-    out.sort(key=Tableau.reading_word)
+    limit, source = _enum_cap(cap)
+    out = [_tableau(w, lam, m) for w in islice(_words(lam, m, [0] + [size // m] * m), limit + 1)]
+    if len(out) > limit:
+        raise _over_cap(f"at least {len(out)}", f"shape {lam} on {m} letters with uniform content", limit, source)
     return out
 
 
@@ -439,28 +519,49 @@ ACTIONS: dict[str, Callable[[Tableau], Tableau]] = {
     "pr": promotion,
 }
 
+# the same actions on reading words, for censuses
+_WORD_ACTIONS: dict[str, Callable[[Word, int, _Cells], Word]] = {
+    "c": _cycle,
+    "pr": _promote,
+}
+
 
 def orbit_census(lam: Partition, m: int, action: str = "c", cap: int | None = None) -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
-    cycles by length."""
-    step = ACTIONS.get(action)
+    cycles by length.
+
+    Walks the reading words in canonical order, so the first word met of
+    each cycle is its least; the rest of the cycle waits in a set until the
+    enumeration reaches it.
+    """
+    step = _WORD_ACTIONS.get(action)
     if step is None:
         raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
-    tabs = enumerate_ssyt(lam, m, cap=cap)
-    seen: set[Tableau] = set()
+    lam = as_partition(lam)
+    if m < 2:
+        raise ValueError("the cycle operator and promotion need at least two letters")
+    count = _check_count(lam, m, cap)
+    cells = _cells(lam)
+    ahead: set[Word] = set()
     by_size: dict[int, int] = {}
-    for t in tabs:
-        if t in seen:
+    total = 0
+    for w in _words(lam, m):
+        total += 1
+        if w in ahead:
+            ahead.remove(w)
             continue
         length = 1
-        seen.add(t)
-        cur = step(t)
-        while cur != t:
-            seen.add(cur)
-            cur = step(cur)
+        cur = step(w, m, cells)
+        while cur != w:
+            ahead.add(cur)
+            cur = step(cur, m, cells)
             length += 1
+            if length > count:
+                raise InternalError(f"action {action} does not return to {w} on shape {lam}")
         by_size[length] = by_size.get(length, 0) + 1
-    return OrbitCensus(dict(sorted(by_size.items())), len(tabs))
+    if total != count:
+        raise InternalError(f"enumerated {total} tableaux of shape {lam} on {m} letters, expected {count}")
+    return OrbitCensus(dict(sorted(by_size.items())), total)
 
 
 __all__ = [

@@ -22,6 +22,20 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_process(args, env):
+    """The CLI as a separate process, so argparse exits and environment
+    variables are seen exactly as a user would see them."""
+    src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "crystal_sieve", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=60,
+    )
+
+
 class TestRoots:
     def test_b2_listing(self):
         code, out, _ = run_cli("roots", "B2")
@@ -154,6 +168,12 @@ class TestCrystal:
         assert code == 4
         assert err
 
+    def test_cap_message_names_input_and_limit(self):
+        proc = run_process(["crystal", "8", "orbits", "-m", "4"], {"CRYSTAL_SIEVE_MAX_ENUM": "10"})
+        assert proc.returncode == 4
+        assert "(8,)" in proc.stderr and "10" in proc.stderr
+        assert "CRYSTAL_SIEVE_MAX_ENUM" in proc.stderr
+
 
 class TestCspCheck:
     def test_custom_polynomial(self):
@@ -244,6 +264,27 @@ class TestSweep:
         _, parallel, _ = run_cli("sweep", "--max-size", "4", "--m", "2,3", "--jobs", "2")
         assert serial == parallel
 
+    def test_one_census_per_shape_and_letter_count(self, monkeypatch):
+        # 34 shapes (lam, m), each censused once whatever the number of orders
+        import crystal_sieve.cli as cli
+        import crystal_sieve.csp as csp
+
+        calls = []
+
+        def counted(real):
+            def census(*args, **kwargs):
+                calls.append(args[:2])
+                return real(*args, **kwargs)
+
+            return census
+
+        monkeypatch.setattr(cli, "orbit_census", counted(cli.orbit_census))
+        monkeypatch.setattr(csp, "orbit_census", counted(csp.orbit_census))
+        code, out, _ = run_cli("sweep", "--max-size", "5", "--m", "3,4", "--n", "3,4,6")
+        assert code == 0
+        assert len(calls) == len(set(calls)) == 34
+        assert len(out.strip().splitlines()) == 1 + 3 * 34
+
 
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self):
@@ -259,8 +300,7 @@ class TestTopLevel:
 
 class TestExitCodes:
     """Malformed input ends with a usage (2) or domain (3) exit, never a
-    traceback. Run as a separate process so argparse exits and the
-    environment variable are seen exactly as a user would see them."""
+    traceback."""
 
     @pytest.mark.parametrize(
         "args, env",
@@ -275,15 +315,7 @@ class TestExitCodes:
         ],
     )
     def test_malformed_input(self, args, env):
-        src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "crystal_sieve", *args],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path, **env},
-            timeout=60,
-        )
+        proc = run_process(args, env)
         assert proc.returncode in (2, 3), proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr

@@ -8,6 +8,7 @@ are asserted exactly.
 
 import cmath
 import json
+import math
 import random
 
 import pytest
@@ -287,6 +288,17 @@ class TestRootOfUnityEvaluation:
             else:
                 assert abs(approx - exact) < 1e-6
         assert seen_none > 0
+
+    def test_fold_agrees_with_unfolded_remainder(self):
+        # the value read off the remainder of f itself by Phi_d, without
+        # folding f mod q^d - 1 first
+        rng = random.Random(11)
+        for _ in range(300):
+            f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 60))])
+            n = rng.randint(1, 40)
+            j = rng.randint(-5, 45)
+            r = rem_mod(f, cyclotomic(n // math.gcd(n, j % n)))
+            assert eval_root_of_unity(f, n, j) == (None if r.degree >= 1 else r[0])
 
 
 class TestOrbitBasis:

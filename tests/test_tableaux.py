@@ -9,6 +9,7 @@ test; signs are accumulated as (-1)^(rows spanned - 1) per removal.
 import pytest
 
 from crystal_sieve.errors import (
+    InternalError,
     NotDivisible,
     NotSemistandard,
     ResourceLimit,
@@ -116,6 +117,24 @@ class TestEnumeration:
             enumerate_ssyt((8,), 4, cap=100)
         assert len(enumerate_ssyt((8,), 4, cap=165)) == 165
 
+    def test_cap_messages_name_input_and_limit(self, monkeypatch):
+        monkeypatch.delenv("CRYSTAL_SIEVE_MAX_ENUM", raising=False)
+        cases = [
+            (lambda: enumerate_ssyt((8,), 4, cap=100), ["(8,) on 4 letters", "165", "cap 100", "argument"]),
+            (lambda: kostka((4, 4), (2, 2, 2, 2), cap=2), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "at least 3", "cap 2"]),
+            (lambda: fixed_points((4, 4), 4, cap=1), ["(4, 4) on 4 letters", "at least 2", "cap 1"]),
+            # C(39, 9) = 211,915,132 tableaux, refused before any is built
+            (lambda: enumerate_ssyt((30,), 10), ["(30,) on 10 letters", "211915132", "cap 10000000", "default"]),
+        ]
+        for call, parts in cases:
+            with pytest.raises(ResourceLimit) as exc:
+                call()
+            for part in parts:
+                assert part in str(exc.value)
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "50")
+        with pytest.raises(ResourceLimit, match="cap 50 set by CRYSTAL_SIEVE_MAX_ENUM"):
+            orbit_census((8,), 4)
+
     def test_empty_shape(self):
         tabs = enumerate_ssyt((), 2)
         assert len(tabs) == 1 and tabs[0].size == 0
@@ -174,6 +193,8 @@ class TestCrystalOperators:
                 crystal_f(bad, t)
             with pytest.raises(ValueError):
                 crystal_e(bad, t)
+            with pytest.raises(ValueError):
+                weyl_s(bad, t)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_axioms_small_sweep(self, m):
@@ -285,6 +306,15 @@ class TestCycleOperator:
     def test_census_cap(self):
         with pytest.raises(ResourceLimit):
             orbit_census((8,), 4, cap=10)
+
+    def test_census_stops_on_a_step_that_never_returns(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # sorting the word is idempotent, so a walk from an unsorted word
+        # never comes back to it
+        monkeypatch.setitem(tableaux._WORD_ACTIONS, "c", lambda w, m, cells: tuple(sorted(w)))
+        with pytest.raises(InternalError):
+            orbit_census((2, 1), 3)
 
 
 class TestBenderKnuth:
