@@ -41,17 +41,16 @@ from .qdim import (
 )
 from .qpoly import (
     IntPoly,
-    OrbitDecomposition,
     cyclotomic,
     divisors,
     eval_root_of_unity,
     format_poly,
     mobius,
-    orbit_basis_decompose,
     orbit_basis_element,
     parse_poly,
     q_ratio,
     rem_mod,
+    root_values,
 )
 from .tableaux import (
     MCoreResult,

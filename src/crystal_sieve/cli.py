@@ -247,14 +247,15 @@ def cmd_orbit_formula(args) -> int:
 
 def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
     """One CSV row per order n for the shape lam on m letters; the census is
-    taken once for all of them."""
+    taken once for all of them, and at n = m the orbit counts come from the
+    csp_check report."""
     lam, m, ns = cell
     padded = list(lam) + [0] * (m - len(lam))
     spoly = principal_specialization(lam, m)
-    verdict = ""
+    verdict, predicted = "", None
     if m in ns:
         report = csp_check(lam, m, "c")
-        census, verdict = report.census, str(report.verdict)
+        census, verdict, predicted = report.census, str(report.verdict), report.predicted_a
     else:
         census = orbit_census(lam, m, "c")
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
@@ -263,8 +264,11 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
         stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
         a_map = ""
         if stretched and m >= 2:
-            result = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n)
-            a_map = ";".join(f"{d}:{v}" for d, v in result.a.items())
+            if n == m:
+                a = predicted
+            else:
+                a = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n).a
+            a_map = ";".join(f"{d}:{v}" for d, v in a.items())
         rows.append([
             ",".join(map(str, lam)) if lam else "0",
             m,

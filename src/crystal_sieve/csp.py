@@ -23,7 +23,7 @@ from .errors import (
 )
 from .partitions import Partition, as_partition, partition_size
 from .qdim import congruence, divisibility_condition, kappa, principal_specialization
-from .qpoly import IntPoly, cyclotomic, divisors, eval_root_of_unity, mobius, rem_mod
+from .qpoly import IntPoly, divisors, mobius, root_values
 from .tableaux import OrbitCensus, orbit_census
 
 
@@ -106,8 +106,9 @@ def csp_check(
 
     f defaults to the principal specialization of the shape; n defaults to
     the group order (m for the cycle operator, the cycle lcm for promotion).
-    The verdict is true only when every evaluation is an integer equal to
-    the fixed-point count.
+    The values come from one ``root_values`` table, computed once per
+    divisor of n. The verdict is true only when every evaluation is an
+    integer equal to the fixed-point count.
     """
     lam = as_partition(lam)
     census = orbit_census(lam, m, action, cap=cap)
@@ -119,9 +120,8 @@ def csp_check(
     if f is None:
         f = principal_specialization(lam, m)
     checks = []
-    for j in range(1, n + 1):
+    for j, value in enumerate(root_values(f, n), 1):
         fixed = census.fixed_by_power(j)
-        value = eval_root_of_unity(f, n, j)
         checks.append(ExponentCheck(j, fixed, value, value is not None and value == fixed))
     return CspReport(
         lam=lam,
@@ -153,10 +153,9 @@ def aa_criterion(f: IntPoly, n: int) -> AaResult:
     with f: all root-of-unity values must be nonnegative integers and, for
     every divisor k of n, the Mobius sum over divisors j of k of
     mobius(k/j) * f(at exponent j) must be nonnegative (it equals k times
-    the number of size-k orbits)."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    values = tuple(eval_root_of_unity(f, n, j) for j in range(1, n + 1))
+    the number of size-k orbits). The values are one ``root_values`` table,
+    computed once per divisor of n."""
+    values = root_values(f, n)
     if any(v is None or v < 0 for v in values):
         return AaResult(False, (), values)
     failures = []
@@ -266,10 +265,12 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
 
     For a prime p >= m and a shape with at most m rows: some pair i < j in
     1..m has lam_i - i congruent to lam_j - j mod p exactly when the p-th
-    cyclotomic polynomial divides the Schur polynomial at 1, q, ..., q^(m-1)
-    (the two are computed independently and cross-asserted). action_exists
-    reports whether an order-p cyclic action realizes that unnormalized
-    specialization.
+    cyclotomic polynomial divides the Schur polynomial at 1, q, ..., q^(m-1).
+    Divisibility is read off the existence criterion's value table: the
+    value at a primitive p-th root of unity is 0 exactly when Phi_p divides.
+    The two sides are computed independently and cross-asserted.
+    action_exists reports whether an order-p cyclic action realizes that
+    unnormalized specialization.
     """
     lam = as_partition(lam)
     if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
@@ -283,11 +284,11 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     residues_collide = len(set(marks)) < m
 
     schur = principal_specialization(lam, m).shift(kappa(lam))
-    divides = rem_mod(schur, cyclotomic(p)).is_zero
+    aa = aa_criterion(schur, p)
+    divides = aa.values[0] == 0
     if divides != residues_collide:
         raise CongruenceMismatch(
             f"residue collision ({residues_collide}) disagrees with "
             f"cyclotomic divisibility ({divides}) for {lam}, m={m}, p={p}"
         )
-    exists = aa_criterion(schur, p).exists
-    return PrimeCriterion(residues_collide, divides, exists)
+    return PrimeCriterion(residues_collide, divides, aa.exists)

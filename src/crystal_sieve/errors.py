@@ -39,7 +39,8 @@ class ConditionViolated(CrystalSieveError):
 
 
 class ResourceLimit(CrystalSieveError):
-    """Enumeration would exceed the configured element cap."""
+    """Enumeration would exceed the configured element cap, or a product
+    the polynomial degree cap."""
 
 
 class SizeMismatch(CrystalSieveError):

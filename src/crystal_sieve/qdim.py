@@ -5,6 +5,8 @@ The q-dimension of the crystal with highest weight L is the Weyl-type product
 over positive roots of (1 - q^((beta, L + rho))) / (1 - q^((beta, rho))).
 Every such product, and its value at q = 1, goes through the one exact
 routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q].
+The output degree is known from the exponents before any product work, and
+a degree above ``MAX_DEGREE`` raises ResourceLimit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     CongruenceMismatch,
     ConditionViolated,
     NotDominant,
+    ResourceLimit,
     ShapeTooLong,
 )
 from .partitions import Partition, as_partition
@@ -37,6 +40,19 @@ from .qpoly import (
     q_ratio,
     q_ratio_at_one,
 )
+
+
+# Largest output degree of qdim, qdim_dual, principal_specialization and
+# congruence; A20 at weight 12^20 has degree 18,480.
+MAX_DEGREE = 100_000
+
+
+def _check_degree(nums, dens, what: str) -> None:
+    """ResourceLimit when the product over these exponents has a degree above
+    MAX_DEGREE; what names the input."""
+    degree = sum(nums) - sum(dens)
+    if degree > MAX_DEGREE:
+        raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
 
 
 def _pair_fns(datum: CartanDatum, dual: bool):
@@ -67,16 +83,26 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, roots=None):
     return nums, dens
 
 
-def _qdim(datum: CartanDatum, lam: Weight, dual: bool) -> IntPoly:
+def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
+    """Exponents of the whole (dual) q-dimension product, after the
+    dominance and degree checks."""
     _require_dominant(lam)
-    return q_ratio(*_exponents(datum, lam, dual))
+    nums, dens = _exponents(datum, lam, dual)
+    kind = "dual q-dimension" if dual else "q-dimension"
+    _check_degree(nums, dens, f"{kind} of {datum.cartan_type} at weight {lam}")
+    return nums, dens
+
+
+def _qdim(datum: CartanDatum, lam: Weight, dual: bool) -> IntPoly:
+    return q_ratio(*_qdim_exponents(datum, lam, dual))
 
 
 def qdim(datum: CartanDatum, lam: Weight) -> IntPoly:
     """q-dimension of the highest-weight crystal B(lam).
 
     Monic palindromic polynomial of degree 2 (rho, lam) whose value at 1 is
-    the classical Weyl dimension.
+    the classical Weyl dimension. A degree above MAX_DEGREE raises
+    ResourceLimit.
     """
     return _qdim(datum, lam, dual=False)
 
@@ -154,11 +180,12 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
     counts b_d come from the Weyl-type product over the selected roots, the
     orbit counts a_d by Mobius inversion, and the residue is cross-checked
     against the reconstruction from the a_d. The residue is the fold of the
-    q-dimension's coefficients by exponent mod n.
+    q-dimension's coefficients by exponent mod n. A q-dimension of degree
+    above MAX_DEGREE raises ResourceLimit before any product is taken.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    _require_dominant(lam)
+    nums, dens = _qdim_exponents(datum, lam, dual)
     if not divisibility_condition(datum, lam, n, dual):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
     b: dict[int, int] = {}
@@ -175,7 +202,7 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
         if a[d] < 0:
             raise CongruenceMismatch(f"orbit count a_{d} = {a[d]} is negative")
 
-    coeffs = _qdim(datum, lam, dual).coeffs
+    coeffs = q_ratio(nums, dens).coeffs
     residue = IntPoly([sum(coeffs[r::n]) for r in range(n)])
     recon = IntPoly()
     for d, coeff in a.items():
@@ -199,7 +226,8 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     Computed as the pairwise product over 1 <= i < j <= m of
     (1 - q^(l_i - l_j)) / (1 - q^(j - i)) with l_i = lam_i + m - i, through
     the same product routine as the q-dimension. Nonnegative coefficients;
-    the value at 1 counts semistandard fillings.
+    the value at 1 counts semistandard fillings. A degree above MAX_DEGREE
+    raises ResourceLimit.
     """
     lam = as_partition(lam)
     if len(lam) > m:
@@ -207,4 +235,6 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     padded = lam + (0,) * (m - len(lam))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     nums = [padded[i] - padded[j] + j - i for i, j in pairs]
-    return q_ratio(nums, [j - i for i, j in pairs])
+    dens = [j - i for i, j in pairs]
+    _check_degree(nums, dens, f"principal specialization of shape {lam} on {m} letters")
+    return q_ratio(nums, dens)

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic over the integers, cyclotomic polynomials,
-evaluation at roots of unity, and decomposition against the orbit basis
-of Z[q]/(q^n - 1).
+evaluation at roots of unity, and the orbit basis of Z[q]/(q^n - 1).
 
 Everything here is exact. Floats never enter; rationality questions are
 settled by polynomial remainders, not numerics.
@@ -317,53 +316,51 @@ def cyclotomic(d: int) -> IntPoly:
     return q_ratio(nums, dens)
 
 
-def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
-    """Exact value of f at exp(2*pi*i*j/n) when that value is an integer.
+def _fold(coeffs, n: int):
+    """Coefficients reduced mod q^n - 1, by summing them over exponent classes."""
+    if len(coeffs) <= n:
+        return coeffs
+    return [sum(coeffs[k::n]) for k in range(n)]
 
-    The point is a primitive d-th root of unity for d = n / gcd(n, j mod n),
-    so f reduces mod the d-th cyclotomic polynomial; the value is rational
-    exactly when the remainder is constant. Returns None otherwise
-    (j = 0 mod n gives d = 1 and plain evaluation at 1). Since Phi_d
-    divides q^d - 1, f is first folded mod q^d - 1 by exponent.
-    """
-    if n <= 0:
-        raise ValueError("n must be positive")
-    d = n // math.gcd(n, j % n)
-    coeffs = f.coeffs
-    if len(coeffs) > d:
-        f = IntPoly([sum(coeffs[k::d]) for k in range(d)])
-    r = rem_mod(f, cyclotomic(d))
+
+def _value_at_order(coeffs, d: int) -> int | None:
+    """Value of the polynomial with these coefficients at a primitive d-th
+    root of unity, or None when it is irrational: the coefficients are
+    folded mod q^d - 1, which Phi_d divides, and the fold is reduced by
+    Phi_d; the value is rational exactly when the remainder is constant."""
+    r = rem_mod(IntPoly(_fold(coeffs, d)), cyclotomic(d))
     if r.degree >= 1:
         return None
     return r[0]
 
 
-class OrbitDecomposition:
-    """Coefficients of a polynomial against the basis
-    (q^n - 1)/(q^(n/d) - 1) for d running over the divisors of n."""
+def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
+    """Exact value of f at exp(2*pi*i*j/n) when that value is an integer.
 
-    __slots__ = ("n", "coeffs")
+    The point is a primitive d-th root of unity for d = n / gcd(n, j mod n),
+    so the value is the one ``root_values`` reads at order d. Returns None
+    when it is irrational (j = 0 mod n gives d = 1 and plain evaluation
+    at 1).
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return _value_at_order(f.coeffs, n // math.gcd(n, j % n))
 
-    def __init__(self, n: int, coeffs: dict[int, int]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", dict(coeffs))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbitDecomposition is immutable")
+def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
+    """Values of f at w^1, ..., w^n for a primitive n-th root of unity w,
+    with None where a value is irrational; entry j - 1 equals
+    ``eval_root_of_unity(f, n, j)``.
 
-    def __eq__(self, other):
-        if not isinstance(other, OrbitDecomposition):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"OrbitDecomposition(n={self.n}, coeffs={self.coeffs!r})"
-
-    def reconstruct(self) -> IntPoly:
-        out = ZERO
-        for d, a in self.coeffs.items():
-            out = out + a * orbit_basis_element(self.n, d)
-        return out
+    The value at w^j depends only on the order d = n / gcd(n, j) of w^j, so
+    f is folded mod q^n - 1 once and each divisor d of n costs one fold
+    mod q^d - 1 and one reduction by Phi_d.
+    """
+    if n <= 0:
+        raise ValueError("n must be positive")
+    coeffs = _fold(f.coeffs, n)
+    by_order = {d: _value_at_order(coeffs, d) for d in divisors(n)}
+    return tuple(by_order[n // math.gcd(n, j)] for j in range(1, n + 1))
 
 
 def orbit_basis_element(n: int, d: int) -> IntPoly:
@@ -375,24 +372,3 @@ def orbit_basis_element(n: int, d: int) -> IntPoly:
     for k in range(0, n, step):
         out[k] = 1
     return IntPoly(out)
-
-
-def orbit_basis_decompose(r: IntPoly, n: int) -> OrbitDecomposition | None:
-    """Write r as an integer combination of the orbit basis elements, or None.
-
-    The basis element for divisor d has degree n - n/d; degrees are pairwise
-    distinct, so coefficients are forced greedily from the top down. Requires
-    deg r < n.
-    """
-    if r.degree >= n:
-        raise ValueError(f"deg {r.degree} is not below n = {n}")
-    by_degree_desc = sorted(divisors(n), key=lambda d: n - n // d, reverse=True)
-    coeffs: dict[int, int] = {}
-    for d in by_degree_desc:
-        if r.degree == n - n // d and not r.is_zero:
-            a = r.coeffs[-1]
-            coeffs[d] = a
-            r = r - a * orbit_basis_element(n, d)
-    if not r.is_zero:
-        return None
-    return OrbitDecomposition(n, coeffs)

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -284,6 +285,46 @@ class TestSweep:
         assert code == 0
         assert len(calls) == len(set(calls)) == 34
         assert len(out.strip().splitlines()) == 1 + 3 * 34
+
+    def test_one_congruence_per_shape_and_order(self, monkeypatch):
+        # 16 (lam, m, n) with every padded difference divisible by n; at n = m
+        # the orbit counts come from the csp_check report
+        import crystal_sieve.cli as cli
+        import crystal_sieve.csp as csp
+
+        calls = []
+
+        def counted(real):
+            def congruence(datum, weight, n, *args, **kwargs):
+                calls.append((datum.rank, weight, n))
+                return real(datum, weight, n, *args, **kwargs)
+
+            return congruence
+
+        argv = ["sweep", "--max-size", "5", "--m", "3,4", "--n", "3,4,6"]
+        _, parallel, _ = run_cli(*argv, "--jobs", "2")
+        monkeypatch.setattr(cli, "congruence", counted(cli.congruence))
+        monkeypatch.setattr(csp, "congruence", counted(csp.congruence))
+        code, serial, _ = run_cli(*argv)
+        assert code == 0
+        assert len(calls) == 16
+        stretched = [r for r in csv.DictReader(io.StringIO(serial)) if r["stretched"] == "True"]
+        assert len(stretched) == 16 and all(r["a"] for r in stretched)
+        assert serial == parallel
+
+
+class TestDegreeCap:
+    def test_huge_weight_exits_4_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("qdim", "A1", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert code == 4 and not out
+        assert "A1" in err and "(1000000000,)" in err and "degree cap 100000" in err
+
+    def test_huge_weight_as_a_process(self):
+        proc = run_process(["qdim", "A1", "1000000000"], {})
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr and "degree cap" in proc.stderr
 
 
 class TestTopLevel:

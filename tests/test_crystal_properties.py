@@ -112,3 +112,28 @@ def test_c_verdict_implies_existence_criterion(case):
     lam, m = case
     if csp_check(lam, m, "c").verdict:
         assert aa_criterion(principal_specialization(lam, m), m).exists
+
+
+@st.composite
+def rectangles(draw):
+    """(lam, m): a rectangle a^b with b < m <= 6 and at most 12 cells."""
+    m = draw(st.integers(2, 6))
+    b = draw(st.integers(1, m - 1))
+    a = draw(st.integers(1, 12 // b))
+    return (a,) * b, m
+
+
+@SETTINGS
+@given(rectangles())
+def test_promotion_orbits_on_rectangles_divide_m(case):
+    # promotion has order m on rectangular tableaux (Rhoades 2010)
+    lam, m = case
+    census = orbit_census(lam, m, "pr")
+    assert all(m % d == 0 for d in census.by_size)
+
+
+@SETTINGS
+@given(rectangles())
+def test_promotion_sieves_on_rectangles(case):
+    lam, m = case
+    assert csp_check(lam, m, "pr").verdict

@@ -5,6 +5,8 @@ comparisons and formulas, and the shape and prime-order characterizations.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crystal_sieve.csp import (
     aa_criterion,
@@ -25,7 +27,8 @@ from crystal_sieve.errors import (
 )
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import congruence, kappa, principal_specialization
-from crystal_sieve.qpoly import IntPoly, divisors, eval_root_of_unity, mobius
+from crystal_sieve import qpoly
+from crystal_sieve.qpoly import IntPoly, cyclotomic, divisors, eval_root_of_unity, mobius, rem_mod
 from crystal_sieve.tableaux import enumerate_ssyt, orbit_census
 
 
@@ -143,6 +146,20 @@ class TestAaCriterion:
             assert total == k * r.a[k]
 
 
+    def test_one_reduction_per_divisor(self, monkeypatch):
+        calls = []
+
+        def counted(f, g):
+            calls.append(g)
+            return rem_mod(f, g)
+
+        monkeypatch.setattr(qpoly, "rem_mod", counted)
+        f = principal_specialization((6, 3, 1), 5)
+        result = aa_criterion(f, 120)
+        assert len(calls) <= len(divisors(120)) == 16
+        assert result.values == tuple(eval_root_of_unity(f, 120, j) for j in range(1, 121))
+
+
 class TestCensusVsA:
     def test_agreement_on_one_row(self):
         assert census_vs_a((3,), 3) is True
@@ -242,6 +259,26 @@ class TestPrimeCriterion:
         for m in range(1, p + 1):
             for lam in partitions_up_to(6, max_parts=m):
                 prime_specialization_criterion(lam, m, p)
+
+
+PRIMES = [2, 3, 5, 7, 11, 13]
+
+
+@st.composite
+def shape_letters_prime(draw):
+    p = draw(st.sampled_from(PRIMES))
+    m = draw(st.integers(1, p))
+    parts = draw(st.lists(st.integers(1, 9), max_size=m))
+    return tuple(sorted(parts, reverse=True)), m, p
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(shape_letters_prime())
+def test_prime_divisibility_equals_cyclotomic_remainder(case):
+    lam, m, p = case
+    schur = principal_specialization(lam, m).shift(kappa(lam))
+    divides = rem_mod(schur, cyclotomic(p)).is_zero
+    assert prime_specialization_criterion(lam, m, p).cyclotomic_divides == divides
 
 
 class TestOperatorIdentities:

@@ -19,9 +19,10 @@ from crystal_sieve.cartan import (
     pairing,
     rho_pairing,
 )
-from crystal_sieve.errors import ConditionViolated, NotDominant, ShapeTooLong
+from crystal_sieve.errors import ConditionViolated, NotDominant, ResourceLimit, ShapeTooLong
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import (
+    MAX_DEGREE,
     CongruenceResult,
     congruence,
     divisibility_condition,
@@ -301,3 +302,31 @@ class TestPrincipalSpecialization:
         for lam in [(2,), (2, 1), (3, 1), (2, 2)]:
             datum = build_cartan_datum("A2")
             assert principal_specialization(lam, 3) == qdim(datum, gl_weight(lam, 3))
+
+
+class TestDegreeCap:
+    def test_cap_sits_above_a20_at_twelve(self):
+        datum = build_cartan_datum("A20")
+        # the degree 2 (rho, lam) is the sum of (beta, lam) over positive roots
+        degree = sum(pairing(datum, beta, (12,) * 20) for beta in datum.positive_roots)
+        assert degree == 18480 < MAX_DEGREE
+
+    @pytest.mark.parametrize(
+        "call, words",
+        [
+            (lambda: qdim(build_cartan_datum("A1"), (10**9,)), ["A1", "(1000000000,)"]),
+            (lambda: qdim_dual(build_cartan_datum("B2"), (10**6, 0)), ["B2", "(1000000, 0)"]),
+            (lambda: congruence(build_cartan_datum("A1"), (10**9,), 2), ["A1", "(1000000000,)"]),
+            (lambda: principal_specialization((10**6,), 3), ["(1000000,)", "3 letters"]),
+        ],
+    )
+    def test_cap_raises_before_any_product(self, call, words):
+        with pytest.raises(ResourceLimit) as exc:
+            call()
+        message = str(exc.value)
+        for word in words + ["degree", str(MAX_DEGREE)]:
+            assert word in message
+
+    def test_degree_at_the_cap_is_allowed(self):
+        f = qdim(build_cartan_datum("A1"), (MAX_DEGREE,))
+        assert f.degree == MAX_DEGREE

@@ -13,26 +13,29 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crystal_sieve.cartan import build_cartan_datum
 from crystal_sieve.errors import InternalError, NotMonic
+from crystal_sieve.qdim import congruence
 from crystal_sieve.qpoly import (
     ONE,
     Q,
     ZERO,
     IntPoly,
-    OrbitDecomposition,
     cyclotomic,
     divisors,
     eval_root_of_unity,
     format_poly,
     mobius,
-    orbit_basis_decompose,
     orbit_basis_element,
     parse_poly,
     poly_to_json_coeffs,
     q_ratio,
     q_ratio_at_one,
     rem_mod,
+    root_values,
 )
 
 # q^8 + q^7 + 2q^6 + 2q^5 + 3q^4 + 2q^3 + 2q^2 + q + 1, the running example
@@ -301,6 +304,18 @@ class TestRootOfUnityEvaluation:
             assert eval_root_of_unity(f, n, j) == (None if r.degree >= 1 else r[0])
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.integers(-9, 9), max_size=300), st.integers(1, 130))
+def test_value_table_matches_single_values(coeffs, n):
+    f = IntPoly(coeffs)
+    assert root_values(f, n) == tuple(eval_root_of_unity(f, n, j) for j in range(1, n + 1))
+
+
+def test_value_table_rejects_nonpositive_order():
+    with pytest.raises(ValueError):
+        root_values(Q, 0)
+
+
 class TestOrbitBasis:
     def test_basis_elements(self):
         assert orbit_basis_element(4, 1) == ONE
@@ -314,46 +329,39 @@ class TestOrbitBasis:
             orbit_basis_element(4, 3)
 
     def test_decompose_running_example(self):
-        dec = orbit_basis_decompose(GL3_RESIDUE, 4)
-        assert dec is not None
-        assert dec.coeffs == {1: 1, 2: 1, 4: 3}
-        assert dec.reconstruct() == GL3_RESIDUE
+        # congruence decomposes the running example's residue mod q^4 - 1
+        result = congruence(build_cartan_datum("A2"), (4, 0), 4)
+        assert result.residue == GL3_RESIDUE
+        assert result.a == {1: 1, 2: 1, 4: 3}
+        assert combine(4, result.a) == GL3_RESIDUE
 
     def test_decompose_constant(self):
-        dec = orbit_basis_decompose(ONE, 4)
-        assert dec.coeffs == {1: 1}
-        assert orbit_basis_decompose(ZERO, 6).coeffs == {}
-
-    def test_decompose_allows_negative_coefficients(self):
-        dec = orbit_basis_decompose(Q, 2)
-        assert dec.coeffs == {2: 1, 1: -1}
-        assert dec.reconstruct() == Q
-
-    def test_decompose_failure(self):
-        # at n=4 the basis degrees are 0, 2, 3; nothing produces a bare q
-        assert orbit_basis_decompose(Q, 4) is None
-        assert orbit_basis_decompose(IntPoly([0, 0, 0, 0, 1]), 6) is None
-
-    def test_decompose_degree_bound(self):
-        with pytest.raises(ValueError):
-            orbit_basis_decompose(IntPoly.monomial(4), 4)
+        result = congruence(build_cartan_datum("A2"), (0, 0), 4)
+        assert result.residue == ONE
+        assert result.a == {1: 1, 2: 0, 4: 0}
 
     def test_reconstruction_roundtrip(self):
+        # the coefficient at q^(n/e mod n) of a combination sums a_d over the
+        # multiples d of e, so Mobius inversion over the divisors reads the
+        # coefficients back
         rng = random.Random(4)
         for n in (1, 2, 4, 6, 12):
             for _ in range(20):
                 coeffs = {d: rng.randint(-5, 5) for d in divisors(n)}
-                f = OrbitDecomposition(n, coeffs).reconstruct()
-                dec = orbit_basis_decompose(f, n)
-                assert dec is not None
-                assert dec.coeffs == {d: a for d, a in coeffs.items() if a}
-                assert dec.reconstruct() == f
+                f = combine(n, coeffs)
+                back = {
+                    e: sum(mobius(d // e) * f[(n // d) % n] for d in divisors(n) if d % e == 0)
+                    for e in divisors(n)
+                }
+                assert back == coeffs
 
-    def test_equality(self):
-        a = OrbitDecomposition(4, {1: 1, 4: 3})
-        b = OrbitDecomposition(4, {4: 3, 1: 1})
-        assert a == b
-        assert a != OrbitDecomposition(8, {1: 1, 4: 3})
+
+def combine(n, coeffs):
+    """sum of a_d * (q^n - 1)/(q^(n/d) - 1) over the divisors d of n."""
+    out = ZERO
+    for d, a in coeffs.items():
+        out = out + a * orbit_basis_element(n, d)
+    return out
 
 
 class TestTextFormats:
