@@ -58,7 +58,6 @@ from .tableaux import (
     Tableau,
     bender_knuth,
     c_action,
-    content,
     crystal_e,
     crystal_f,
     enumerate_ssyt,

@@ -13,8 +13,8 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .cartan import CartanType, build_cartan_datum, corho_pairing, gl_weight, rho_pairing
-from .csp import aa_criterion, csp_check, orbit_formula
+from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
+from .csp import OrbitCountStore, aa_criterion, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
 from .errors import (
     CrystalSieveError,
@@ -165,10 +165,6 @@ def cmd_congruence(args) -> int:
     return 0
 
 
-def _csp_payload(report) -> dict:
-    return report.to_json_dict()
-
-
 def _csp_plain(report, table: bool) -> str:
     lines = [
         f"action {report.action} on {report.lam or '()'} with {report.m} letters, order n = {report.n}",
@@ -205,7 +201,7 @@ def cmd_crystal(args) -> int:
         _emit(args, payload, plain)
     else:  # csp
         report = csp_check(lam, args.m, args.action)
-        _emit(args, _csp_payload(report), _csp_plain(report, args.table))
+        _emit(args, report.to_json_dict(), _csp_plain(report, args.table))
     return 0
 
 
@@ -213,7 +209,7 @@ def cmd_csp_check(args) -> int:
     lam = _parse_partition(args.partition)
     f = _parse_poly_arg(args.f) if args.f else None
     report = csp_check(lam, args.m, args.action, f=f, n=args.n)
-    _emit(args, _csp_payload(report), _csp_plain(report, args.table))
+    _emit(args, report.to_json_dict(), _csp_plain(report, args.table))
     return 0
 
 
@@ -245,30 +241,23 @@ def cmd_orbit_formula(args) -> int:
     return 0
 
 
-def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
+def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]], store: OrbitCountStore) -> list[list]:
     """One CSV row per order n for the shape lam on m letters; the census is
-    taken once for all of them, and at n = m the orbit counts come from the
-    csp_check report."""
+    taken once for all of them, and the orbit counts come from the store."""
     lam, m, ns = cell
     padded = list(lam) + [0] * (m - len(lam))
     spoly = principal_specialization(lam, m)
-    verdict, predicted = "", None
+    verdict = ""
     if m in ns:
-        report = csp_check(lam, m, "c")
-        census, verdict, predicted = report.census, str(report.verdict), report.predicted_a
+        report = csp_check(lam, m, "c", orbit_counts=store)
+        census, verdict = report.census, str(report.verdict)
     else:
         census = orbit_census(lam, m, "c")
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:
         stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
-        a_map = ""
-        if stretched and m >= 2:
-            if n == m:
-                a = predicted
-            else:
-                a = congruence(build_cartan_datum(f"A{m-1}"), gl_weight(lam, m), n).a
-            a_map = ";".join(f"{d}:{v}" for d, v in a.items())
+        a = predicted_orbit_counts(lam, m, n, store) if stretched else None
         rows.append([
             ",".join(map(str, lam)) if lam else "0",
             m,
@@ -278,9 +267,15 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
             aa_criterion(spoly, n).exists,
             verdict if n == m else "",
             sizes,
-            a_map,
+            "" if a is None else ";".join(f"{d}:{v}" for d, v in a.items()),
         ])
     return rows
+
+
+def _sweep_cells(cells: list[tuple[tuple[int, ...], int, list[int]]]) -> list[list]:
+    """CSV rows of a run of cells, which share one store of orbit counts."""
+    store: OrbitCountStore = {}
+    return [row for cell in cells for row in _sweep_cell(cell, store)]
 
 
 def cmd_sweep(args) -> int:
@@ -293,14 +288,14 @@ def cmd_sweep(args) -> int:
         for lam in partitions_up_to(args.max_size, max_parts=m):
             cells.append((lam, m, ns or [m]))
     if args.jobs and args.jobs > 1:
+        runs = [cells[k:k + 8] for k in range(0, len(cells), 8)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            groups = list(pool.map(_sweep_cell, cells, chunksize=8))
+            rows = [row for part in pool.map(_sweep_cells, runs) for row in part]
     else:
-        groups = [_sweep_cell(c) for c in cells]
+        rows = _sweep_cells(cells)
     w = csv.writer(sys.stdout)
     w.writerow(["partition", "m", "n", "size", "stretched", "aa_exists", "csp_c", "census", "a"])
-    for rows in groups:
-        w.writerows(rows)
+    w.writerows(rows)
     return 0
 
 

@@ -80,16 +80,22 @@ class CspReport:
         }
 
 
-def _predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | None:
+OrbitCountStore = dict[tuple[int, tuple[int, ...], int], dict[int, int] | None]
+
+
+def predicted_orbit_counts(lam: Partition, m: int, n: int, store: OrbitCountStore) -> dict[int, int] | None:
     """Orbit counts read off the residue of the q-dimension mod q^n - 1,
-    available exactly when the divisibility condition holds."""
+    available exactly when the divisibility condition holds. The store
+    keeps them by (m, weight, n), so each is computed once for as long as
+    the caller keeps the store: lam and lam + (1^m) share a weight."""
     if m < 2:
         return None
-    datum = build_cartan_datum(f"A{m - 1}")
     weight = gl_weight(lam, m)
-    if not divisibility_condition(datum, weight, n):
-        return None
-    return congruence(datum, weight, n).a
+    key = (m, weight, n)
+    if key not in store:
+        datum = build_cartan_datum(f"A{m - 1}")
+        store[key] = congruence(datum, weight, n).a if divisibility_condition(datum, weight, n) else None
+    return store[key]
 
 
 def csp_check(
@@ -99,6 +105,7 @@ def csp_check(
     f: IntPoly | None = None,
     n: int | None = None,
     cap: int | None = None,
+    orbit_counts: OrbitCountStore | None = None,
 ) -> CspReport:
     """Exact sieving check: for every power j of the acting generator,
     compare the number of tableaux fixed by it with the value of f at the
@@ -108,7 +115,9 @@ def csp_check(
     the group order (m for the cycle operator, the cycle lcm for promotion).
     The values come from one ``root_values`` table, computed once per
     divisor of n. The verdict is true only when every evaluation is an
-    integer equal to the fixed-point count.
+    integer equal to the fixed-point count. The predicted orbit counts are
+    read from orbit_counts when the caller passes a store that outlives the
+    call (see ``predicted_orbit_counts``).
     """
     lam = as_partition(lam)
     census = orbit_census(lam, m, action, cap=cap)
@@ -131,7 +140,7 @@ def csp_check(
         per_exponent=tuple(checks),
         verdict=all(c.match for c in checks),
         census=census,
-        predicted_a=_predicted_orbit_counts(lam, m, n),
+        predicted_a=predicted_orbit_counts(lam, m, n, {} if orbit_counts is None else orbit_counts),
     )
 
 
@@ -190,7 +199,7 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
         raise ConditionViolated(
             f"differences of padded parts of {lam} are not all divisible by {n}"
         )
-    predicted = congruence(datum, weight, n).a
+    predicted = report.predicted_a
     census = report.census
     if any(n % d for d in census.by_size):
         raise ConditionViolated(f"a cycle length does not divide the order {n}")

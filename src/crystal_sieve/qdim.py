@@ -33,6 +33,7 @@ from .errors import (
 from .partitions import Partition, as_partition
 from .qpoly import (
     IntPoly,
+    check_order,
     divisors,
     mobius,
     orbit_basis_element,
@@ -43,7 +44,8 @@ from .qpoly import (
 
 
 # Largest output degree of qdim, qdim_dual, principal_specialization and
-# congruence; A20 at weight 12^20 has degree 18,480.
+# congruence; A20 at weight 12^20 has degree 18,480. The order n of
+# congruence has its own cap, qpoly.MAX_ORDER.
 MAX_DEGREE = 100_000
 
 
@@ -180,11 +182,12 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
     counts b_d come from the Weyl-type product over the selected roots, the
     orbit counts a_d by Mobius inversion, and the residue is cross-checked
     against the reconstruction from the a_d. The residue is the fold of the
-    q-dimension's coefficients by exponent mod n. A q-dimension of degree
-    above MAX_DEGREE raises ResourceLimit before any product is taken.
+    q-dimension's coefficients by exponent mod n. An order above
+    qpoly.MAX_ORDER or a q-dimension of degree above MAX_DEGREE raises
+    ResourceLimit before any product is taken.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    kind = "dual q-dimension" if dual else "q-dimension"
+    check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
     if not divisibility_condition(datum, lam, n, dual):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")

@@ -14,8 +14,14 @@ import math
 import operator
 import re
 from collections import Counter
+from typing import Callable
 
-from .errors import InternalError, NotMonic
+from .errors import InternalError, NotMonic, ResourceLimit
+
+# Largest order n of a root-of-unity value table or a residue mod q^n - 1.
+# Above 720,720 (240 divisors) and above 156,240, the order of promotion on
+# (6,3,3) with 6 letters.
+MAX_ORDER = 1_000_000
 
 
 class IntPoly:
@@ -316,6 +322,20 @@ def cyclotomic(d: int) -> IntPoly:
     return q_ratio(nums, dens)
 
 
+def check_order(n: int, what: Callable[[], str]) -> None:
+    """ValueError unless n is positive; ResourceLimit when n is above
+    MAX_ORDER, with a message that names the input by calling what."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    if n > MAX_ORDER:
+        raise ResourceLimit(f"{what()} at order n = {n}: above the order cap {MAX_ORDER}")
+
+
+def _values_of(f: IntPoly) -> str:
+    text = format_poly(f)
+    return f"values of {text if len(text) <= 60 else text[:57] + '...'} at roots of unity"
+
+
 def _fold(coeffs, n: int):
     """Coefficients reduced mod q^n - 1, by summing them over exponent classes."""
     if len(coeffs) <= n:
@@ -342,8 +362,7 @@ def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
     when it is irrational (j = 0 mod n gives d = 1 and plain evaluation
     at 1).
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_order(n, lambda: _values_of(f))
     return _value_at_order(f.coeffs, n // math.gcd(n, j % n))
 
 
@@ -354,10 +373,10 @@ def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
 
     The value at w^j depends only on the order d = n / gcd(n, j) of w^j, so
     f is folded mod q^n - 1 once and each divisor d of n costs one fold
-    mod q^d - 1 and one reduction by Phi_d.
+    mod q^d - 1 and one reduction by Phi_d. An order above MAX_ORDER raises
+    ResourceLimit, here and in ``eval_root_of_unity``.
     """
-    if n <= 0:
-        raise ValueError("n must be positive")
+    check_order(n, lambda: _values_of(f))
     coeffs = _fold(f.coeffs, n)
     by_order = {d: _value_at_order(coeffs, d) for d in divisors(n)}
     return tuple(by_order[n // math.gcd(n, j)] for j in range(1, n + 1))

@@ -4,16 +4,25 @@ operator built from them, Bender-Knuth involutions and promotion, fixed
 points, cores on the m-runner abacus, and orbit censuses.
 
 The public type is the validated, immutable ``Tableau`` of row tuples with
-1-based entries. Inside this module a tableau is its reading word: a flat
-tuple of entries read row by row, left to right, bottom row first, together
-with its shape. A cached table per shape gives the word positions of each
-row and of the cells above and below each cell. The operators work on the
-word in one pass each; the public functions validate a ``Tableau`` on the
-way in and out, and censuses never leave the word form.
+1-based entries. The crystal operators work on its Gelfand-Tsetlin (GT)
+pattern, the rows G[0..m] with G[v][r] the number of entries <= v in row r.
+The reflection s_i, the raising and lowering operators e_i and f_i and the
+Bender-Knuth involution t_i change only G[i], and the new G[i] depends only
+on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: a bracket
+pass over the rows for s_i (which e_i and f_i share) and the piecewise-linear
+reflection for t_i. The public operators convert a ``Tableau`` to GT rows
+and back, validating it on the way out. A census never builds a
+``Tableau``: it enumerates GT patterns by interlacing rows, interns each row
+as a small int for the length of the call, and memoizes each move of G[i]
+under its triple, so one step of the cycle operator or of promotion is
+m - 1 lookups.
 
-The canonical order everywhere is lexicographic on the reading word.
+The canonical order, used by enumeration, Kostka numbers and fixed points,
+is lexicographic on the reading word (rows left to right, bottom row first).
 Enumeration produces it directly: a depth-first search fills the word
-positions in order, each with ascending values, so nothing is sorted.
+positions in order, each with ascending values, so nothing is sorted. GT
+patterns in that order would need a conversion per tableau, so the word
+form stays as the enumeration order.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -39,6 +48,8 @@ DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
 
 Word = tuple[int, ...]
+Row = tuple[int, ...]
+RowRule = Callable[[Row, Row, Row], Row]
 
 
 def _enum_cap(cap: int | None) -> tuple[int, str]:
@@ -150,7 +161,6 @@ class _Cells(NamedTuple):
     row first. -1 marks a missing neighbour."""
 
     rows: tuple[range, ...]  # positions of each row, top row first
-    above: tuple[int, ...]
     below: tuple[int, ...]
     floor: tuple[int, ...]  # least entry: the row number, 1-based
     has_left: tuple[bool, ...]
@@ -160,18 +170,16 @@ class _Cells(NamedTuple):
 def _cells(lam: Partition) -> _Cells:
     starts = [sum(lam[r + 1:]) for r in range(len(lam))]
     size = partition_size(lam)
-    above, below, floor, has_left = [-1] * size, [-1] * size, [0] * size, [False] * size
+    below, floor, has_left = [-1] * size, [0] * size, [False] * size
     for r, length in enumerate(lam):
         for c in range(length):
             p = starts[r] + c
             floor[p] = r + 1
             has_left[p] = c > 0
-            if r:
-                above[p] = starts[r - 1] + c
             if r + 1 < len(lam) and c < lam[r + 1]:
                 below[p] = starts[r + 1] + c
     rows = tuple(range(s, s + length) for s, length in zip(starts, lam))
-    return _Cells(rows, tuple(above), tuple(below), tuple(floor), tuple(has_left))
+    return _Cells(rows, tuple(below), tuple(floor), tuple(has_left))
 
 
 def _tableau(word, lam: Partition, m: int) -> Tableau:
@@ -247,10 +255,6 @@ def enumerate_ssyt(lam: Partition, m: int, cap: int | None = None) -> list[Table
     return [_tableau(w, lam, m) for w in _words(lam, m)]
 
 
-def content(t: Tableau) -> tuple[int, ...]:
-    return t.content()
-
-
 def kostka(lam: Partition, mu: tuple[int, ...], cap: int | None = None) -> int:
     """Number of tableaux of shape lam and content mu.
 
@@ -271,85 +275,114 @@ def kostka(lam: Partition, mu: tuple[int, ...], cap: int | None = None) -> int:
     return count
 
 
-def _brackets(w: Word, i: int) -> tuple[list[int], list[int]]:
-    """Positions of the unmatched letters of the i-signature: each i+1 opens
-    a bracket and each i closes the latest open one. The unmatched i's all
-    precede the unmatched i+1's, so they read i^a (i+1)^b."""
-    j = i + 1
-    free: list[int] = []
-    opened: list[int] = []
-    for p, x in enumerate(w):
-        if x == i:
-            if opened:
-                opened.pop()
-            else:
-                free.append(p)
-        elif x == j:
-            opened.append(p)
-    return free, opened
+def _gt(t: Tableau) -> list[Row]:
+    """The Gelfand-Tsetlin rows G[0..m]: G[v][r] counts the entries <= v in
+    row r of the tableau."""
+    if not t.rows:
+        return [()] * (t.m + 1)
+    columns = []
+    for row in t.rows:
+        counts = [0] * (t.m + 1)
+        for v in row:
+            counts[v] += 1
+        columns.append(accumulate(counts))
+    return list(zip(*columns))
 
 
-def _reflect(w: Word, i: int) -> Word:
-    """s_i in one bracket pass: the unmatched i^a (i+1)^b becomes
-    i^b (i+1)^a."""
-    free, opened = _brackets(w, i)
-    a, b = len(free), len(opened)
-    if a == b:
-        return w
-    out = list(w)
-    if a > b:
-        for p in free[b:]:
-            out[p] = i + 1
+def _from_gt(g: list[Row], m: int) -> Tableau:
+    """The tableau whose row r holds G[v][r] - G[v-1][r] copies of each v."""
+    rows = []
+    for column in zip(*g):
+        row: list[int] = []
+        for v in range(1, m + 1):
+            row += [v] * (column[v] - column[v - 1])
+        rows.append(tuple(row))
+    return Tableau(tuple(rows), m)
+
+
+def _free(lo: Row, row: Row, hi: Row) -> list[int]:
+    """The bracket pass of s_i, e_i and f_i, row by row: per row, the i's
+    that no i+1 matches. With lo, row, hi the GT rows G[i-1], G[i], G[i+1],
+    tableau row r holds row[r] - lo[r] i's followed by hi[r] - row[r]
+    i+1's. The reading word takes the rows bottom row first; each i+1 opens
+    a bracket and each i closes an open one, so a row's i's first close the
+    brackets still open below it, and the rest are free: its rightmost
+    i's."""
+    free = [0] * len(row)
+    open_below = 0
+    for r in range(len(row) - 1, -1, -1):
+        a = row[r] - lo[r]
+        if a > open_below:
+            free[r] = a - open_below
+            open_below = 0
+        else:
+            open_below -= a
+        open_below += hi[r] - row[r]
+    return free
+
+
+def _opened(lo: Row, row: Row, hi: Row) -> list[int]:
+    """Per row, the i+1's that no i matches: the same pass read backwards,
+    top row first, where a row's i+1's first close the i's left over above
+    it, and the rest stay open: its leftmost i+1's."""
+    opened = [0] * len(row)
+    left_above = 0
+    for r in range(len(row)):
+        b = hi[r] - row[r]
+        if b > left_above:
+            opened[r] = b - left_above
+            left_above = 0
+        else:
+            left_above -= b
+        left_above += row[r] - lo[r]
+    return opened
+
+
+def _reflect_row(lo: Row, row: Row, hi: Row) -> Row:
+    """s_i on G[i]: the unmatched i^a (i+1)^b of the reading word become
+    i^b (i+1)^a. Matched pairs hold one i and one i+1, so a - b is the
+    count of i's minus the count of i+1's. When a > b the last a - b free
+    i's, top rows first, turn into i+1; when b > a the first b - a
+    unmatched i+1's, bottom rows first, turn into i."""
+    k = 2 * sum(row) - sum(lo) - sum(hi)
+    if k == 0:
+        return row
+    out = list(row)
+    if k > 0:
+        for r, a in enumerate(_free(lo, row, hi)):
+            if a >= k:
+                out[r] -= k
+                break
+            out[r] -= a
+            k -= a
     else:
-        for p in opened[:b - a]:
-            out[p] = i
+        k = -k
+        opened = _opened(lo, row, hi)
+        for r in range(len(out) - 1, -1, -1):
+            if opened[r] >= k:
+                out[r] += k
+                break
+            out[r] += opened[r]
+            k -= opened[r]
     return tuple(out)
 
 
-def _bender_knuth(w: Word, i: int, cells: _Cells) -> Word:
-    """In each row an i is free when the cell below does not hold i+1, and
-    an i+1 is free when the cell above does not hold i; the free entries of
-    a row are consecutive, and a run of a free i's then b free i+1's
-    becomes b i's then a i+1's."""
-    j = i + 1
-    above, below = cells.above, cells.below
-    out = None
-    for row in cells.rows:
-        a = b = 0
-        first = -1
-        for p in row:
-            x = w[p]
-            if x == i:
-                q = below[p]
-                if q < 0 or w[q] != j:
-                    a += 1
-                    if first < 0:
-                        first = p
-            elif x == j:
-                q = above[p]
-                if q < 0 or w[q] != i:
-                    b += 1
-                    if first < 0:
-                        first = p
-            elif x > j:
-                break
-        if a != b:
-            if out is None:
-                out = list(w)
-            out[first:first + a + b] = [i] * b + [j] * a
-    return w if out is None else tuple(out)
-
-
-def _cycle(w: Word, m: int, cells: _Cells) -> Word:
-    for i in range(m - 1, 0, -1):
-        w = _reflect(w, i)
-    return w
-
-
-def _promote(w: Word, m: int, cells: _Cells) -> Word:
-    for i in range(m - 1, 0, -1):
-        w = _bender_knuth(w, i, cells)
-    return w
+def _bender_knuth_row(lo: Row, row: Row, hi: Row) -> Row:
+    """t_i on G[i]: each entry reflects within its interlacing interval,
+    max(G[i+1][r+1], G[i-1][r]) <= G[i][r] <= min(G[i+1][r], G[i-1][r-1]).
+    In tableau terms, each row's run of a free i's (no i+1 below) and b
+    free i+1's (no i above) becomes b i's and a i+1's."""
+    out = []
+    last = len(row) - 1
+    for r, x in enumerate(row):
+        top = hi[r]
+        if r and lo[r - 1] < top:
+            top = lo[r - 1]
+        bottom = lo[r]
+        if r < last and hi[r + 1] > bottom:
+            bottom = hi[r + 1]
+        out.append(top + bottom - x)
+    return tuple(out)
 
 
 def _check_index(i: int, m: int) -> None:
@@ -357,30 +390,36 @@ def _check_index(i: int, m: int) -> None:
         raise ValueError(f"index {i} outside 1..{m - 1}")
 
 
+def _bump(g: list[Row], i: int, r: int, delta: int, m: int) -> Tableau:
+    row = g[i]
+    g[i] = row[:r] + (row[r] + delta,) + row[r + 1:]
+    return _from_gt(g, m)
+
+
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
     """Lowering operator: turns the rightmost unmatched i into i+1,
     or None when there is none."""
     _check_index(i, t.m)
-    w = t.reading_word()
-    free, _ = _brackets(w, i)
-    if not free:
-        return None
-    out = list(w)
-    out[free[-1]] = i + 1
-    return _tableau(out, t.shape, t.m)
+    g = _gt(t)
+    rows = [r for r, a in enumerate(_free(g[i - 1], g[i], g[i + 1])) if a]
+    return _bump(g, i, rows[0], -1, t.m) if rows else None
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
     """Raising operator: turns the leftmost unmatched i+1 into i,
     or None when there is none."""
     _check_index(i, t.m)
-    w = t.reading_word()
-    _, opened = _brackets(w, i)
-    if not opened:
-        return None
-    out = list(w)
-    out[opened[0]] = i
-    return _tableau(out, t.shape, t.m)
+    g = _gt(t)
+    rows = [r for r, b in enumerate(_opened(g[i - 1], g[i], g[i + 1])) if b]
+    return _bump(g, i, rows[-1], 1, t.m) if rows else None
+
+
+def _rewrite(rule: RowRule, indices, t: Tableau) -> Tableau:
+    """Apply the row rule to G[i] for each i in turn."""
+    g = _gt(t)
+    for i in indices:
+        g[i] = rule(g[i - 1], g[i], g[i + 1])
+    return _from_gt(g, t.m)
 
 
 def weyl_s(i: int, t: Tableau) -> Tableau:
@@ -388,7 +427,7 @@ def weyl_s(i: int, t: Tableau) -> Tableau:
     <h_i, wt> times when that pairing is nonnegative, else the raising
     operator as many times. An involution swapping the i and i+1 counts."""
     _check_index(i, t.m)
-    return _tableau(_reflect(t.reading_word(), i), t.shape, t.m)
+    return _rewrite(_reflect_row, (i,), t)
 
 
 def c_action(t: Tableau) -> Tableau:
@@ -397,21 +436,21 @@ def c_action(t: Tableau) -> Tableau:
     whole crystal."""
     if t.m < 2:
         raise ValueError("the cycle operator needs at least two letters")
-    return _tableau(_cycle(t.reading_word(), t.m, _cells(t.shape)), t.shape, t.m)
+    return _rewrite(_reflect_row, range(t.m - 1, 0, -1), t)
 
 
 def bender_knuth(i: int, t: Tableau) -> Tableau:
     """Involution swapping the counts of i and i+1 row by row (see
-    _bender_knuth)."""
+    _bender_knuth_row)."""
     _check_index(i, t.m)
-    return _tableau(_bender_knuth(t.reading_word(), i, _cells(t.shape)), t.shape, t.m)
+    return _rewrite(_bender_knuth_row, (i,), t)
 
 
 def promotion(t: Tableau) -> Tableau:
     """Product of the Bender-Knuth involutions, rightmost factor first."""
     if t.m < 2:
         raise ValueError("promotion needs at least two letters")
-    return _tableau(_promote(t.reading_word(), t.m, _cells(t.shape)), t.shape, t.m)
+    return _rewrite(_bender_knuth_row, range(t.m - 1, 0, -1), t)
 
 
 def superstandard(lam: Partition, m: int) -> Tableau:
@@ -519,45 +558,119 @@ ACTIONS: dict[str, Callable[[Tableau], Tableau]] = {
     "pr": promotion,
 }
 
-# the same actions on reading words, for censuses
-_WORD_ACTIONS: dict[str, Callable[[Word, int, _Cells], Word]] = {
-    "c": _cycle,
-    "pr": _promote,
+# the row rule of each action's factors, for censuses: c is s_1 ... s_(m-1)
+# and promotion t_1 ... t_(m-1), and each factor rewrites one GT row
+_ROW_RULES: dict[str, RowRule] = {
+    "c": _reflect_row,
+    "pr": _bender_knuth_row,
 }
+
+
+def _patterns(lam: Partition, m: int, ids: dict[Row, int]) -> Iterator[tuple[int, ...]]:
+    """Every GT pattern of shape lam on m letters, as the tuple of the ids
+    of its rows G[0..m]; ids interns each new row under the next free id.
+    Depth first from G[m] = lam down: G[v] runs over the rows that
+    interlace G[v+1], G[v+1][r+1] <= G[v][r] <= G[v+1][r], and vanish from
+    index v on. The rows below each row are listed once. G[1] is some
+    (x, 0, ..., 0), so those rows are interned up front and each list of
+    them is a slice."""
+    if len(lam) > m:
+        return
+    if not lam:
+        yield (ids.setdefault((), len(ids)),) * (m + 1)
+        return
+    n = len(lam)
+    listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
+
+    def below(top: int, upper: Row, v: int) -> list[tuple[int, Row]]:
+        out = listed.get((top, v))
+        if out is None:
+            k = min(v, n)
+            ranges = [range(upper[r + 1] if r + 1 < n else 0, upper[r] + 1) for r in range(k)]
+            tail = (0,) * (n - k)
+            out = listed[top, v] = [
+                (ids.setdefault(x, len(ids)), x) for x in (y + tail for y in product(*ranges))
+            ]
+        return out
+
+    tail = (0,) * (n - 1)
+    firsts = [ids.setdefault((x,) + tail, len(ids)) for x in range(lam[0] + 1)]
+
+    def leaves(upper: Row) -> list[int]:
+        return firsts[upper[1] if n > 1 else 0:upper[0] + 1]
+
+    g = [firsts[0]] + [0] * m
+    g[m] = ids.setdefault(lam, len(ids))
+    if m == 2:
+        for g[1] in leaves(lam):
+            yield tuple(g)
+        return
+    stack = [iter(below(g[m], lam, m - 1))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            continue
+        v = m - len(stack)
+        g[v], row = nxt
+        if v > 2:
+            stack.append(iter(below(g[v], row, v - 1)))
+        else:
+            for g[1] in leaves(row):
+                yield tuple(g)
 
 
 def orbit_census(lam: Partition, m: int, action: str = "c", cap: int | None = None) -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
     cycles by length.
 
-    Walks the reading words in canonical order, so the first word met of
-    each cycle is its least; the rest of the cycle waits in a set until the
-    enumeration reaches it.
+    Walks every cycle on GT patterns whose rows are interned as small ints.
+    One step rewrites G[m-1], ..., G[1] in turn, each by one lookup in a
+    table of moves (G[i-1], G[i], G[i+1]) -> new G[i], which the action's
+    row rule fills on first use; the table lives for this call. The
+    enumeration order is free, so the first pattern met of each cycle
+    starts its walk and the rest wait in a set until the enumeration
+    reaches them.
     """
-    step = _WORD_ACTIONS.get(action)
-    if step is None:
+    rule = _ROW_RULES.get(action)
+    if rule is None:
         raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
     lam = as_partition(lam)
     if m < 2:
         raise ValueError("the cycle operator and promotion need at least two letters")
     count = _check_count(lam, m, cap)
-    cells = _cells(lam)
-    ahead: set[Word] = set()
+    ids: dict[Row, int] = {}
+    rows: list[Row] = []  # the rows of ids, in id order, refreshed when ids grew
+    moves: dict[tuple[int, int, int], int] = {}
+    factors = range(m - 1, 0, -1)
+    ahead: set[tuple[int, ...]] = set()
     by_size: dict[int, int] = {}
     total = 0
-    for w in _words(lam, m):
+    for start in _patterns(lam, m, ids):
         total += 1
-        if w in ahead:
-            ahead.remove(w)
+        if start in ahead:
+            ahead.remove(start)
             continue
-        length = 1
-        cur = step(w, m, cells)
-        while cur != w:
-            ahead.add(cur)
-            cur = step(cur, m, cells)
+        g = list(start)
+        length = 0
+        while True:
+            for i in factors:
+                key = (g[i - 1], g[i], g[i + 1])
+                new = moves.get(key)
+                if new is None:
+                    if len(rows) < len(ids):
+                        rows = list(ids)
+                    new = rule(rows[key[0]], rows[key[1]], rows[key[2]])
+                    new = moves[key] = ids.setdefault(new, len(ids))
+                g[i] = new
             length += 1
-            if length > count:
-                raise InternalError(f"action {action} does not return to {w} on shape {lam}")
+            cur = tuple(g)
+            if cur == start:
+                break
+            if length >= count:
+                t = _from_gt([list(ids)[k] for k in start], m)
+                raise InternalError(f"action {action} does not return to {t} on shape {lam}")
+            ahead.add(cur)
         by_size[length] = by_size.get(length, 0) + 1
     if total != count:
         raise InternalError(f"enumerated {total} tableaux of shape {lam} on {m} letters, expected {count}")
@@ -573,7 +686,6 @@ __all__ = [
     "partition_size",
     "ssyt_count",
     "enumerate_ssyt",
-    "content",
     "kostka",
     "crystal_e",
     "crystal_f",

@@ -1,5 +1,5 @@
-"""Row-based reference crystal: the test oracle for the word-based operators
-in ``crystal_sieve.tableaux``.
+"""Row-based reference crystal: the test oracle for the Gelfand-Tsetlin
+operators and the reading-word enumeration in ``crystal_sieve.tableaux``.
 
 Each function works on the rows of a validated ``Tableau`` and takes the
 long way round: the lowering and raising operators rebuild the signature

@@ -32,7 +32,6 @@ from crystal_sieve.qpoly import (
 )
 from crystal_sieve.tableaux import (
     c_action,
-    content,
     crystal_e,
     crystal_f,
     enumerate_ssyt,
@@ -151,7 +150,7 @@ class TestAcceptance:
                             assert u == t
                     if m >= 2:
                         fixed = [t for t in tabs if c_action(t) == t]
-                        uniform = [t for t in tabs if len(set(content(t))) <= 1]
+                        uniform = [t for t in tabs if len(set(t.content())) <= 1]
                         assert fixed == uniform == fixed_points(lam, m)
                         size = sum(lam)
                         expected = kostka(lam, (size // m,) * m) if size % m == 0 else 0
@@ -249,7 +248,7 @@ class TestAcceptance:
                     shift = kappa(lam)
                     coeffs = [0] * (poly.degree + 1 if not poly.is_zero else 1)
                     for t in enumerate_ssyt(lam, m):
-                        stat = sum((k - 1) * c for k, c in enumerate(content(t), start=1))
+                        stat = sum((k - 1) * c for k, c in enumerate(t.content(), start=1))
                         coeffs[stat - shift] += 1
                     assert IntPoly(coeffs) == poly
                     if m >= 2:

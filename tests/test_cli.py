@@ -286,9 +286,10 @@ class TestSweep:
         assert len(calls) == len(set(calls)) == 34
         assert len(out.strip().splitlines()) == 1 + 3 * 34
 
-    def test_one_congruence_per_shape_and_order(self, monkeypatch):
-        # 16 (lam, m, n) with every padded difference divisible by n; at n = m
-        # the orbit counts come from the csp_check report
+    def test_one_congruence_per_weight_and_order(self, monkeypatch):
+        # 16 (lam, m, n) with every padded difference divisible by n, but only
+        # 10 distinct (m, weight, n): lam and lam + (1^m) share a weight, and
+        # csp_check reads the sweep's store at n = m
         import crystal_sieve.cli as cli
         import crystal_sieve.csp as csp
 
@@ -307,7 +308,7 @@ class TestSweep:
         monkeypatch.setattr(csp, "congruence", counted(csp.congruence))
         code, serial, _ = run_cli(*argv)
         assert code == 0
-        assert len(calls) == 16
+        assert len(calls) == len(set(calls)) == 10
         stretched = [r for r in csv.DictReader(io.StringIO(serial)) if r["stretched"] == "True"]
         assert len(stretched) == 16 and all(r["a"] for r in stretched)
         assert serial == parallel
@@ -325,6 +326,30 @@ class TestDegreeCap:
         proc = run_process(["qdim", "A1", "1000000000"], {})
         assert proc.returncode == 4
         assert "Traceback" not in proc.stderr and "degree cap" in proc.stderr
+
+
+class TestOrderCap:
+    def test_huge_order_exits_4_at_once(self):
+        start = time.perf_counter()
+        proc = run_process(["aa-check", "1+q", "-n", "1000001"], {})
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 4 and not proc.stdout
+        assert "Traceback" not in proc.stderr
+        assert "1 + q" in proc.stderr and "1000001" in proc.stderr and "order cap 1000000" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["csp-check", "2,1", "-m", "3", "-n", "1000001"],
+            ["qdim", "A1", "2", "--mod", "1000001"],
+            ["congruence", "A1", "2", "-n", "1000001"],
+            ["sweep", "--max-size", "2", "--m", "2", "--n", "1000001"],
+        ],
+    )
+    def test_every_order_argument_is_capped(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 4 and not out
+        assert "1000001" in err and "order cap 1000000" in err
 
 
 class TestTopLevel:

@@ -1,6 +1,6 @@
-"""Property tests of the word-based tableau crystal on random shapes with
-at most six letters, against the row-based reference in
-``reference_crystal`` and against the crystal's own relations."""
+"""Property tests of the tableau crystal on random shapes with at most
+seven letters, against the row-based reference in ``reference_crystal`` and
+against the crystal's own relations."""
 
 from collections import Counter
 
@@ -8,6 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_crystal as ref
+import pytest
+
+from crystal_sieve import tableaux
 from crystal_sieve.csp import aa_criterion, csp_check
 from crystal_sieve.qdim import principal_specialization
 from crystal_sieve.tableaux import (
@@ -29,9 +32,9 @@ SETTINGS = settings(max_examples=80, deadline=None, database=None)
 
 @st.composite
 def shapes(draw, max_count=300):
-    """(lam, m): a partition with at most m rows on m <= 6 letters whose
+    """(lam, m): a partition with at most m rows on m <= 7 letters whose
     crystal holds at most max_count tableaux."""
-    m = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 7))
     parts = draw(st.lists(st.integers(1, 6), max_size=m))
     lam = tuple(sorted(parts, reverse=True))
     assume(ssyt_count(lam, m) <= max_count)
@@ -50,6 +53,20 @@ def test_operators_equal_reference(case):
             assert bender_knuth(i, t) == ref.bender_knuth(i, t)
         assert c_action(t) == ref.c_action(t)
         assert promotion(t) == ref.promotion(t)
+
+
+@SETTINGS
+@given(shapes())
+def test_gelfand_tsetlin_round_trip(case):
+    lam, m = case
+    for t in enumerate_ssyt(lam, m):
+        g = tableaux._gt(t)
+        assert g == [tuple(sum(1 for x in row if x <= v) for row in t.rows) for v in range(m + 1)]
+        for v in range(m):
+            for r in range(len(lam)):
+                assert g[v][r] <= g[v + 1][r]
+                assert r + 1 == len(lam) or g[v + 1][r + 1] <= g[v][r]
+        assert tableaux._from_gt(g, m) == t
 
 
 @SETTINGS
@@ -104,6 +121,16 @@ def test_census_accounts_for_every_tableau(case):
         assert census.total == ssyt_count(lam, m)
         assert sum(d * k for d, k in census.by_size.items()) == census.total
         assert census.by_size == reference_census(tabs, step)
+
+
+@pytest.mark.parametrize(
+    "lam, m, action, step",
+    [((3, 2, 1), 7, "c", ref.c_action), ((5, 4, 2), 5, "pr", ref.promotion)],
+)
+def test_census_of_multi_row_shapes_equals_reference(lam, m, action, step):
+    census = orbit_census(lam, m, action)
+    assert census.total == ssyt_count(lam, m)
+    assert census.by_size == reference_census(ref.enumerate_ssyt(lam, m), step)
 
 
 @SETTINGS

@@ -23,6 +23,7 @@ from crystal_sieve.errors import (
     HypothesisViolated,
     NotPrime,
     PTooSmall,
+    ResourceLimit,
     ShapeTooLong,
 )
 from crystal_sieve.partitions import partitions_up_to
@@ -158,6 +159,34 @@ class TestAaCriterion:
         result = aa_criterion(f, 120)
         assert len(calls) <= len(divisors(120)) == 16
         assert result.values == tuple(eval_root_of_unity(f, 120, j) for j in range(1, 121))
+
+
+class TestOrderCap:
+    def test_cap_sits_above_promotion_orders(self):
+        lcm = math.lcm(*orbit_census((6, 3, 3), 6, "pr").by_size)
+        assert lcm == 156240 and 720720 < qpoly.MAX_ORDER
+
+    @pytest.mark.parametrize(
+        "call, words",
+        [
+            (lambda: qpoly.root_values(IntPoly([1, 1]), 10**6 + 1), ["1 + q"]),
+            (lambda: eval_root_of_unity(IntPoly([1, 1]), 10**6 + 1, 1), ["1 + q"]),
+            (lambda: aa_criterion(IntPoly([1, 1]), 10**6 + 1), ["1 + q"]),
+            (lambda: csp_check((2, 1), 3, n=10**6 + 1), ["1 + 2*q + 2*q^2"]),
+            (lambda: congruence(build_cartan_datum("A1"), (2,), 10**6 + 1), ["A1", "(2,)"]),
+        ],
+    )
+    def test_cap_names_input_order_and_cap(self, call, words):
+        with pytest.raises(ResourceLimit) as exc:
+            call()
+        for word in words + ["1000001", "order cap 1000000"]:
+            assert word in str(exc.value)
+
+    def test_promotion_order_above_the_cap(self, monkeypatch):
+        # promotion on (2,1) with 3 letters has cycles of lengths 2 and 3
+        monkeypatch.setattr(qpoly, "MAX_ORDER", 5)
+        with pytest.raises(ResourceLimit, match="order n = 6: above the order cap 5"):
+            csp_check((2, 1), 3, "pr")
 
 
 class TestCensusVsA:

@@ -23,7 +23,6 @@ from crystal_sieve.tableaux import (
     Tableau,
     bender_knuth,
     c_action,
-    content,
     crystal_e,
     crystal_f,
     enumerate_ssyt,
@@ -56,7 +55,6 @@ class TestTableauType:
         assert t.shape == (3, 3)
         assert t.size == 6
         assert t.content() == (2, 2, 2)
-        assert content(t) == (2, 2, 2)
         assert tab("1,1,2", 4).content() == (2, 1, 0, 0)
 
     def test_reading_word_bottom_row_first(self):
@@ -310,11 +308,31 @@ class TestCycleOperator:
     def test_census_stops_on_a_step_that_never_returns(self, monkeypatch):
         from crystal_sieve import tableaux
 
-        # sorting the word is idempotent, so a walk from an unsorted word
-        # never comes back to it
-        monkeypatch.setitem(tableaux._WORD_ACTIONS, "c", lambda w, m, cells: tuple(sorted(w)))
+        # a move that copies the row above is idempotent after one step, so
+        # a walk never comes back to a pattern whose rows differ
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: hi)
         with pytest.raises(InternalError):
             orbit_census((2, 1), 3)
+
+
+    def test_move_table_lives_for_one_call(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        moves = []
+        reflect = tableaux._ROW_RULES["c"]
+
+        def counted(lo, row, hi):
+            moves.append((lo, row, hi))
+            return reflect(lo, row, hi)
+
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", counted)
+        first = orbit_census((3, 2), 4)
+        computed = len(moves)
+        assert orbit_census((3, 2), 4) == first
+        # each move is computed once per call, fewer than the steps taken
+        assert 0 < computed < first.total * 3
+        assert len(set(moves[:computed])) == computed
+        assert moves[computed:] == moves[:computed]
 
 
 class TestBenderKnuth:
