@@ -20,6 +20,7 @@ from .csp import (
     PrimeCriterion,
     RectVerdict,
     aa_criterion,
+    aa_verdict,
     census_vs_a,
     csp_check,
     orbit_formula,
@@ -33,6 +34,7 @@ from .qdim import (
     congruence,
     divisibility_condition,
     kappa,
+    orbit_counts,
     positive_roots_divisible,
     principal_specialization,
     qdim,

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
-from .csp import OrbitCountStore, aa_criterion, csp_check, orbit_formula, predicted_orbit_counts
+from .csp import OrbitCountStore, aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
 from .errors import (
     CrystalSieveError,
@@ -242,15 +244,18 @@ def cmd_orbit_formula(args) -> int:
 
 
 def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]], store: OrbitCountStore) -> list[list]:
-    """One CSV row per order n for the shape lam on m letters; the census is
-    taken once for all of them, and the orbit counts come from the store."""
+    """One CSV row per order n for the shape lam on m letters; the census and
+    the specialization are taken once for all of them, and the orbit counts
+    come from the store. At n = m the existence verdict reads the value
+    table that csp_check evaluated."""
     lam, m, ns = cell
     padded = list(lam) + [0] * (m - len(lam))
     spoly = principal_specialization(lam, m)
     verdict = ""
     if m in ns:
-        report = csp_check(lam, m, "c", orbit_counts=store)
+        report = csp_check(lam, m, "c", f=spoly, orbit_counts=store)
         census, verdict = report.census, str(report.verdict)
+        exists_at_m = aa_verdict(tuple(e.evaluation for e in report.per_exponent)).exists
     else:
         census = orbit_census(lam, m, "c")
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
@@ -264,7 +269,7 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]], store: OrbitCountS
             n,
             census.total,
             stretched,
-            aa_criterion(spoly, n).exists,
+            exists_at_m if n == m else aa_criterion(spoly, n).exists,
             verdict if n == m else "",
             sizes,
             "" if a is None else ";".join(f"{d}:{v}" for d, v in a.items()),
@@ -299,7 +304,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: it holds no
+    input and no result."""
     parser = argparse.ArgumentParser(
         prog="crystal-sieve",
         description="Exact q-dimensions, residues mod q^n - 1, and cyclic sieving checks",
@@ -379,10 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, as `| head` does: a success. Point
+        # stdout at devnull so that the flush at shutdown cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (CliParseError, InvalidRank, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

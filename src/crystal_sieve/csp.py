@@ -22,7 +22,7 @@ from .errors import (
     ShapeTooLong,
 )
 from .partitions import Partition, as_partition, partition_size
-from .qdim import congruence, divisibility_condition, kappa, principal_specialization
+from .qdim import divisibility_condition, kappa, orbit_counts, principal_specialization
 from .qpoly import IntPoly, divisors, mobius, root_values
 from .tableaux import OrbitCensus, orbit_census
 
@@ -84,17 +84,18 @@ OrbitCountStore = dict[tuple[int, tuple[int, ...], int], dict[int, int] | None]
 
 
 def predicted_orbit_counts(lam: Partition, m: int, n: int, store: OrbitCountStore) -> dict[int, int] | None:
-    """Orbit counts read off the residue of the q-dimension mod q^n - 1,
-    available exactly when the divisibility condition holds. The store
-    keeps them by (m, weight, n), so each is computed once for as long as
-    the caller keeps the store: lam and lam + (1^m) share a weight."""
+    """Orbit counts of the q-dimension's residue mod q^n - 1, from
+    ``orbit_counts`` without taking the residue, available exactly when the
+    divisibility condition holds. The store keeps them by (m, weight, n), so
+    each is computed once for as long as the caller keeps the store: lam and
+    lam + (1^m) share a weight."""
     if m < 2:
         return None
     weight = gl_weight(lam, m)
     key = (m, weight, n)
     if key not in store:
         datum = build_cartan_datum(f"A{m - 1}")
-        store[key] = congruence(datum, weight, n).a if divisibility_condition(datum, weight, n) else None
+        store[key] = orbit_counts(datum, weight, n) if divisibility_condition(datum, weight, n) else None
     return store[key]
 
 
@@ -163,8 +164,15 @@ def aa_criterion(f: IntPoly, n: int) -> AaResult:
     every divisor k of n, the Mobius sum over divisors j of k of
     mobius(k/j) * f(at exponent j) must be nonnegative (it equals k times
     the number of size-k orbits). The values are one ``root_values`` table,
-    computed once per divisor of n."""
-    values = root_values(f, n)
+    computed once per divisor of n, and the verdict is ``aa_verdict``."""
+    return aa_verdict(root_values(f, n))
+
+
+def aa_verdict(values: tuple[int | None, ...]) -> AaResult:
+    """``aa_criterion`` over a value table that the caller already holds:
+    values[j-1] is the value at the j-th power of a primitive n-th root of
+    unity, n = len(values), as ``root_values`` returns them."""
+    n = len(values)
     if any(v is None or v < 0 for v in values):
         return AaResult(False, (), values)
     failures = []

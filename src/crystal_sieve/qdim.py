@@ -175,17 +175,11 @@ class CongruenceResult:
         )
 
 
-def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> CongruenceResult:
-    """Residue of (dual) qdim mod q^n - 1 decomposed over the orbit basis.
-
-    Requires lam dominant and the divisibility condition for n; the fixed
-    counts b_d come from the Weyl-type product over the selected roots, the
-    orbit counts a_d by Mobius inversion, and the residue is cross-checked
-    against the reconstruction from the a_d. The residue is the fold of the
-    q-dimension's coefficients by exponent mod n. An order above
-    qpoly.MAX_ORDER or a q-dimension of degree above MAX_DEGREE raises
-    ResourceLimit before any product is taken.
-    """
+def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
+    """Exponents of the whole (dual) q-dimension product, the fixed counts b
+    and the orbit counts a at order n, after every check ``congruence``
+    makes before its product: the order cap, dominance, the degree cap,
+    the divisibility condition, and exact, nonnegative Mobius sums."""
     kind = "dual q-dimension" if dual else "q-dimension"
     check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
@@ -204,7 +198,28 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
         a[d] = s // d
         if a[d] < 0:
             raise CongruenceMismatch(f"orbit count a_{d} = {a[d]} is negative")
+    return nums, dens, b, a
 
+
+def orbit_counts(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> dict[int, int]:
+    """Orbit counts a_d of ``congruence`` without the q-dimension itself:
+    each b_d is the product over the roots whose rho pairing n/d divides,
+    and the a_d follow by Mobius inversion. Raises what ``congruence``
+    raises before its product."""
+    return _orbit_data(datum, lam, n, dual)[3]
+
+
+def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> CongruenceResult:
+    """Residue of (dual) qdim mod q^n - 1 decomposed over the orbit basis.
+
+    Requires lam dominant and the divisibility condition for n; the fixed
+    counts b_d and orbit counts a_d are those of ``orbit_counts``, and the
+    residue is cross-checked against the reconstruction from the a_d. The
+    residue is the fold of the q-dimension's coefficients by exponent mod n.
+    An order above qpoly.MAX_ORDER or a q-dimension of degree above
+    MAX_DEGREE raises ResourceLimit before any product is taken.
+    """
+    nums, dens, b, a = _orbit_data(datum, lam, n, dual)
     coeffs = q_ratio(nums, dens).coeffs
     residue = IntPoly([sum(coeffs[r::n]) for r in range(n)])
     recon = IntPoly()

@@ -306,6 +306,13 @@ def mobius(k: int) -> int:
 
 
 @functools.cache
+def _totient(d: int) -> int:
+    """Euler's phi of d, the degree of Phi_d, by Mobius inversion of
+    d = sum of phi(e) over the divisors e of d."""
+    return sum(mobius(e) * (d // e) for e in divisors(d))
+
+
+@functools.cache
 def cyclotomic(d: int) -> IntPoly:
     """The d-th cyclotomic polynomial, by Mobius inversion of
     q^d - 1 = prod of Phi_e over divisors e of d: for d > 1,
@@ -347,8 +354,12 @@ def _value_at_order(coeffs, d: int) -> int | None:
     """Value of the polynomial with these coefficients at a primitive d-th
     root of unity, or None when it is irrational: the coefficients are
     folded mod q^d - 1, which Phi_d divides, and the fold is reduced by
-    Phi_d; the value is rational exactly when the remainder is constant."""
-    r = rem_mod(IntPoly(_fold(coeffs, d)), cyclotomic(d))
+    Phi_d; the value is rational exactly when the remainder is constant.
+    A fold of degree below phi(d) is its own remainder, so Phi_d is then
+    neither built nor divided by."""
+    r = IntPoly(_fold(coeffs, d))
+    if r.degree >= _totient(d):
+        r = rem_mod(r, cyclotomic(d))
     if r.degree >= 1:
         return None
     return r[0]
@@ -373,7 +384,7 @@ def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
 
     The value at w^j depends only on the order d = n / gcd(n, j) of w^j, so
     f is folded mod q^n - 1 once and each divisor d of n costs one fold
-    mod q^d - 1 and one reduction by Phi_d. An order above MAX_ORDER raises
+    mod q^d - 1 and at most one reduction by Phi_d. An order above MAX_ORDER raises
     ResourceLimit, here and in ``eval_root_of_unity``.
     """
     check_order(n, lambda: _values_of(f))

@@ -13,7 +13,9 @@ import time
 import pytest
 
 import crystal_sieve
-from crystal_sieve.cli import main
+from crystal_sieve.cli import build_parser, main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -23,16 +25,20 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def process_env(env):
+    src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def run_process(args, env):
     """The CLI as a separate process, so argparse exits and environment
     variables are seen exactly as a user would see them."""
-    src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "crystal_sieve", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path, **env},
+        env=process_env(env),
         timeout=60,
     )
 
@@ -286,32 +292,52 @@ class TestSweep:
         assert len(calls) == len(set(calls)) == 34
         assert len(out.strip().splitlines()) == 1 + 3 * 34
 
-    def test_one_congruence_per_weight_and_order(self, monkeypatch):
+    def test_one_orbit_count_per_weight_and_order(self, monkeypatch):
         # 16 (lam, m, n) with every padded difference divisible by n, but only
         # 10 distinct (m, weight, n): lam and lam + (1^m) share a weight, and
-        # csp_check reads the sweep's store at n = m
+        # csp_check reads the sweep's store at n = m. No residue is taken.
+        import importlib
+
         import crystal_sieve.cli as cli
         import crystal_sieve.csp as csp
 
-        calls = []
+        qdim = importlib.import_module("crystal_sieve.qdim")
+        calls, residues = [], []
 
-        def counted(real):
-            def congruence(datum, weight, n, *args, **kwargs):
-                calls.append((datum.rank, weight, n))
+        def counted(real, log):
+            def wrapped(datum, weight, n, *args, **kwargs):
+                log.append((datum.rank, weight, n))
                 return real(datum, weight, n, *args, **kwargs)
 
-            return congruence
+            return wrapped
 
         argv = ["sweep", "--max-size", "5", "--m", "3,4", "--n", "3,4,6"]
         _, parallel, _ = run_cli(*argv, "--jobs", "2")
-        monkeypatch.setattr(cli, "congruence", counted(cli.congruence))
-        monkeypatch.setattr(csp, "congruence", counted(csp.congruence))
+        monkeypatch.setattr(csp, "orbit_counts", counted(csp.orbit_counts, calls))
+        for module in (cli, qdim):
+            monkeypatch.setattr(module, "congruence", counted(module.congruence, residues))
         code, serial, _ = run_cli(*argv)
         assert code == 0
         assert len(calls) == len(set(calls)) == 10
+        assert residues == []
         stretched = [r for r in csv.DictReader(io.StringIO(serial)) if r["stretched"] == "True"]
         assert len(stretched) == 16 and all(r["a"] for r in stretched)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("sweep_5_m34_n346.csv", ["--max-size", "5", "--m", "3,4", "--n", "3,4,6"]),
+            ("sweep_6_m2345.csv", ["--max-size", "6", "--m", "2,3,4,5"]),
+        ],
+    )
+    def test_matches_golden_csv(self, name, argv, jobs):
+        # frozen output of `crystal-sieve sweep ARGV > tests/data/NAME`; any
+        # change to the sweep must reproduce it byte for byte
+        code, out, _ = run_cli("sweep", *argv, "--jobs", jobs)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestDegreeCap:
@@ -362,6 +388,40 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_rejected_call_leaves_nothing_behind(self):
+        # the rejected call sets --table before -n fails; the next call must
+        # read as in a fresh process, without a table
+        with pytest.raises(SystemExit) as exc:
+            run_cli("csp-check", "2", "-m", "2", "--table", "-n", "x")
+        assert exc.value.code == 2
+        argv = ["csp-check", "2", "-m", "2"]
+        proc = run_process(argv, {})
+        assert run_cli(*argv) == (proc.returncode, proc.stdout, proc.stderr)
+        assert "fixed" not in proc.stdout
+
+
+class TestBrokenPipe:
+    def test_reader_that_stops_early(self):
+        # 1.2 MB of values; the reader closes its end after 100 bytes
+        with subprocess.Popen(
+            [sys.executable, "-m", "crystal_sieve", "aa-check", "1+q", "-n", "100000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=process_env({}),
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        assert code == 0
+        assert head.startswith(b"exists: no") and len(head) == 100
+        assert err == b""
 
 
 class TestExitCodes:

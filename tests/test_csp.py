@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from crystal_sieve.csp import (
     aa_criterion,
+    aa_verdict,
     census_vs_a,
     csp_check,
     orbit_formula,
@@ -146,6 +147,20 @@ class TestAaCriterion:
             total = sum(mobius(k // j) * result.values[j - 1] for j in divisors(k))
             assert total == k * r.a[k]
 
+
+    @pytest.mark.parametrize(
+        "f, n",
+        [
+            (IntPoly([1, 1, 1, 1]), 4),
+            (IntPoly([0, 2]), 2),
+            (principal_specialization((2, 1), 3), 3),
+            (IntPoly([3, -1]), 2),
+            (principal_specialization((4,), 3), 4),
+            (principal_specialization((6, 3, 1), 5), 120),
+        ],
+    )
+    def test_verdict_over_a_held_table(self, f, n):
+        assert aa_verdict(qpoly.root_values(f, n)) == aa_criterion(f, n)
 
     def test_one_reduction_per_divisor(self, monkeypatch):
         calls = []

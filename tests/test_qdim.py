@@ -27,6 +27,7 @@ from crystal_sieve.qdim import (
     congruence,
     divisibility_condition,
     kappa,
+    orbit_counts,
     positive_roots_divisible,
     principal_specialization,
     qdim,
@@ -255,6 +256,30 @@ class TestCongruence:
         blob = r.to_json_dict()
         assert blob["b"] == {"1": "2", "2": "14"}
         assert CongruenceResult.from_json_dict(blob) == r
+
+
+class TestOrbitCounts:
+    def test_one_row_of_four(self):
+        assert orbit_counts(build_cartan_datum("A2"), gl_weight((4,), 3), 4) == {1: 1, 2: 1, 4: 3}
+
+    def test_b2_dual(self):
+        assert orbit_counts(build_cartan_datum("B2"), (2, 0), 2, dual=True) == {1: 2, 2: 6}
+
+    @pytest.mark.parametrize(
+        "name, lam, n, error",
+        [
+            ("A2", (-2, 0), 2, NotDominant),
+            ("A2", (4, 0), 3, ConditionViolated),
+            ("A1", (2,), 10**6 + 1, ResourceLimit),  # order above MAX_ORDER
+            ("A1", (2 * MAX_DEGREE,), 2, ResourceLimit),  # degree above MAX_DEGREE
+        ],
+    )
+    def test_raises_what_congruence_raises(self, name, lam, n, error):
+        datum = build_cartan_datum(name)
+        for call in (congruence, orbit_counts):
+            with pytest.raises(error) as exc:
+                call(datum, lam, n)
+            assert type(exc.value) is error
 
 
 class TestPrincipalSpecialization:

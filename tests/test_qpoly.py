@@ -13,6 +13,8 @@ import random
 
 import pytest
 import sympy
+
+from crystal_sieve import qpoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,6 +262,10 @@ class TestCyclotomic:
         for d in range(1, 120):
             assert cyclotomic(d).degree == sympy.totient(d)
 
+    def test_totient_against_sympy(self):
+        for d in range(1, 501):
+            assert qpoly._totient(d) == sympy.totient(d)
+
 
 class TestRootOfUnityEvaluation:
     def test_running_example_values(self):
@@ -309,6 +315,35 @@ class TestRootOfUnityEvaluation:
 def test_value_table_matches_single_values(coeffs, n):
     f = IntPoly(coeffs)
     assert root_values(f, n) == tuple(eval_root_of_unity(f, n, j) for j in range(1, n + 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-9, 9), max_size=40),
+    st.lists(st.integers(-9, 9), max_size=40),
+    st.integers(1, 130),
+    st.booleans(),
+)
+def test_degree_short_cut_matches_the_reduction(rem, g, d, constant):
+    # f = rem + g * Phi_d, with a constant rem half of the time so that the
+    # value is rational while the fold is not constant; below degree phi(d)
+    # the fold is read without building or dividing by Phi_d, and the value
+    # must be the one the remainder by Phi_d gives
+    coeffs = (IntPoly(rem[:1] if constant else rem) + IntPoly(g) * cyclotomic(d)).coeffs
+    r = rem_mod(IntPoly(qpoly._fold(coeffs, d)), cyclotomic(d))
+    assert qpoly._value_at_order(coeffs, d) == (None if r.degree >= 1 else r[0])
+
+
+def test_short_cut_builds_no_cyclotomic(monkeypatch):
+    built = []
+
+    def counted(d):
+        built.append(d)
+        return cyclotomic(d)
+
+    monkeypatch.setattr(qpoly, "cyclotomic", counted)
+    assert root_values(ONE + Q, 97) == (None,) * 96 + (2,)
+    assert 97 not in built
 
 
 def test_value_table_rejects_nonpositive_order():
