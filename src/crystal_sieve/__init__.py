@@ -9,7 +9,6 @@ from .cartan import (
     copairing,
     corho_pairing,
     gl_weight,
-    highest_root,
     pairing,
     rho_pairing,
     root_norm,

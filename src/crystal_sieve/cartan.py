@@ -238,15 +238,6 @@ def corho_pairing(datum: CartanDatum, beta: Root) -> int:
     return num // norm
 
 
-def root_height(beta: Root) -> int:
-    return sum(beta)
-
-
-def highest_root(datum: CartanDatum) -> Root:
-    """The unique root of maximal height."""
-    return datum.positive_roots[-1]
-
-
 def is_dominant(lam: Weight) -> bool:
     return all(c >= 0 for c in lam)
 

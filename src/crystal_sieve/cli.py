@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
 from .csp import OrbitCountStore, aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
@@ -293,6 +292,10 @@ def cmd_sweep(args) -> int:
         for lam in partitions_up_to(args.max_size, max_parts=m):
             cells.append((lam, m, ns or [m]))
     if args.jobs and args.jobs > 1:
+        # imported here: only a parallel sweep needs multiprocessing, so no
+        # other command pays for importing it at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         runs = [cells[k:k + 8] for k in range(0, len(cells), 8)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = [row for part in pool.map(_sweep_cells, runs) for row in part]

@@ -16,7 +16,7 @@ from .errors import (
     CongruenceMismatch,
     ConditionViolated,
     HypothesisViolated,
-    NonInteger,
+    InternalError,
     NotPrime,
     PTooSmall,
     ShapeTooLong,
@@ -233,9 +233,9 @@ def orbit_formula(a: int, d: int) -> int:
         total += mobius(d // e) * prod
     total /= d
     if total.denominator != 1:
-        raise NonInteger(f"orbit count {total} for a={a}, d={d} is not an integer")
+        raise InternalError(f"orbit count {total} for a={a}, d={d} is not an integer")
     if total < 0:
-        raise NonInteger(f"orbit count {total} for a={a}, d={d} is negative")
+        raise InternalError(f"orbit count {total} for a={a}, d={d} is negative")
     return int(total)
 
 

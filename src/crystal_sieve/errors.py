@@ -73,7 +73,3 @@ class InternalError(CrystalSieveError):
 
 class CongruenceMismatch(InternalError):
     """Residue and orbit-count decomposition disagree, or an orbit count is bad."""
-
-
-class NonInteger(InternalError):
-    """A Mobius sum that must be divisible by its modulus is not."""

@@ -4,7 +4,10 @@ and principal specializations of Schur polynomials.
 The q-dimension of the crystal with highest weight L is the Weyl-type product
 over positive roots of (1 - q^((beta, L + rho))) / (1 - q^((beta, rho))).
 Every such product, and its value at q = 1, goes through the one exact
-routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q].
+routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q]:
+it checks that the quotient is a polynomial by counting cyclotomic factors,
+computes the lower half of its coefficients and mirrors them, since every
+such product is palindromic up to sign.
 The output degree is known from the exponents before any product work, and
 a degree above ``MAX_DEGREE`` raises ResourceLimit.
 """

@@ -222,26 +222,52 @@ def q_ratio(nums, dens) -> IntPoly:
     """prod of (1 - q^a) over a in nums divided by prod of (1 - q^b) over b
     in dens, for positive exponents, when the quotient is a polynomial.
 
-    Each numerator factor is multiplied in place; each denominator factor
-    is then divided out as a running sum with stride b. Every step is exact:
-    if the whole quotient is a polynomial, so is the numerator over any part
-    of the denominator. A nonzero remainder raises InternalError.
+    Since 1 - q^a = -prod of Phi_e over the divisors e of a, the quotient is
+    a polynomial exactly when, for every e, at least as many a as b are
+    multiples of e; otherwise InternalError names an e that fails, before
+    any coefficient is computed. The quotient P of degree D satisfies
+    P(q) = (-1)^(#nums - #dens) q^D P(1/q), so only its power series mod
+    q^(D//2 + 1) is computed: each numerator factor multiplies in place,
+    each denominator factor divides as a running sum with stride b, and an
+    exponent above D/2 is skipped. The upper coefficients are the mirror
+    image of the lower ones, negated when #nums - #dens is odd.
     """
-    num, den = Counter(nums), Counter(dens)
-    if min(num | den, default=1) <= 0:
+    count = Counter(nums)
+    count.subtract(dens)
+    if min(count, default=1) <= 0:
         raise ValueError("exponents must be positive")
-    num, den = num - den, den - num
-    out = [1]
-    for a in num.elements():
-        out += [0] * a
-        out[a:] = map(operator.sub, out[a:], out[:-a])
-    for b in den.elements():
-        for r in range(b):
-            out[r::b] = itertools.accumulate(out[r::b])
-        if any(out[-b:]):
-            raise InternalError(f"1 - q^{b} does not divide the product")
-        del out[-b:]
-    return IntPoly(out)
+    excess = {}
+    for b, k in count.items():
+        if k < 0:
+            for e in divisors(b):
+                excess[e] = excess.get(e, 0) - k
+    for a, k in count.items():
+        if k > 0:
+            for e in divisors(a):
+                if e in excess:
+                    excess[e] -= k
+    for e, k in excess.items():
+        if k > 0:
+            raise InternalError(
+                f"Phi_{e} divides {k} more denominator than numerator "
+                "factors: the quotient is not a polynomial"
+            )
+    degree = sum(a * k for a, k in count.items())
+    half = degree // 2
+    out = [1] + [0] * half
+    for a, k in count.items():
+        if a <= half:
+            for _ in range(k):
+                out[a:] = map(operator.sub, out[a:], out[:-a])
+    for b, k in count.items():
+        if b <= half:
+            for _ in range(-k):
+                for r in range(b):
+                    out[r::b] = itertools.accumulate(out[r::b])
+    mirror = out[:degree - half][::-1]
+    if sum(count.values()) % 2:
+        mirror = [-c for c in mirror]
+    return IntPoly(out + mirror)
 
 
 def q_ratio_at_one(nums, dens) -> int:

@@ -14,11 +14,9 @@ from crystal_sieve.cartan import (
     copairing,
     corho_pairing,
     gl_weight,
-    highest_root,
     is_dominant,
     pairing,
     rho_pairing,
-    root_height,
     root_norm,
     symmetrizers,
 )
@@ -173,7 +171,7 @@ class TestPositiveRoots:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_type_a_height_multiset(self, m):
         datum = build_cartan_datum(f"A{m - 1}")
-        heights = sorted(root_height(b) for b in datum.positive_roots)
+        heights = sorted(sum(b) for b in datum.positive_roots)
         assert heights == sorted(j - i for i in range(1, m + 1) for j in range(i + 1, m + 1))
 
     @pytest.mark.parametrize(
@@ -183,7 +181,7 @@ class TestPositiveRoots:
          ("G2", (3, 2)), ("E6", (1, 2, 2, 3, 2, 1))],
     )
     def test_highest_root(self, name, root):
-        assert highest_root(build_cartan_datum(name)) == root
+        assert build_cartan_datum(name).positive_roots[-1] == root
 
     @pytest.mark.parametrize(
         "name,coxeter",
@@ -192,7 +190,7 @@ class TestPositiveRoots:
     )
     def test_highest_root_height(self, name, coxeter):
         datum = build_cartan_datum(name)
-        assert root_height(highest_root(datum)) == coxeter - 1
+        assert sum(datum.positive_roots[-1]) == coxeter - 1
 
 
 class TestPairings:

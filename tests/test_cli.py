@@ -271,6 +271,23 @@ class TestSweep:
         _, parallel, _ = run_cli("sweep", "--max-size", "4", "--m", "2,3", "--jobs", "2")
         assert serial == parallel
 
+    def test_import_leaves_the_process_pool_out(self):
+        # only sweep --jobs N with N > 1 needs the pool, so importing the
+        # CLI must not pay for multiprocessing
+        probe = (
+            "import sys, crystal_sieve.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=process_env({}),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_one_census_per_shape_and_letter_count(self, monkeypatch):
         # 34 shapes (lam, m), each censused once whatever the number of orders
         import crystal_sieve.cli as cli

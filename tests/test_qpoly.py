@@ -7,8 +7,10 @@ are asserted exactly.
 """
 
 import cmath
+import itertools
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -123,6 +125,36 @@ def one_minus_q(k):
     return ONE - IntPoly.monomial(k)
 
 
+def full_division_ratio(nums, dens):
+    """Reference for q_ratio: the whole numerator product, then each
+    denominator factor divided out as a running sum with stride b, raising
+    InternalError on a nonzero remainder."""
+    out = [1]
+    for a in nums:
+        out += [0] * a
+        out[a:] = map(operator.sub, out[a:], out[:-a])
+    for b in dens:
+        for r in range(b):
+            out[r::b] = itertools.accumulate(out[r::b])
+        if any(out[-b:]):
+            raise InternalError(f"1 - q^{b} does not divide the product")
+        del out[-b:]
+    return IntPoly(out)
+
+
+@st.composite
+def exponent_lists(draw):
+    """Numerator and denominator exponents in 1..30, up to 8 of each; in
+    half of the draws every b divides some a, so that quotients which are
+    polynomials are common."""
+    exponent = st.integers(1, 30)
+    dens = draw(st.lists(exponent, max_size=8))
+    nums = draw(st.lists(exponent, max_size=8))
+    if draw(st.booleans()):
+        nums = [b * draw(st.integers(1, 30 // b)) for b in dens] + nums[len(dens):]
+    return draw(st.permutations(nums)), dens
+
+
 class TestQRatio:
     def test_geometric(self):
         assert q_ratio([6], [2]) == IntPoly([1, 0, 1, 0, 1])
@@ -139,6 +171,34 @@ class TestQRatio:
             q_ratio([2], [3])
         with pytest.raises(InternalError):
             q_ratio([], [1])
+
+    def test_rejects_by_cyclotomic_multiplicity(self):
+        # (1 - q^4)^2 / (1 - q^8) has degree 0 and is not a polynomial
+        with pytest.raises(InternalError, match="Phi_8"):
+            q_ratio([4, 4], [8])
+        with pytest.raises(InternalError):
+            q_ratio([6], [4])
+        # Phi_1 divides both factors below and only the one above
+        with pytest.raises(InternalError, match="Phi_1 "):
+            q_ratio([12], [2, 3])
+
+    def test_mirror_sign_and_high_exponents(self):
+        # odd #nums - #dens: the mirrored upper half is negated
+        assert q_ratio([2, 3], [1]) == (ONE + Q) * one_minus_q(3)
+        # 10 lies above half the degree, so only the mirror carries q^10
+        assert q_ratio([10, 1], [1]) == one_minus_q(10)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(exponent_lists())
+    def test_matches_full_division(self, lists):
+        nums, dens = lists
+        try:
+            expected = full_division_ratio(nums, dens)
+        except InternalError:
+            with pytest.raises(InternalError):
+                q_ratio(nums, dens)
+        else:
+            assert q_ratio(nums, dens) == expected
 
     def test_rejects_nonpositive_exponents(self):
         with pytest.raises(ValueError):
