@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidRank, NotARoot, ShapeTooLong
+from .errors import ConditionViolated, InvalidRank
 from .partitions import Partition, as_partition
 
 Root = tuple[int, ...]
@@ -180,7 +180,7 @@ def build_cartan_datum(ct: CartanType | str) -> CartanDatum:
 
 def _check_len(datum: CartanDatum, v: tuple[int, ...], what: str) -> None:
     if len(v) != datum.rank:
-        raise DimensionMismatch(f"{what} has length {len(v)}, rank is {datum.rank}")
+        raise ConditionViolated(f"{what} has length {len(v)}, rank is {datum.rank}")
 
 
 def pairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
@@ -220,10 +220,10 @@ def copairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
     """<beta^vee, lam> = 2 (beta, lam) / (beta, beta); integral for real roots."""
     norm = root_norm(datum, beta)
     if norm <= 0:
-        raise NotARoot(f"{beta} has nonpositive norm {norm}")
+        raise ConditionViolated(f"{beta} has nonpositive norm {norm}")
     num = 2 * pairing(datum, beta, lam)
     if num % norm:
-        raise NotARoot(f"coroot pairing of {beta} with {lam} is not integral")
+        raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
     return num // norm
 
 
@@ -231,10 +231,10 @@ def corho_pairing(datum: CartanDatum, beta: Root) -> int:
     """<beta^vee, rho> = 2 (beta, rho) / (beta, beta)."""
     norm = root_norm(datum, beta)
     if norm <= 0:
-        raise NotARoot(f"{beta} has nonpositive norm {norm}")
+        raise ConditionViolated(f"{beta} has nonpositive norm {norm}")
     num = 2 * rho_pairing(datum, beta)
     if num % norm:
-        raise NotARoot(f"coroot height of {beta} is not integral")
+        raise ConditionViolated(f"coroot height of {beta} is not integral")
     return num // norm
 
 
@@ -250,6 +250,6 @@ def gl_weight(lam: Partition | tuple[int, ...], m: int) -> Weight:
     """
     lam = as_partition(lam)
     if len(lam) > m:
-        raise ShapeTooLong(f"{len(lam)} parts will not fit into {m} letters")
+        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))
     return tuple(padded[i] - padded[i + 1] for i in range(m - 1))

@@ -17,19 +17,10 @@ import sys
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
 from .csp import OrbitCountStore, aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
-from .errors import (
-    CrystalSieveError,
-    InternalError,
-    InvalidRank,
-    ResourceLimit,
-)
+from .errors import CrystalSieveError, InternalError, InvalidRank, ResourceLimit
 from .partitions import as_partition, partitions_up_to
 from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import Tableau, enumerate_ssyt, fixed_points, orbit_census
-
-
-class CliParseError(Exception):
-    """Command-line value that cannot be interpreted."""
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -39,16 +30,16 @@ def _parse_partition(text: str) -> tuple[int, ...]:
             return ()
         return as_partition(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise CliParseError(f"bad partition {text!r}: {exc}") from None
+        raise ValueError(f"bad partition {text!r}: {exc}") from None
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(x) for x in text.strip().split(","))
     except ValueError:
-        raise CliParseError(f"bad weight {text!r}") from None
+        raise ValueError(f"bad weight {text!r}") from None
     if len(coords) != rank:
-        raise CliParseError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
+        raise ValueError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
 
 
@@ -67,14 +58,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [_positive_int(x) for x in text.split(",")]
     except argparse.ArgumentTypeError as exc:
-        raise CliParseError(f"bad {what} list {text!r}: {exc}") from None
+        raise ValueError(f"bad {what} list {text!r}: {exc}") from None
 
 
 def _parse_poly_arg(text: str) -> IntPoly:
     try:
         return parse_poly(text)
     except (ValueError, json.JSONDecodeError) as exc:
-        raise CliParseError(f"bad polynomial {text!r}: {exc}") from None
+        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -234,10 +225,7 @@ def cmd_aa_check(args) -> int:
 
 
 def cmd_orbit_formula(args) -> int:
-    try:
-        value = orbit_formula(args.a, args.d)
-    except ValueError as exc:
-        raise CliParseError(str(exc)) from exc
+    value = orbit_formula(args.a, args.d)
     _emit(args, {"a": args.a, "d": args.d, "orbits": str(value)}, str(value))
     return 0
 
@@ -288,7 +276,7 @@ def cmd_sweep(args) -> int:
     cells = []
     for m in ms:
         if m < 2:
-            raise CliParseError("sweep needs m >= 2")
+            raise ValueError("sweep needs m >= 2")
         for lam in partitions_up_to(args.max_size, max_parts=m):
             cells.append((lam, m, ns or [m]))
     if args.jobs and args.jobs > 1:
@@ -400,7 +388,7 @@ def main(argv=None) -> int:
         # stdout at devnull so that the flush at shutdown cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (CliParseError, InvalidRank, ValueError) as exc:
+    except (InvalidRank, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimit as exc:

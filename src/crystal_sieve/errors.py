@@ -1,8 +1,14 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library: one class per outcome, each
+with the exit code the command line gives it.
 
-Errors fall into two groups: domain errors (the caller handed us input
-outside an operation's hypotheses) and internal errors (a mathematically
-guaranteed identity failed, which signals a bug, never bad input).
+* ``InvalidRank`` (exit 2): a Cartan type string is malformed or its rank is
+  outside the family's range. Other unreadable input is a ``ValueError``,
+  which also exits 2.
+* ``ConditionViolated`` (exit 3): the input lies outside the operation's
+  hypotheses.
+* ``ResourceLimit`` (exit 4): the work would exceed a configured cap.
+* ``InternalError`` (exit 5): a mathematically guaranteed identity failed,
+  which signals a bug, never bad input.
 """
 
 
@@ -14,62 +20,14 @@ class InvalidRank(CrystalSieveError):
     """Cartan type string is malformed or its rank is outside the family's range."""
 
 
-class DimensionMismatch(CrystalSieveError):
-    """Coordinate vector length disagrees with the rank of the Cartan datum."""
-
-
-class NotARoot(CrystalSieveError):
-    """Vector has nonpositive norm or a non-integral coroot pairing."""
-
-
-class ShapeTooLong(CrystalSieveError):
-    """Partition has more parts than the number of available entries."""
-
-
-class NotMonic(CrystalSieveError):
-    """Modulus must be monic of positive degree."""
-
-
-class NotDominant(CrystalSieveError):
-    """Weight has a negative fundamental coordinate."""
-
-
 class ConditionViolated(CrystalSieveError):
-    """A required divisibility or group-order condition fails."""
+    """Input outside the operation's hypotheses."""
 
 
 class ResourceLimit(CrystalSieveError):
-    """Enumeration would exceed the configured element cap, or a product
-    the polynomial degree cap."""
-
-
-class SizeMismatch(CrystalSieveError):
-    """Partition and content do not have the same size."""
-
-
-class NotDivisible(CrystalSieveError):
-    """Tableau size is not divisible by the number of entries."""
-
-
-class NotSemistandard(CrystalSieveError):
-    """Filling violates weak row increase or strict column increase."""
-
-
-class HypothesisViolated(CrystalSieveError):
-    """Input falls outside the hypotheses of the requested characterization."""
-
-
-class NotPrime(CrystalSieveError):
-    """Argument must be a prime number."""
-
-
-class PTooSmall(CrystalSieveError):
-    """The prime must be at least the number of tableau entries."""
+    """Enumeration would exceed the configured element cap, a product the
+    polynomial degree cap, or an order the order cap."""
 
 
 class InternalError(CrystalSieveError):
     """A guaranteed identity failed during computation; indicates a bug."""
-
-
-class CongruenceMismatch(InternalError):
-    """Residue and orbit-count decomposition disagree, or an orbit count is bad."""

@@ -24,10 +24,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def partition_size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def dominates(lam: Partition, mu: Iterable[int]) -> bool:
     """Dominance order: every prefix sum of lam is at least that of mu.
 

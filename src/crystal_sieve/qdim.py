@@ -26,13 +26,7 @@ from .cartan import (
     pairing,
     rho_pairing,
 )
-from .errors import (
-    CongruenceMismatch,
-    ConditionViolated,
-    NotDominant,
-    ResourceLimit,
-    ShapeTooLong,
-)
+from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, as_partition
 from .qpoly import (
     IntPoly,
@@ -75,7 +69,7 @@ def _pair_fns(datum: CartanDatum, dual: bool):
 
 def _require_dominant(lam: Weight) -> None:
     if not is_dominant(lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+        raise ConditionViolated(f"{lam} has a negative coordinate")
 
 
 def _exponents(datum: CartanDatum, lam: Weight, dual: bool, roots=None):
@@ -197,10 +191,10 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     for d in divisors(n):
         s = sum(mobius(d // e) * b[e] for e in divisors(d))
         if s % d:
-            raise CongruenceMismatch(f"Mobius sum {s} for d={d} is not divisible by {d}")
+            raise InternalError(f"Mobius sum {s} for d={d} is not divisible by {d}")
         a[d] = s // d
         if a[d] < 0:
-            raise CongruenceMismatch(f"orbit count a_{d} = {a[d]} is negative")
+            raise InternalError(f"orbit count a_{d} = {a[d]} is negative")
     return nums, dens, b, a
 
 
@@ -229,7 +223,7 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
     for d, coeff in a.items():
         recon = recon + coeff * orbit_basis_element(n, d)
     if recon != residue:
-        raise CongruenceMismatch(
+        raise InternalError(
             f"residue {residue} differs from orbit reconstruction {recon}"
         )
     return CongruenceResult(n=n, b=b, a=a, residue=residue, dual=dual)
@@ -252,7 +246,7 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     """
     lam = as_partition(lam)
     if len(lam) > m:
-        raise ShapeTooLong(f"{len(lam)} parts will not fit into {m} letters")
+        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     nums = [padded[i] - padded[j] + j - i for i, j in pairs]

@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from typing import Callable
 
-from .errors import InternalError, NotMonic, ResourceLimit
+from .errors import ConditionViolated, InternalError, ResourceLimit
 
 # Largest order n of a root-of-unity value table or a residue mod q^n - 1.
 # Above 720,720 (240 divisors) and above 156,240, the order of promotion on
@@ -282,9 +282,9 @@ def q_ratio_at_one(nums, dens) -> int:
 def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
     """Remainder of f modulo a monic g with deg g >= 1."""
     if g.is_zero or g.degree < 1:
-        raise NotMonic("modulus must have positive degree")
+        raise ConditionViolated("modulus must have positive degree")
     if g.coeffs[-1] != 1:
-        raise NotMonic(f"modulus has leading coefficient {g.coeffs[-1]}")
+        raise ConditionViolated(f"modulus has leading coefficient {g.coeffs[-1]}")
     rem = list(f.coeffs)
     dg = g.degree
     for k in range(len(rem) - dg - 1, -1, -1):

@@ -33,15 +33,8 @@ from dataclasses import dataclass
 from itertools import accumulate, islice, product
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import (
-    InternalError,
-    NotDivisible,
-    NotSemistandard,
-    ResourceLimit,
-    ShapeTooLong,
-    SizeMismatch,
-)
-from .partitions import Partition, as_partition, dominates, partition_size
+from .errors import ConditionViolated, InternalError, ResourceLimit
+from .partitions import Partition, as_partition
 from .qpoly import q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
@@ -52,10 +45,8 @@ Row = tuple[int, ...]
 RowRule = Callable[[Row, Row, Row], Row]
 
 
-def _enum_cap(cap: int | None) -> tuple[int, str]:
+def _enum_cap() -> tuple[int, str]:
     """The enumeration cap and what set it."""
-    if cap is not None:
-        return cap, "passed as the cap argument"
     env = os.environ.get(ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP, "by default"
@@ -83,17 +74,17 @@ class Tableau:
         prev_len = None
         for r, row in enumerate(self.rows):
             if not row:
-                raise NotSemistandard("empty row")
+                raise ConditionViolated("empty row")
             if prev_len is not None and len(row) > prev_len:
-                raise NotSemistandard(f"row {r + 1} longer than the row above")
+                raise ConditionViolated(f"row {r + 1} longer than the row above")
             prev_len = len(row)
             for c, v in enumerate(row):
                 if not 1 <= v <= self.m:
-                    raise NotSemistandard(f"entry {v} outside 1..{self.m}")
+                    raise ConditionViolated(f"entry {v} outside 1..{self.m}")
                 if c and row[c - 1] > v:
-                    raise NotSemistandard(f"row {r + 1} decreases at column {c + 1}")
+                    raise ConditionViolated(f"row {r + 1} decreases at column {c + 1}")
                 if r and self.rows[r - 1][c] >= v:
-                    raise NotSemistandard(f"column {c + 1} not strict at row {r + 1}")
+                    raise ConditionViolated(f"column {c + 1} not strict at row {r + 1}")
 
     @property
     def shape(self) -> Partition:
@@ -169,7 +160,7 @@ class _Cells(NamedTuple):
 @functools.cache
 def _cells(lam: Partition) -> _Cells:
     starts = [sum(lam[r + 1:]) for r in range(len(lam))]
-    size = partition_size(lam)
+    size = sum(lam)
     below, floor, has_left = [-1] * size, [0] * size, [False] * size
     for r, length in enumerate(lam):
         for c in range(length):
@@ -233,29 +224,29 @@ def _words(lam: Partition, m: int, budget: list[int] | None = None) -> Iterator[
         v += 1
 
 
-def _check_count(lam: Partition, m: int, cap: int | None) -> int:
+def _check_count(lam: Partition, m: int) -> int:
     """Size of the crystal, from the product formula, within the cap."""
-    limit, source = _enum_cap(cap)
+    limit, source = _enum_cap()
     count = ssyt_count(lam, m)
     if count > limit:
         raise _over_cap(str(count), f"shape {lam} on {m} letters", limit, source)
     return count
 
 
-def enumerate_ssyt(lam: Partition, m: int, cap: int | None = None) -> list[Tableau]:
+def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
     """All tableaux of the given shape on m letters, in canonical order.
 
-    Raises ResourceLimit when the count exceeds the cap (argument, else the
+    Raises ResourceLimit when the count exceeds the cap (the
     CRYSTAL_SIEVE_MAX_ENUM environment variable, else 10^7).
     """
     lam = as_partition(lam)
     if len(lam) > m:
         return []
-    _check_count(lam, m, cap)
+    _check_count(lam, m)
     return [_tableau(w, lam, m) for w in _words(lam, m)]
 
 
-def kostka(lam: Partition, mu: tuple[int, ...], cap: int | None = None) -> int:
+def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
     """Number of tableaux of shape lam and content mu.
 
     mu may be any nonnegative composition; positivity for partition mu is
@@ -265,10 +256,10 @@ def kostka(lam: Partition, mu: tuple[int, ...], cap: int | None = None) -> int:
     mu = tuple(int(x) for x in mu)
     if any(x < 0 for x in mu):
         raise ValueError(f"negative multiplicity in {mu}")
-    if partition_size(lam) != sum(mu):
-        raise SizeMismatch(f"|{lam}| = {partition_size(lam)} but content sums to {sum(mu)}")
+    if sum(lam) != sum(mu):
+        raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
     m = len(mu)
-    limit, source = _enum_cap(cap)
+    limit, source = _enum_cap()
     count = sum(1 for _ in islice(_words(lam, m, [0, *mu]), limit + 1))
     if count > limit:
         raise _over_cap(f"at least {count}", f"shape {lam} on {m} letters with content {mu}", limit, source)
@@ -458,14 +449,14 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     k = |lam|/m, written row by row in weakly increasing order.
 
     Column strictness can genuinely fail for shapes outside the uniform
-    regime; that surfaces as NotSemistandard rather than being patched.
+    regime; that surfaces as ConditionViolated rather than being patched.
     """
     lam = as_partition(lam)
-    size = partition_size(lam)
+    size = sum(lam)
     if size % m:
-        raise NotDivisible(f"{m} does not divide |{lam}| = {size}")
+        raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
     if len(lam) > m:
-        raise ShapeTooLong(f"{len(lam)} parts will not fit into {m} letters")
+        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     k = size // m
     entries = [v for v in range(1, m + 1) for _ in range(k)]
     rows = []
@@ -476,15 +467,15 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     return Tableau(tuple(rows), m)
 
 
-def fixed_points(lam: Partition, m: int, cap: int | None = None) -> list[Tableau]:
+def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     """All tableaux of uniform content (|lam|/m, ..., |lam|/m), in canonical
     order; empty when m does not divide |lam|. These are exactly the fixed
     points of the cycle operator."""
     lam = as_partition(lam)
-    size = partition_size(lam)
+    size = sum(lam)
     if size % m:
         return []
-    limit, source = _enum_cap(cap)
+    limit, source = _enum_cap()
     out = [_tableau(w, lam, m) for w in islice(_words(lam, m, [0] + [size // m] * m), limit + 1)]
     if len(out) > limit:
         raise _over_cap(f"at least {len(out)}", f"shape {lam} on {m} letters with uniform content", limit, source)
@@ -507,7 +498,7 @@ def m_core(lam: Partition, m: int) -> MCoreResult:
     """
     lam = as_partition(lam)
     if len(lam) > m:
-        raise ShapeTooLong(f"{len(lam)} parts will not fit into {m} runners")
+        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} runners")
     padded = lam + (0,) * (m - len(lam))
     beta = [padded[k] + m - 1 - k for k in range(m)]
     residues = [b % m for b in beta]
@@ -620,7 +611,7 @@ def _patterns(lam: Partition, m: int, ids: dict[Row, int]) -> Iterator[tuple[int
                 yield tuple(g)
 
 
-def orbit_census(lam: Partition, m: int, action: str = "c", cap: int | None = None) -> OrbitCensus:
+def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
     cycles by length.
 
@@ -638,7 +629,7 @@ def orbit_census(lam: Partition, m: int, action: str = "c", cap: int | None = No
     lam = as_partition(lam)
     if m < 2:
         raise ValueError("the cycle operator and promotion need at least two letters")
-    count = _check_count(lam, m, cap)
+    count = _check_count(lam, m)
     ids: dict[Row, int] = {}
     rows: list[Row] = []  # the rows of ids, in id order, refreshed when ids grew
     moves: dict[tuple[int, int, int], int] = {}
@@ -681,9 +672,6 @@ __all__ = [
     "Tableau",
     "OrbitCensus",
     "MCoreResult",
-    "as_partition",
-    "dominates",
-    "partition_size",
     "ssyt_count",
     "enumerate_ssyt",
     "kostka",

@@ -14,6 +14,7 @@ import pytest
 
 import crystal_sieve
 from crystal_sieve.cli import build_parser, main
+from crystal_sieve.errors import ConditionViolated, InternalError, InvalidRank, ResourceLimit
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -442,8 +443,8 @@ class TestBrokenPipe:
 
 
 class TestExitCodes:
-    """Malformed input ends with a usage (2) or domain (3) exit, never a
-    traceback."""
+    """Malformed input ends with a usage exit (2), input outside the
+    hypotheses with a domain exit (3), never with a traceback."""
 
     @pytest.mark.parametrize(
         "args, env",
@@ -459,8 +460,40 @@ class TestExitCodes:
     )
     def test_malformed_input(self, args, env):
         proc = run_process(args, env)
-        assert proc.returncode in (2, 3), proc.stderr
+        assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr
         for name in env:
             assert name in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["crystal", "2,2,2", "csp", "-m", "2"], "3 parts will not fit into 2 letters"),
+            (["specialize", "1,1,1", "-m", "2"], "3 parts will not fit into 2 letters"),
+            (["qdim", "A2", "1,-1"], "(1, -1) has a negative coordinate"),
+        ],
+    )
+    def test_outside_the_hypotheses(self, args, message):
+        proc = run_process(args, {})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: {message}\n"
+        assert not proc.stdout
+
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (InvalidRank, 2, "error"),
+            (ConditionViolated, 3, "error"),
+            (ResourceLimit, 4, "error"),
+            (InternalError, 5, "internal error"),
+        ],
+    )
+    def test_one_exit_code_per_class(self, monkeypatch, error, code, prefix):
+        import crystal_sieve.cli as cli
+
+        def raises(*args):
+            raise error("made to fail")
+
+        monkeypatch.setattr(cli, "build_cartan_datum", raises)
+        assert run_cli("roots", "A2") == (code, "", f"{prefix}: made to fail\n")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystal_sieve.cartan import build_cartan_datum
-from crystal_sieve.errors import InternalError, NotMonic
+from crystal_sieve.errors import ConditionViolated, InternalError
 from crystal_sieve.qdim import congruence
 from crystal_sieve.qpoly import (
     ONE,
@@ -237,11 +237,11 @@ class TestQRatio:
 
 class TestDivision:
     def test_rem_mod_requires_monic(self):
-        with pytest.raises(NotMonic):
+        with pytest.raises(ConditionViolated, match="modulus has leading coefficient 2"):
             rem_mod(Q, IntPoly([-1, 2]))
-        with pytest.raises(NotMonic):
+        with pytest.raises(ConditionViolated, match="modulus must have positive degree"):
             rem_mod(Q, IntPoly([1]))
-        with pytest.raises(NotMonic):
+        with pytest.raises(ConditionViolated, match="modulus must have positive degree"):
             rem_mod(Q, ZERO)
 
     def test_rem_mod_folds_exponents(self):

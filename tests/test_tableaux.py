@@ -8,14 +8,7 @@ test; signs are accumulated as (-1)^(rows spanned - 1) per removal.
 
 import pytest
 
-from crystal_sieve.errors import (
-    InternalError,
-    NotDivisible,
-    NotSemistandard,
-    ResourceLimit,
-    ShapeTooLong,
-    SizeMismatch,
-)
+from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
 from crystal_sieve.partitions import partitions_of, partitions_up_to
 from crystal_sieve.qdim import kappa, principal_specialization
 from crystal_sieve.qpoly import eval_root_of_unity
@@ -62,22 +55,22 @@ class TestTableauType:
         assert tab("1,2", 2).reading_word() == (1, 2)
 
     def test_rejects_bad_fillings(self):
-        with pytest.raises(NotSemistandard):
-            Tableau(((2, 1),), 2)  # row decreases
-        with pytest.raises(NotSemistandard):
-            Tableau(((1, 1), (1,)), 2)  # column not strict
-        with pytest.raises(NotSemistandard):
-            Tableau(((0, 1),), 2)  # entry below 1
-        with pytest.raises(NotSemistandard):
-            Tableau(((1, 3),), 2)  # entry above m
-        with pytest.raises(NotSemistandard):
-            Tableau(((1,), (2, 2)), 2)  # row lengths increase
+        with pytest.raises(ConditionViolated, match="row 1 decreases at column 2"):
+            Tableau(((2, 1),), 2)
+        with pytest.raises(ConditionViolated, match="column 1 not strict at row 2"):
+            Tableau(((1, 1), (1,)), 2)
+        with pytest.raises(ConditionViolated, match=r"entry 0 outside 1\.\.2"):
+            Tableau(((0, 1),), 2)
+        with pytest.raises(ConditionViolated, match=r"entry 3 outside 1\.\.2"):
+            Tableau(((1, 3),), 2)
+        with pytest.raises(ConditionViolated, match="row 2 longer than the row above"):
+            Tableau(((1,), (2, 2)), 2)
 
     def test_with_entry(self):
         t = tab("1,2,2", 3)
         assert t.with_entry(0, 2, 3).to_text() == "1,2,3"
         assert t.with_entry(0, 2, 3) is not t
-        with pytest.raises(NotSemistandard):
+        with pytest.raises(ConditionViolated, match="column 1 not strict at row 2"):
             tab("1,2/2", 2).with_entry(0, 0, 2)
 
     def test_hashable_and_frozen(self):
@@ -109,22 +102,27 @@ class TestEnumeration:
         words = [t.reading_word() for t in tabs]
         assert words == sorted(words)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         # 165 fillings of a single row of 8 in 4 letters
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "100")
         with pytest.raises(ResourceLimit):
-            enumerate_ssyt((8,), 4, cap=100)
-        assert len(enumerate_ssyt((8,), 4, cap=165)) == 165
+            enumerate_ssyt((8,), 4)
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "165")
+        assert len(enumerate_ssyt((8,), 4)) == 165
 
     def test_cap_messages_name_input_and_limit(self, monkeypatch):
-        monkeypatch.delenv("CRYSTAL_SIEVE_MAX_ENUM", raising=False)
         cases = [
-            (lambda: enumerate_ssyt((8,), 4, cap=100), ["(8,) on 4 letters", "165", "cap 100", "argument"]),
-            (lambda: kostka((4, 4), (2, 2, 2, 2), cap=2), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "at least 3", "cap 2"]),
-            (lambda: fixed_points((4, 4), 4, cap=1), ["(4, 4) on 4 letters", "at least 2", "cap 1"]),
+            ("100", lambda: enumerate_ssyt((8,), 4), ["(8,) on 4 letters", "165", "cap 100", "set by CRYSTAL_SIEVE_MAX_ENUM"]),
+            ("2", lambda: kostka((4, 4), (2, 2, 2, 2)), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "at least 3", "cap 2"]),
+            ("1", lambda: fixed_points((4, 4), 4), ["(4, 4) on 4 letters", "at least 2", "cap 1"]),
             # C(39, 9) = 211,915,132 tableaux, refused before any is built
-            (lambda: enumerate_ssyt((30,), 10), ["(30,) on 10 letters", "211915132", "cap 10000000", "default"]),
+            (None, lambda: enumerate_ssyt((30,), 10), ["(30,) on 10 letters", "211915132", "cap 10000000", "default"]),
         ]
-        for call, parts in cases:
+        for env, call, parts in cases:
+            if env is None:
+                monkeypatch.delenv("CRYSTAL_SIEVE_MAX_ENUM", raising=False)
+            else:
+                monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", env)
             with pytest.raises(ResourceLimit) as exc:
                 call()
             for part in parts:
@@ -159,7 +157,7 @@ class TestKostka:
                     assert (kostka(lam, mu) > 0) == dominates(lam, mu)
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(ConditionViolated, match="content sums to 1"):
             kostka((2,), (1,))
 
 
@@ -301,9 +299,10 @@ class TestCycleOperator:
         with pytest.raises(ValueError):
             orbit_census((2,), 2, action="rot")
 
-    def test_census_cap(self):
+    def test_census_cap(self, monkeypatch):
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "10")
         with pytest.raises(ResourceLimit):
-            orbit_census((8,), 4, cap=10)
+            orbit_census((8,), 4)
 
     def test_census_stops_on_a_step_that_never_returns(self, monkeypatch):
         from crystal_sieve import tableaux
@@ -381,12 +380,12 @@ class TestSuperstandard:
         assert superstandard((3, 2, 1), 3).to_text() == "1,1,2/2,3/3"
 
     def test_errors(self):
-        with pytest.raises(NotDivisible):
+        with pytest.raises(ConditionViolated, match="2 does not divide"):
             superstandard((3,), 2)
-        with pytest.raises(ShapeTooLong):
+        with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 letters"):
             superstandard((2, 1, 1), 2)
         # content (2,2,2) written row by row stacks two 3s in one column
-        with pytest.raises(NotSemistandard):
+        with pytest.raises(ConditionViolated, match="column 1 not strict at row 3"):
             superstandard((4, 1, 1), 3)
 
 
@@ -474,7 +473,7 @@ class TestMCore:
             assert got.sign == (sign if core == () else None)
 
     def test_too_many_rows(self):
-        with pytest.raises(ShapeTooLong):
+        with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 runners"):
             m_core((1, 1, 1), 2)
 
     @pytest.mark.parametrize("m", [2, 3])
