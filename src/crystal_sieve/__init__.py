@@ -34,7 +34,6 @@ from .qdim import (
     divisibility_condition,
     kappa,
     orbit_counts,
-    positive_roots_divisible,
     principal_specialization,
     qdim,
     qdim_dual,

@@ -150,6 +150,7 @@ class CartanDatum:
 
     ``rho_pairings`` caches (beta, rho) for every positive root beta; since
     (a_i, rho) = d_i, that pairing is the symmetrizer-weighted height.
+    ``root_norms`` caches (beta, beta) for the same roots.
     """
 
     cartan_type: CartanType
@@ -157,6 +158,7 @@ class CartanDatum:
     symmetrizers: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     rho_pairings: dict[Root, int]
+    root_norms: dict[Root, int]
 
     @property
     def rank(self) -> int:
@@ -169,7 +171,8 @@ def _build(ct: CartanType) -> CartanDatum:
     d = symmetrizers(ct)
     roots = _positive_roots(matrix)
     rho = {beta: sum(c * d[i] for i, c in enumerate(beta)) for beta in roots}
-    return CartanDatum(ct, matrix, d, roots, rho)
+    norms = {beta: _norm(matrix, d, beta) for beta in roots}
+    return CartanDatum(ct, matrix, d, roots, rho, norms)
 
 
 def build_cartan_datum(ct: CartanType | str) -> CartanDatum:
@@ -204,16 +207,19 @@ def rho_pairing(datum: CartanDatum, beta: Root) -> int:
     return sum(c * datum.symmetrizers[i] for i, c in enumerate(beta))
 
 
-def root_norm(datum: CartanDatum, beta: Root) -> int:
-    """(beta, beta) via the symmetrized Cartan matrix."""
-    _check_len(datum, beta, "root")
-    a = datum.cartan_matrix
-    d = datum.symmetrizers
+def _norm(a, d, beta: Root) -> int:
+    """(beta, beta) for the Cartan matrix a with symmetrizers d."""
     return sum(
         ci * d[i] * a[i][j] * cj
         for i, ci in enumerate(beta) if ci
         for j, cj in enumerate(beta) if cj
     )
+
+
+def root_norm(datum: CartanDatum, beta: Root) -> int:
+    """(beta, beta) via the symmetrized Cartan matrix."""
+    _check_len(datum, beta, "root")
+    return _norm(datum.cartan_matrix, datum.symmetrizers, beta)
 
 
 def copairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:

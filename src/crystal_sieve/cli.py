@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
@@ -309,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices = ["plain", "json"] + (["csv"] if csv_too else [])
         p.add_argument("--format", choices=choices, default="plain")
 
+    def signed_weight(p):
+        # a weight such as "-1,2" is the positional argument, not an unknown
+        # option: these parsers have no option that starts with "-" and a digit
+        p._negative_number_matcher = re.compile(r"-\d")
+
     p = sub.add_parser("roots", help="positive roots of a finite Cartan type")
     p.add_argument("type")
     add_format(p, csv_too=True)
@@ -320,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", action="store_true")
     p.add_argument("--mod", type=_positive_int, metavar="N", help="also reduce mod q^N - 1")
     add_format(p)
+    signed_weight(p)
     p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("specialize", help="principal specialization of a Schur polynomial")
@@ -334,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--dual", action="store_true")
     add_format(p)
+    signed_weight(p)
     p.set_defaults(func=cmd_congruence)
 
     p = sub.add_parser("crystal", help="orbit census, fixed points, or CSP report")

@@ -14,22 +14,16 @@ a degree above ``MAX_DEGREE`` raises ResourceLimit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
-from .cartan import (
-    CartanDatum,
-    Root,
-    Weight,
-    copairing,
-    corho_pairing,
-    is_dominant,
-    pairing,
-    rho_pairing,
-)
+from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, as_partition
 from .qpoly import (
+    ZERO,
     IntPoly,
+    _residue,
     check_order,
     divisors,
     mobius,
@@ -54,31 +48,36 @@ def _check_degree(nums, dens, what: str) -> None:
         raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
 
 
-def _pair_fns(datum: CartanDatum, dual: bool):
-    """Weight pairing and rho pairing, classical or coroot-side."""
-    if dual:
-        return (
-            lambda beta, lam: copairing(datum, beta, lam),
-            lambda beta: corho_pairing(datum, beta),
-        )
-    return (
-        lambda beta, lam: pairing(datum, beta, lam),
-        lambda beta: rho_pairing(datum, beta),
-    )
-
-
 def _require_dominant(lam: Weight) -> None:
     if not is_dominant(lam):
         raise ConditionViolated(f"{lam} has a negative coordinate")
 
 
-def _exponents(datum: CartanDatum, lam: Weight, dual: bool, roots=None):
-    """Numerator and denominator exponents of the Weyl-type product over
-    the given positive roots (all of them by default)."""
-    pair, rho = _pair_fns(datum, dual)
-    roots = datum.positive_roots if roots is None else roots
-    dens = [rho(beta) for beta in roots]
-    nums = [pair(beta, lam) + r for beta, r in zip(roots, dens)]
+def _exponents(datum: CartanDatum, lam: Weight, dual: bool):
+    """Numerator and denominator exponents of the Weyl-type product, in one
+    pass over the positive roots: (beta, lam + rho) over (beta, rho), or
+    <beta^vee, lam + rho> over <beta^vee, rho> when dual. Root data come
+    from the datum's caches; only the weight is checked, with the errors of
+    ``pairing`` and ``copairing`` (a coroot height is always an integer)."""
+    _check_len(datum, lam, "weight")
+    w = [di * c for di, c in zip(datum.symmetrizers, lam)]
+    rho = datum.rho_pairings
+    nums, dens = [], []
+    if dual:
+        norms = datum.root_norms
+        for beta in datum.positive_roots:
+            norm = norms[beta]
+            pair, rem = divmod(2 * sum(map(operator.mul, beta, w)), norm)
+            if rem:
+                raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
+            den = 2 * rho[beta] // norm
+            dens.append(den)
+            nums.append(pair + den)
+    else:
+        for beta in datum.positive_roots:
+            den = rho[beta]
+            dens.append(den)
+            nums.append(sum(map(operator.mul, beta, w)) + den)
     return nums, dens
 
 
@@ -119,12 +118,6 @@ def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
     return q_ratio_at_one(*_exponents(datum, lam, dual=False))
 
 
-def positive_roots_divisible(datum: CartanDatum, d: int, dual: bool = False) -> tuple[Root, ...]:
-    """Positive roots whose rho pairing (or coroot height, if dual) d divides."""
-    _, rho = _pair_fns(datum, dual)
-    return tuple(beta for beta in datum.positive_roots if rho(beta) % d == 0)
-
-
 def divisibility_condition(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> bool:
     """Whether n divides (beta, lam) for every positive root beta
     (or n | <beta^vee, lam> when dual).
@@ -132,8 +125,8 @@ def divisibility_condition(datum: CartanDatum, lam: Weight, n: int, dual: bool =
     For a partition weight in type A this is exactly divisibility of every
     difference of padded parts by n.
     """
-    pair, _ = _pair_fns(datum, dual)
-    return all(pair(beta, lam) % n == 0 for beta in datum.positive_roots)
+    nums, dens = _exponents(datum, lam, dual)
+    return all((x - y) % n == 0 for x, y in zip(nums, dens))
 
 
 @dataclass(frozen=True)
@@ -180,12 +173,15 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     kind = "dual q-dimension" if dual else "q-dimension"
     check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
-    if not divisibility_condition(datum, lam, n, dual):
+    if any((x - y) % n for x, y in zip(nums, dens)):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
     b: dict[int, int] = {}
     for d in divisors(n):
-        roots = positive_roots_divisible(datum, n // d, dual)
-        b[d] = q_ratio_at_one(*_exponents(datum, lam, dual, roots))
+        # the roots whose rho pairing (coroot height, if dual) n/d divides
+        k = n // d
+        b[d] = q_ratio_at_one(
+            [x for x, y in zip(nums, dens) if y % k == 0], [y for y in dens if y % k == 0]
+        )
 
     a: dict[int, int] = {}
     for d in divisors(n):
@@ -217,9 +213,8 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
     MAX_DEGREE raises ResourceLimit before any product is taken.
     """
     nums, dens, b, a = _orbit_data(datum, lam, n, dual)
-    coeffs = q_ratio(nums, dens).coeffs
-    residue = IntPoly([sum(coeffs[r::n]) for r in range(n)])
-    recon = IntPoly()
+    residue = _residue(q_ratio(nums, dens).coeffs, n)
+    recon = ZERO
     for d, coeff in a.items():
         recon = recon + coeff * orbit_basis_element(n, d)
     if recon != residue:

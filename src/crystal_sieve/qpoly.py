@@ -3,6 +3,11 @@ evaluation at roots of unity, and the orbit basis of Z[q]/(q^n - 1).
 
 Everything here is exact. Floats never enter; rationality questions are
 settled by polynomial remainders, not numerics.
+
+Coefficients are checked once, where they enter: ``IntPoly(...)`` (which
+``parse_poly`` goes through) requires ints. A polynomial this module computes
+from ints it already holds is only trimmed to canonical form, not checked
+again.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class IntPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = IntPoly([other])
+            other = _from_ints([other])
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -76,18 +81,22 @@ class IntPoly:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = IntPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPoly([self[k] + other[k] for k in range(n)])
+            other = _from_ints([other])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(map(operator.add, a, b))
+        out += a[len(b):]
+        return _from_ints(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
+        return _from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = IntPoly([other])
+            other = _from_ints([other])
         return self + (-other)
 
     def __rsub__(self, other):
@@ -95,24 +104,24 @@ class IntPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
+            return _from_ints([other * c for c in self.coeffs])
         if not isinstance(other, IntPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
-            return IntPoly()
+            return ZERO
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPoly(out)
+        return _from_ints(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power")
-        result = IntPoly([1])
+        result = ONE
         base = self
         while e:
             if e & 1:
@@ -132,13 +141,24 @@ class IntPoly:
         """Multiply by q^k."""
         if self.is_zero:
             return self
-        return IntPoly((0,) * k + self.coeffs)
+        return _from_ints([0] * k + list(self.coeffs))
 
     def __repr__(self):
         return f"IntPoly({format_poly(self)!r})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def _from_ints(cs: list) -> IntPoly:
+    """Canonical IntPoly of a list of ints computed in this module: the
+    trailing zeros are dropped (from cs itself) and the coefficients are not
+    checked again."""
+    while cs and not cs[-1]:
+        cs.pop()
+    f = object.__new__(IntPoly)
+    object.__setattr__(f, "coeffs", tuple(cs))
+    return f
 
 
 ZERO = IntPoly()
@@ -258,7 +278,7 @@ def q_ratio(nums, dens) -> IntPoly:
     for a, k in count.items():
         if a <= half:
             for _ in range(k):
-                out[a:] = map(operator.sub, out[a:], out[:-a])
+                out[a:] = list(map(operator.sub, out[a:], out))
     for b, k in count.items():
         if b <= half:
             for _ in range(-k):
@@ -267,7 +287,7 @@ def q_ratio(nums, dens) -> IntPoly:
     mirror = out[:degree - half][::-1]
     if sum(count.values()) % 2:
         mirror = [-c for c in mirror]
-    return IntPoly(out + mirror)
+    return _from_ints(out + mirror)
 
 
 def q_ratio_at_one(nums, dens) -> int:
@@ -287,13 +307,14 @@ def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
         raise ConditionViolated(f"modulus has leading coefficient {g.coeffs[-1]}")
     rem = list(f.coeffs)
     dg = g.degree
+    # the leading 1 only cancels rem[k + dg], which the result drops
+    low = [(j, c) for j, c in enumerate(g.coeffs[:dg]) if c]
     for k in range(len(rem) - dg - 1, -1, -1):
         top = rem[k + dg]
-        if top == 0:
-            continue
-        for j, c in enumerate(g.coeffs):
-            rem[k + j] -= top * c
-    return IntPoly(rem[:dg])
+        if top:
+            for j, c in low:
+                rem[k + j] -= top * c
+    return _from_ints(rem[:dg])
 
 
 @functools.cache
@@ -369,11 +390,17 @@ def _values_of(f: IntPoly) -> str:
     return f"values of {text if len(text) <= 60 else text[:57] + '...'} at roots of unity"
 
 
-def _fold(coeffs, n: int):
-    """Coefficients reduced mod q^n - 1, by summing them over exponent classes."""
+def _fold(coeffs, n: int) -> list[int]:
+    """Coefficients reduced mod q^n - 1, by summing them over exponent
+    classes, as a new list."""
     if len(coeffs) <= n:
-        return coeffs
+        return list(coeffs)
     return [sum(coeffs[k::n]) for k in range(n)]
+
+
+def _residue(coeffs, n: int) -> IntPoly:
+    """The polynomial with these coefficients reduced mod q^n - 1."""
+    return _from_ints(_fold(coeffs, n))
 
 
 def _value_at_order(coeffs, d: int) -> int | None:
@@ -383,7 +410,7 @@ def _value_at_order(coeffs, d: int) -> int | None:
     Phi_d; the value is rational exactly when the remainder is constant.
     A fold of degree below phi(d) is its own remainder, so Phi_d is then
     neither built nor divided by."""
-    r = IntPoly(_fold(coeffs, d))
+    r = _residue(coeffs, d)
     if r.degree >= _totient(d):
         r = rem_mod(r, cyclotomic(d))
     if r.degree >= 1:
@@ -427,4 +454,4 @@ def orbit_basis_element(n: int, d: int) -> IntPoly:
     out = [0] * (n - step + 1)
     for k in range(0, n, step):
         out[k] = 1
-    return IntPoly(out)
+    return _from_ints(out)

@@ -472,6 +472,8 @@ class TestExitCodes:
             (["crystal", "2,2,2", "csp", "-m", "2"], "3 parts will not fit into 2 letters"),
             (["specialize", "1,1,1", "-m", "2"], "3 parts will not fit into 2 letters"),
             (["qdim", "A2", "1,-1"], "(1, -1) has a negative coordinate"),
+            (["qdim", "A2", "-1,2"], "(-1, 2) has a negative coordinate"),
+            (["congruence", "A2", "-1,2", "-n", "2"], "(-1, 2) has a negative coordinate"),
         ],
     )
     def test_outside_the_hypotheses(self, args, message):

@@ -24,11 +24,11 @@ from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import (
     MAX_DEGREE,
     CongruenceResult,
+    _exponents,
     congruence,
     divisibility_condition,
     kappa,
     orbit_counts,
-    positive_roots_divisible,
     principal_specialization,
     qdim,
     qdim_dual,
@@ -164,16 +164,67 @@ class TestDivisibilityCondition:
                     assert divisibility_condition(datum, lam, n) is want
 
     def test_roots_with_divisible_rho_pairing(self):
-        a2 = build_cartan_datum("A2")
-        assert positive_roots_divisible(a2, 1) == a2.positive_roots
-        assert positive_roots_divisible(a2, 2) == ((1, 1),)
-        assert positive_roots_divisible(a2, 4) == ()
-        b2 = build_cartan_datum("B2")
-        assert positive_roots_divisible(b2, 2) == ((1, 0), (1, 2))
-        assert positive_roots_divisible(b2, 4) == ((1, 2),)
-        for d in range(1, 6):
-            got = positive_roots_divisible(b2, d)
-            assert got == tuple(b for b in b2.positive_roots if rho_pairing(b2, b) % d == 0)
+        # b_d is the Weyl product over the roots whose rho pairing (coroot
+        # height, if dual) n/d divides, here recomputed root by root
+        sides = {False: (pairing, rho_pairing), True: (copairing, corho_pairing)}
+        cases = [("A2", (4, 0), 4), ("B2", (2, 0), 2), ("B2", (4, 0), 4), ("G2", (6, 6), 6)]
+        for name, lam, n in cases:
+            datum = build_cartan_datum(name)
+            for dual, (pair, rho) in sides.items():
+                if not divisibility_condition(datum, lam, n, dual):
+                    continue
+                r = congruence(datum, lam, n, dual)
+                assert orbit_counts(datum, lam, n, dual) == r.a
+                for d in divisors(n):
+                    want = Fraction(1)
+                    for beta in datum.positive_roots:
+                        h = rho(datum, beta)
+                        if h % (n // d) == 0:
+                            want *= Fraction(pair(datum, beta, lam) + h, h)
+                    assert r.b[d] == want
+        # A2 at (4, 0): the rho pairings are 1, 1, 2, so n/d = 4 keeps no root
+        assert congruence(build_cartan_datum("A2"), (4, 0), 4).b == {1: 1, 2: 3, 4: 15}
+
+
+class TestExponents:
+    """The one-pass exponents against the per-root pairings."""
+
+    @pytest.mark.parametrize(
+        "name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "C4", "D4", "E6", "E8", "F4", "G2"]
+    )
+    def test_match_per_root_pairings(self, name):
+        datum = build_cartan_datum(name)
+        rank = datum.rank
+        weights = [
+            (0,) * rank,
+            (1,) * rank,
+            tuple(i % 3 for i in range(rank)),
+            (5,) + (0,) * (rank - 1),
+        ]
+        roots = datum.positive_roots
+        for lam in weights:
+            dens = [rho_pairing(datum, b) for b in roots]
+            nums = [pairing(datum, b, lam) + h for b, h in zip(roots, dens)]
+            assert _exponents(datum, lam, dual=False) == (nums, dens)
+            dens = [corho_pairing(datum, b) for b in roots]
+            nums = [copairing(datum, b, lam) + h for b, h in zip(roots, dens)]
+            assert _exponents(datum, lam, dual=True) == (nums, dens)
+
+    def test_errors_match_per_root_pairings(self):
+        datum = build_cartan_datum("B2")
+        # a weight of the wrong length, on both sides, and a weight whose
+        # coroot pairing with the long simple root is not an integer
+        for lam, duals in [((1, 0, 2), (False, True)), ((Fraction(1, 2), 0), (True,))]:
+            with pytest.raises(ConditionViolated) as want:
+                for beta in datum.positive_roots:
+                    copairing(datum, beta, lam)
+            for dual in duals:
+                with pytest.raises(ConditionViolated) as got:
+                    _exponents(datum, lam, dual)
+                assert str(got.value) == str(want.value)
+            with pytest.raises(ConditionViolated) as got:
+                qdim_dual(datum, lam)
+            assert str(got.value) == str(want.value)
 
 
 class TestCongruence:

@@ -406,6 +406,64 @@ def test_short_cut_builds_no_cyclotomic(monkeypatch):
     assert 97 not in built
 
 
+small_polys = st.lists(st.integers(-9, 9), max_size=14).map(IntPoly)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    small_polys,
+    small_polys,
+    st.integers(-5, 5),
+    st.integers(0, 6),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5),
+    exponent_lists(),
+)
+def test_internal_results_are_canonical(f, g, c, k, low, lists):
+    # results skip the checks of IntPoly(...), so each must already be what
+    # that constructor would build: int coefficients, a nonzero top
+    results = [f + g, f - g, f * g, f + c, c + f, f - c, c - f, c * f, -f, f.shift(k)]
+    results.append(rem_mod(f * g, IntPoly(low + [1])))
+    try:
+        results.append(q_ratio(*lists))
+    except InternalError:
+        pass
+    for r in results:
+        assert all(type(x) is int for x in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+        assert r == IntPoly(list(r.coeffs))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.integers(-9, 9), max_size=60), st.integers(1, 40))
+def test_rem_mod_matches_sympy(coeffs, d):
+    x = sympy.symbols("x")
+    f = IntPoly(coeffs)
+    want = sympy.rem(
+        sympy.Poly(sum(c * x**k for k, c in enumerate(coeffs)), x),
+        sympy.Poly(sympy.cyclotomic_poly(d, x), x),
+    )
+    assert rem_mod(f, cyclotomic(d)) == IntPoly([int(c) for c in reversed(want.all_coeffs())])
+
+
+def test_internal_results_skip_the_constructor(monkeypatch):
+    # coefficients are checked where they enter; nothing that congruence or
+    # a value table computes from its inputs goes through IntPoly(...) again
+    datum = build_cartan_datum("E6")
+    f = IntPoly([(k * k) % 7 - 3 for k in range(500)])
+    calls = []
+    init = IntPoly.__init__
+
+    def counted(self, coeffs=()):
+        calls.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(IntPoly, "__init__", counted)
+    r = congruence(datum, (4, 0, 0, 0, 0, 4), 4)
+    assert r.b[4] == r.residue(1)
+    assert len(root_values(f, 120)) == 120
+    assert calls == []
+
+
 def test_value_table_rejects_nonpositive_order():
     with pytest.raises(ValueError):
         root_values(Q, 0)
