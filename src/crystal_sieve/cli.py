@@ -21,7 +21,7 @@ from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, 
 from .errors import CrystalSieveError, InternalError, InvalidRank, ResourceLimit
 from .partitions import as_partition, partitions_up_to
 from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
-from .tableaux import Tableau, enumerate_ssyt, fixed_points, orbit_census
+from .tableaux import fixed_points, orbit_census
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -310,10 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices = ["plain", "json"] + (["csv"] if csv_too else [])
         p.add_argument("--format", choices=choices, default="plain")
 
-    def signed_weight(p):
-        # a weight such as "-1,2" is the positional argument, not an unknown
-        # option: these parsers have no option that starts with "-" and a digit
-        p._negative_number_matcher = re.compile(r"-\d")
+    def leading_minus(p, pattern):
+        # a weight such as "-1,2" or a polynomial such as "-q+q^2" is a value,
+        # not an unknown option: no option of these parsers matches pattern
+        p._negative_number_matcher = re.compile(pattern)
 
     p = sub.add_parser("roots", help="positive roots of a finite Cartan type")
     p.add_argument("type")
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", action="store_true")
     p.add_argument("--mod", type=_positive_int, metavar="N", help="also reduce mod q^N - 1")
     add_format(p)
-    signed_weight(p)
+    leading_minus(p, r"-\d")
     p.set_defaults(func=cmd_qdim)
 
     p = sub.add_parser("specialize", help="principal specialization of a Schur polynomial")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--dual", action="store_true")
     add_format(p)
-    signed_weight(p)
+    leading_minus(p, r"-\d")
     p.set_defaults(func=cmd_congruence)
 
     p = sub.add_parser("crystal", help="orbit census, fixed points, or CSP report")
@@ -361,12 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=_positive_int, help="override the group order")
     p.add_argument("--table", action="store_true")
     add_format(p)
+    leading_minus(p, r"-[\dq]")
     p.set_defaults(func=cmd_csp_check)
 
     p = sub.add_parser("aa-check", help="existence criterion for a cyclic action of order n")
     p.add_argument("poly", help="polynomial text or JSON coefficient array")
     p.add_argument("-n", type=_positive_int, required=True)
     add_format(p)
+    leading_minus(p, r"-[\dq]")
     p.set_defaults(func=cmd_aa_check)
 
     p = sub.add_parser("orbit-formula", help="predicted count of size-d orbits on one-row shapes")

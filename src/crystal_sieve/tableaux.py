@@ -4,25 +4,28 @@ operator built from them, Bender-Knuth involutions and promotion, fixed
 points, cores on the m-runner abacus, and orbit censuses.
 
 The public type is the validated, immutable ``Tableau`` of row tuples with
-1-based entries. The crystal operators work on its Gelfand-Tsetlin (GT)
-pattern, the rows G[0..m] with G[v][r] the number of entries <= v in row r.
+1-based entries. Inside the module a tableau is its Gelfand-Tsetlin (GT)
+pattern, the rows G[0..m] with G[v][r] the number of entries <= v in row r;
+G[v] interlaces G[v+1], and |G[v]| - |G[v-1]| is the number of v's. One
+enumerator, ``_patterns``, lists the patterns of a shape depth first from
+G[m] = lam down, optionally only those of a given content. Enumeration and
+fixed points convert its patterns to ``Tableau``; the Kostka number counts
+the patterns of a content level by level and lists none.
+
 The reflection s_i, the raising and lowering operators e_i and f_i and the
 Bender-Knuth involution t_i change only G[i], and the new G[i] depends only
 on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: a bracket
 pass over the rows for s_i (which e_i and f_i share) and the piecewise-linear
 reflection for t_i. The public operators convert a ``Tableau`` to GT rows
-and back, validating it on the way out. A census never builds a
-``Tableau``: it enumerates GT patterns by interlacing rows, interns each row
-as a small int for the length of the call, and memoizes each move of G[i]
-under its triple, so one step of the cycle operator or of promotion is
-m - 1 lookups.
+and back; the way back builds the result without validating it again,
+since it comes from a valid pattern. A census never builds a ``Tableau``:
+it interns each row of the enumerated patterns as a small int for the
+length of the call, and memoizes each move of G[i] under its triple, so one
+step of the cycle operator or of promotion is m - 1 lookups.
 
-The canonical order, used by enumeration, Kostka numbers and fixed points,
-is lexicographic on the reading word (rows left to right, bottom row first).
-Enumeration produces it directly: a depth-first search fills the word
-positions in order, each with ascending values, so nothing is sorted. GT
-patterns in that order would need a conversion per tableau, so the word
-form stays as the enumeration order.
+The canonical order of enumeration and fixed points is lexicographic on the
+reading word (rows left to right, bottom row first). GT order is not that
+order, so the tableaux are sorted by reading word after conversion.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
@@ -40,7 +43,6 @@ from .qpoly import q_ratio_at_one
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
 
-Word = tuple[int, ...]
 Row = tuple[int, ...]
 RowRule = Callable[[Row, Row, Row], Row]
 
@@ -108,11 +110,6 @@ class Tableau:
                 counts[v - 1] += 1
         return tuple(counts)
 
-    def with_entry(self, r: int, c: int, v: int) -> "Tableau":
-        row = self.rows[r]
-        new_row = row[:c] + (v,) + row[c + 1:]
-        return Tableau(self.rows[:r] + (new_row,) + self.rows[r + 1:], self.m)
-
     def to_text(self) -> str:
         if not self.rows:
             return "-"
@@ -147,83 +144,6 @@ def ssyt_count(lam: Partition, m: int) -> int:
     return q_ratio_at_one(nums, [j - i for i, j in pairs])
 
 
-class _Cells(NamedTuple):
-    """Word positions of a shape's cells; the word lists the rows bottom
-    row first. -1 marks a missing neighbour."""
-
-    rows: tuple[range, ...]  # positions of each row, top row first
-    below: tuple[int, ...]
-    floor: tuple[int, ...]  # least entry: the row number, 1-based
-    has_left: tuple[bool, ...]
-
-
-@functools.cache
-def _cells(lam: Partition) -> _Cells:
-    starts = [sum(lam[r + 1:]) for r in range(len(lam))]
-    size = sum(lam)
-    below, floor, has_left = [-1] * size, [0] * size, [False] * size
-    for r, length in enumerate(lam):
-        for c in range(length):
-            p = starts[r] + c
-            floor[p] = r + 1
-            has_left[p] = c > 0
-            if r + 1 < len(lam) and c < lam[r + 1]:
-                below[p] = starts[r + 1] + c
-    rows = tuple(range(s, s + length) for s, length in zip(starts, lam))
-    return _Cells(rows, tuple(below), tuple(floor), tuple(has_left))
-
-
-def _tableau(word, lam: Partition, m: int) -> Tableau:
-    return Tableau(tuple(tuple(word[r.start:r.stop]) for r in _cells(lam).rows), m)
-
-
-def _words(lam: Partition, m: int, budget: list[int] | None = None) -> Iterator[Word]:
-    """Reading words of the tableaux of shape lam on m letters, in
-    increasing lexicographic order; with a budget, only those using at most
-    budget[v] copies of each letter v.
-
-    Depth first over the word positions: each cell runs upward from its
-    least admissible entry (its row number, and its left neighbour) to its
-    greatest (one less than the cell below it, else m). Without a budget
-    every partial word extends, so no branch dies.
-    """
-    cells = _cells(lam)
-    n = len(cells.floor)
-    if n == 0:
-        yield ()
-        return
-    floor, below, has_left = cells.floor, cells.below, cells.has_left
-    w = [0] * n
-    last = n - 1
-    p, v = 0, floor[0]
-    while True:
-        q = below[p]
-        hi = w[q] - 1 if q >= 0 else m
-        if budget is not None:
-            while v <= hi and not budget[v]:
-                v += 1
-        if v <= hi:
-            w[p] = v
-            if p < last:
-                if budget is not None:
-                    budget[v] -= 1
-                p += 1
-                v = floor[p]
-                if has_left[p] and w[p - 1] > v:
-                    v = w[p - 1]
-            else:
-                yield tuple(w)
-                v += 1
-            continue
-        p -= 1
-        if p < 0:
-            return
-        v = w[p]
-        if budget is not None:
-            budget[v] += 1
-        v += 1
-
-
 def _check_count(lam: Partition, m: int) -> int:
     """Size of the crystal, from the product formula, within the cap."""
     limit, source = _enum_cap()
@@ -231,6 +151,92 @@ def _check_count(lam: Partition, m: int) -> int:
     if count > limit:
         raise _over_cap(str(count), f"shape {lam} on {m} letters", limit, source)
     return count
+
+
+def _rows_below(upper: Row, v: int) -> Iterator[Row]:
+    """The rows G[v] under G[v+1] = upper: those that interlace it,
+    upper[r+1] <= G[v][r] <= upper[r], and vanish from index v on."""
+    n = len(upper)
+    k = min(v, n)
+    tail = (0,) * (n - k)
+    ranges = [range(upper[r + 1] if r + 1 < n else 0, upper[r] + 1) for r in range(k)]
+    return (y + tail for y in product(*ranges))
+
+
+def _patterns(
+    lam: Partition, m: int, ids: dict[Row, int], mu: tuple[int, ...] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every GT pattern of shape lam on m letters, as the tuple of the ids
+    of its rows G[0..m]; ids interns each new row under the next free id.
+    With a content mu (summing to |lam|), only the patterns of that content:
+    those with |G[v]| = mu_1 + ... + mu_v at every level.
+
+    Depth first from G[m] = lam down, each G[v] over _rows_below(G[v+1], v).
+    The rows below each row are listed, and filtered by content, once. G[1]
+    is some (x, 0, ..., 0), so those rows are interned up front and each
+    list of them is a slice; with a content, x = mu_1."""
+    if len(lam) > m:
+        return
+    if not lam:
+        yield (ids.setdefault((), len(ids)),) * (m + 1)
+        return
+    n = len(lam)
+    sums = None if mu is None else list(accumulate(mu, initial=0))
+    listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
+
+    def below(top: int, upper: Row, v: int) -> list[tuple[int, Row]]:
+        out = listed.get((top, v))
+        if out is None:
+            rows = _rows_below(upper, v)
+            if sums is not None:
+                rows = (x for x in rows if sum(x) == sums[v])
+            out = listed[top, v] = [(ids.setdefault(x, len(ids)), x) for x in rows]
+        return out
+
+    tail = (0,) * (n - 1)
+    firsts = [ids.setdefault((x,) + tail, len(ids)) for x in range(lam[0] + 1)]
+
+    if mu is None:
+        def leaves(upper: Row) -> list[int]:
+            return firsts[upper[1] if n > 1 else 0:upper[0] + 1]
+    else:
+        def leaves(upper: Row) -> list[int]:
+            x = mu[0]
+            return firsts[x:x + 1] if (upper[1] if n > 1 else 0) <= x <= upper[0] else []
+
+    g = [firsts[0]] + [0] * m
+    g[m] = ids.setdefault(lam, len(ids))
+    if m == 1:
+        yield tuple(g)
+        return
+    if m == 2:
+        for g[1] in leaves(lam):
+            yield tuple(g)
+        return
+    stack = [iter(below(g[m], lam, m - 1))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            continue
+        v = m - len(stack)
+        g[v], row = nxt
+        if v > 2:
+            stack.append(iter(below(g[v], row, v - 1)))
+        else:
+            for g[1] in leaves(row):
+                yield tuple(g)
+
+
+def _tableaux(lam: Partition, m: int, mu: tuple[int, ...] | None = None) -> list[Tableau]:
+    """The patterns of _patterns as tableaux, in canonical order. GT order
+    is not canonical order, so they are sorted by reading word."""
+    ids: dict[Row, int] = {}
+    patterns = list(_patterns(lam, m, ids, mu))
+    rows = list(ids)
+    out = [_from_gt([rows[k] for k in p], m) for p in patterns]
+    out.sort(key=Tableau.reading_word)
+    return out
 
 
 def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
@@ -243,7 +249,25 @@ def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
     if len(lam) > m:
         return []
     _check_count(lam, m)
-    return [_tableau(w, lam, m) for w in _words(lam, m)]
+    return _tableaux(lam, m)
+
+
+def _content_count(lam: Partition, mu: tuple[int, ...]) -> int:
+    """Number of GT patterns of shape lam and content mu (summing to
+    |lam|), level by level from G[m] = lam down: a dict maps each row G[v]
+    with |G[v]| = mu_1 + ... + mu_v to its number of ways down from lam."""
+    if len(lam) > len(mu):
+        return 0
+    sums = list(accumulate(mu, initial=0))
+    ways = {lam: 1}
+    for v in range(len(mu) - 1, -1, -1):
+        level: dict[Row, int] = {}
+        for upper, w in ways.items():
+            for x in _rows_below(upper, v):
+                if sum(x) == sums[v]:
+                    level[x] = level.get(x, 0) + w
+        ways = level
+    return sum(ways.values())
 
 
 def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
@@ -260,9 +284,9 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
         raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
     m = len(mu)
     limit, source = _enum_cap()
-    count = sum(1 for _ in islice(_words(lam, m, [0, *mu]), limit + 1))
+    count = _content_count(lam, mu)
     if count > limit:
-        raise _over_cap(f"at least {count}", f"shape {lam} on {m} letters with content {mu}", limit, source)
+        raise _over_cap(f"at least {limit + 1}", f"shape {lam} on {m} letters with content {mu}", limit, source)
     return count
 
 
@@ -280,15 +304,24 @@ def _gt(t: Tableau) -> list[Row]:
     return list(zip(*columns))
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _row(column: Row) -> Row:
+    """Tableau row r from (G[0][r], ..., G[m][r]): G[v][r] - G[v-1][r]
+    copies of each v. Cached, as the tableaux of a crystal share rows."""
+    row: list[int] = []
+    for v in range(1, len(column)):
+        row += [v] * (column[v] - column[v - 1])
+    return tuple(row)
+
+
 def _from_gt(g: list[Row], m: int) -> Tableau:
-    """The tableau whose row r holds G[v][r] - G[v-1][r] copies of each v."""
-    rows = []
-    for column in zip(*g):
-        row: list[int] = []
-        for v in range(1, m + 1):
-            row += [v] * (column[v] - column[v - 1])
-        rows.append(tuple(row))
-    return Tableau(tuple(rows), m)
+    """The tableau of the GT rows g. g is a pattern this module built, or
+    the pattern of a validated Tableau moved by an operator, so the result
+    is not checked again."""
+    t = object.__new__(Tableau)
+    object.__setattr__(t, "rows", tuple(map(_row, zip(*g))))
+    object.__setattr__(t, "m", m)
+    return t
 
 
 def _free(lo: Row, row: Row, hi: Row) -> list[int]:
@@ -475,11 +508,11 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     size = sum(lam)
     if size % m:
         return []
+    mu = (size // m,) * m
     limit, source = _enum_cap()
-    out = [_tableau(w, lam, m) for w in islice(_words(lam, m, [0] + [size // m] * m), limit + 1)]
-    if len(out) > limit:
-        raise _over_cap(f"at least {len(out)}", f"shape {lam} on {m} letters with uniform content", limit, source)
-    return out
+    if _content_count(lam, mu) > limit:
+        raise _over_cap(f"at least {limit + 1}", f"shape {lam} on {m} letters with uniform content", limit, source)
+    return _tableaux(lam, m, mu)
 
 
 class MCoreResult(NamedTuple):
@@ -555,60 +588,6 @@ _ROW_RULES: dict[str, RowRule] = {
     "c": _reflect_row,
     "pr": _bender_knuth_row,
 }
-
-
-def _patterns(lam: Partition, m: int, ids: dict[Row, int]) -> Iterator[tuple[int, ...]]:
-    """Every GT pattern of shape lam on m letters, as the tuple of the ids
-    of its rows G[0..m]; ids interns each new row under the next free id.
-    Depth first from G[m] = lam down: G[v] runs over the rows that
-    interlace G[v+1], G[v+1][r+1] <= G[v][r] <= G[v+1][r], and vanish from
-    index v on. The rows below each row are listed once. G[1] is some
-    (x, 0, ..., 0), so those rows are interned up front and each list of
-    them is a slice."""
-    if len(lam) > m:
-        return
-    if not lam:
-        yield (ids.setdefault((), len(ids)),) * (m + 1)
-        return
-    n = len(lam)
-    listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
-
-    def below(top: int, upper: Row, v: int) -> list[tuple[int, Row]]:
-        out = listed.get((top, v))
-        if out is None:
-            k = min(v, n)
-            ranges = [range(upper[r + 1] if r + 1 < n else 0, upper[r] + 1) for r in range(k)]
-            tail = (0,) * (n - k)
-            out = listed[top, v] = [
-                (ids.setdefault(x, len(ids)), x) for x in (y + tail for y in product(*ranges))
-            ]
-        return out
-
-    tail = (0,) * (n - 1)
-    firsts = [ids.setdefault((x,) + tail, len(ids)) for x in range(lam[0] + 1)]
-
-    def leaves(upper: Row) -> list[int]:
-        return firsts[upper[1] if n > 1 else 0:upper[0] + 1]
-
-    g = [firsts[0]] + [0] * m
-    g[m] = ids.setdefault(lam, len(ids))
-    if m == 2:
-        for g[1] in leaves(lam):
-            yield tuple(g)
-        return
-    stack = [iter(below(g[m], lam, m - 1))]
-    while stack:
-        nxt = next(stack[-1], None)
-        if nxt is None:
-            stack.pop()
-            continue
-        v = m - len(stack)
-        g[v], row = nxt
-        if v > 2:
-            stack.append(iter(below(g[v], row, v - 1)))
-        else:
-            for g[1] in leaves(row):
-                yield tuple(g)
 
 
 def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:

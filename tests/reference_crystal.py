@@ -1,5 +1,5 @@
 """Row-based reference crystal: the test oracle for the Gelfand-Tsetlin
-operators and the reading-word enumeration in ``crystal_sieve.tableaux``.
+operators and the enumeration in ``crystal_sieve.tableaux``.
 
 Each function works on the rows of a validated ``Tableau`` and takes the
 long way round: the lowering and raising operators rebuild the signature
@@ -39,12 +39,18 @@ def signature_stack(t: Tableau, i: int) -> tuple[list[tuple[int, int]], int]:
     return stack, pluses
 
 
+def with_entry(t: Tableau, r: int, c: int, v: int) -> Tableau:
+    """The validated tableau t with entry (r, c) set to v."""
+    row = t.rows[r][:c] + (v,) + t.rows[r][c + 1:]
+    return Tableau(t.rows[:r] + (row,) + t.rows[r + 1:], t.m)
+
+
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
     stack, pluses = signature_stack(t, i)
     if pluses == 0:
         return None
     r, c = stack[pluses - 1]
-    return t.with_entry(r, c, i + 1)
+    return with_entry(t, r, c, i + 1)
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
@@ -52,7 +58,7 @@ def crystal_e(i: int, t: Tableau) -> Tableau | None:
     if len(stack) == pluses:
         return None
     r, c = stack[pluses]
-    return t.with_entry(r, c, i)
+    return with_entry(t, r, c, i)
 
 
 def weyl_s(i: int, t: Tableau) -> Tableau:

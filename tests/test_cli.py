@@ -483,6 +483,19 @@ class TestExitCodes:
         assert not proc.stdout
 
     @pytest.mark.parametrize(
+        "args, as_json",
+        [
+            (["aa-check", "-1+q", "-n", "2"], ["aa-check", "[-1, 1]", "-n", "2"]),
+            (["aa-check", "-q+q^2", "-n", "2"], ["aa-check", "[0, -1, 1]", "-n", "2"]),
+            (["csp-check", "2", "-m", "2", "--f", "-1+q+q^2"], ["csp-check", "2", "-m", "2", "--f", "[-1, 1, 1]"]),
+        ],
+    )
+    def test_polynomial_with_a_leading_minus(self, args, as_json):
+        proc, want = run_process(args, {}), run_process(as_json, {})
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == (want.stdout, want.stderr)
+
+    @pytest.mark.parametrize(
         "error, code, prefix",
         [
             (InvalidRank, 2, "error"),

@@ -14,6 +14,7 @@ from crystal_sieve import tableaux
 from crystal_sieve.csp import aa_criterion, csp_check
 from crystal_sieve.qdim import principal_specialization
 from crystal_sieve.tableaux import (
+    Tableau,
     bender_knuth,
     c_action,
     crystal_e,
@@ -67,6 +68,21 @@ def test_gelfand_tsetlin_round_trip(case):
                 assert g[v][r] <= g[v + 1][r]
                 assert r + 1 == len(lam) or g[v + 1][r + 1] <= g[v][r]
         assert tableaux._from_gt(g, m) == t
+
+
+@SETTINGS
+@given(shapes())
+def test_built_tableaux_pass_validation(case):
+    """Enumeration, fixed points and the operators build their results
+    without validating them; every one of those results would pass."""
+    lam, m = case
+    for t in enumerate_ssyt(lam, m) + fixed_points(lam, m):
+        images = [t, c_action(t), promotion(t)]
+        for i in range(1, m):
+            images += [weyl_s(i, t), bender_knuth(i, t), crystal_e(i, t), crystal_f(i, t)]
+        for u in images:
+            if u is not None:
+                assert Tableau(u.rows, u.m) == u
 
 
 @SETTINGS

@@ -66,13 +66,6 @@ class TestTableauType:
         with pytest.raises(ConditionViolated, match="row 2 longer than the row above"):
             Tableau(((1,), (2, 2)), 2)
 
-    def test_with_entry(self):
-        t = tab("1,2,2", 3)
-        assert t.with_entry(0, 2, 3).to_text() == "1,2,3"
-        assert t.with_entry(0, 2, 3) is not t
-        with pytest.raises(ConditionViolated, match="column 1 not strict at row 2"):
-            tab("1,2/2", 2).with_entry(0, 0, 2)
-
     def test_hashable_and_frozen(self):
         t = tab("1,2", 2)
         assert t == tab("1,2", 2)
@@ -114,7 +107,7 @@ class TestEnumeration:
         cases = [
             ("100", lambda: enumerate_ssyt((8,), 4), ["(8,) on 4 letters", "165", "cap 100", "set by CRYSTAL_SIEVE_MAX_ENUM"]),
             ("2", lambda: kostka((4, 4), (2, 2, 2, 2)), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "at least 3", "cap 2"]),
-            ("1", lambda: fixed_points((4, 4), 4), ["(4, 4) on 4 letters", "at least 2", "cap 1"]),
+            ("1", lambda: fixed_points((4, 4), 4), ["(4, 4) on 4 letters", "uniform content", "at least 2", "cap 1"]),
             # C(39, 9) = 211,915,132 tableaux, refused before any is built
             (None, lambda: enumerate_ssyt((30,), 10), ["(30,) on 10 letters", "211915132", "cap 10000000", "default"]),
         ]
@@ -142,6 +135,11 @@ class TestKostka:
         assert kostka((3,), (1, 1, 1)) == 1
         assert kostka((2, 2), (2, 2)) == 1
         assert kostka((2, 2), (2, 1, 1)) == 1
+
+    def test_uniform_contents_of_larger_shapes(self):
+        assert kostka((9, 6, 3), (3,) * 6) == 720
+        assert kostka((10, 8, 6, 4, 2), (6,) * 5) == 219
+        assert len(fixed_points((9, 6, 3), 6)) == 720
 
     def test_content_permutation_invariance(self):
         assert kostka((3, 1), (1, 2, 1)) == kostka((3, 1), (2, 1, 1))
