@@ -16,7 +16,7 @@ import re
 import sys
 
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
-from .csp import OrbitCountStore, aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
+from .csp import aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, InvalidRank, ResourceLimit
 from .partitions import as_partition, partitions_up_to
@@ -105,6 +105,15 @@ def cmd_roots(args) -> int:
     return 0
 
 
+def _congruence_lines(result) -> list[str]:
+    """The residue, b and a lines of a congruence result in plain output."""
+    return [
+        f"residue mod q^{result.n}-1 = {format_poly(result.residue)}",
+        "b = " + ", ".join(f"b_{d}={v}" for d, v in result.b.items()),
+        "a = " + ", ".join(f"a_{d}={v}" for d, v in result.a.items()),
+    ]
+
+
 def cmd_qdim(args) -> int:
     ct = CartanType.parse(args.type)
     datum = build_cartan_datum(ct)
@@ -121,9 +130,7 @@ def cmd_qdim(args) -> int:
     if args.mod is not None:
         result = congruence(datum, weight, args.mod, dual=args.dual)
         payload["congruence"] = result.to_json_dict()
-        lines.append(f"residue mod q^{args.mod}-1 = {format_poly(result.residue)}")
-        lines.append("b = " + ", ".join(f"b_{d}={v}" for d, v in result.b.items()))
-        lines.append("a = " + ", ".join(f"a_{d}={v}" for d, v in result.a.items()))
+        lines += _congruence_lines(result)
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -149,12 +156,7 @@ def cmd_congruence(args) -> int:
     datum = build_cartan_datum(ct)
     weight = _parse_weight(args.weight, datum.rank)
     result = congruence(datum, weight, args.n, dual=args.dual)
-    lines = [
-        f"residue mod q^{args.n}-1 = {format_poly(result.residue)}",
-        "b = " + ", ".join(f"b_{d}={v}" for d, v in result.b.items()),
-        "a = " + ", ".join(f"a_{d}={v}" for d, v in result.a.items()),
-    ]
-    _emit(args, result.to_json_dict(), "\n".join(lines))
+    _emit(args, result.to_json_dict(), "\n".join(_congruence_lines(result)))
     return 0
 
 
@@ -184,7 +186,7 @@ def cmd_crystal(args) -> int:
             ", ".join(f"{v} orbit(s) of size {d}" for d, v in census.by_size.items())
             + f" ({census.total} tableaux)"
             if census.by_size
-            else f"empty crystal (0 tableaux)" if census.total == 0 else f"{census.total} tableaux"
+            else "empty crystal (0 tableaux)" if census.total == 0 else f"{census.total} tableaux"
         )
         _emit(args, census.to_json_dict(), plain)
     elif args.what == "fixed":
@@ -231,17 +233,17 @@ def cmd_orbit_formula(args) -> int:
     return 0
 
 
-def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]], store: OrbitCountStore) -> list[list]:
+def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
     """One CSV row per order n for the shape lam on m letters; the census and
-    the specialization are taken once for all of them, and the orbit counts
-    come from the store. At n = m the existence verdict reads the value
-    table that csp_check evaluated."""
+    the specialization are taken once for all of them. At n = m the orbit
+    counts and the existence verdict read the csp_check report; at other n
+    they come from ``predicted_orbit_counts`` and a new value table. A row
+    is stretched when it has orbit counts."""
     lam, m, ns = cell
-    padded = list(lam) + [0] * (m - len(lam))
     spoly = principal_specialization(lam, m)
     verdict = ""
     if m in ns:
-        report = csp_check(lam, m, "c", f=spoly, orbit_counts=store)
+        report = csp_check(lam, m, "c", f=spoly)
         census, verdict = report.census, str(report.verdict)
         exists_at_m = aa_verdict(tuple(e.evaluation for e in report.per_exponent)).exists
     else:
@@ -249,26 +251,19 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]], store: OrbitCountS
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:
-        stretched = all((padded[i] - padded[j]) % n == 0 for i in range(m) for j in range(i + 1, m))
-        a = predicted_orbit_counts(lam, m, n, store) if stretched else None
+        a = report.predicted_a if n == m else predicted_orbit_counts(lam, m, n)
         rows.append([
             ",".join(map(str, lam)) if lam else "0",
             m,
             n,
             census.total,
-            stretched,
+            a is not None,
             exists_at_m if n == m else aa_criterion(spoly, n).exists,
             verdict if n == m else "",
             sizes,
             "" if a is None else ";".join(f"{d}:{v}" for d, v in a.items()),
         ])
     return rows
-
-
-def _sweep_cells(cells: list[tuple[tuple[int, ...], int, list[int]]]) -> list[list]:
-    """CSV rows of a run of cells, which share one store of orbit counts."""
-    store: OrbitCountStore = {}
-    return [row for cell in cells for row in _sweep_cell(cell, store)]
 
 
 def cmd_sweep(args) -> int:
@@ -285,11 +280,10 @@ def cmd_sweep(args) -> int:
         # other command pays for importing it at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        runs = [cells[k:k + 8] for k in range(0, len(cells), 8)]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = [row for part in pool.map(_sweep_cells, runs) for row in part]
+            rows = [row for part in pool.map(_sweep_cell, cells, chunksize=8) for row in part]
     else:
-        rows = _sweep_cells(cells)
+        rows = [row for cell in cells for row in _sweep_cell(cell)]
     w = csv.writer(sys.stdout)
     w.writerow(["partition", "m", "n", "size", "stretched", "aa_exists", "csp_c", "census", "a"])
     w.writerows(rows)

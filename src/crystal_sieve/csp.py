@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .cartan import build_cartan_datum, gl_weight
 from .errors import ConditionViolated, InternalError
 from .partitions import Partition, as_partition
-from .qdim import divisibility_condition, kappa, orbit_counts, principal_specialization
-from .qpoly import IntPoly, divisors, mobius, root_values
+from .qdim import _check_degree, _fixed_and_orbit_counts, _gl_exponents, kappa, principal_specialization
+from .qpoly import IntPoly, _orbits_from_fixed, check_order, divisors, mobius, q_ratio_at_one, root_values
 from .tableaux import OrbitCensus, orbit_census
 
 
@@ -72,23 +70,20 @@ class CspReport:
         }
 
 
-OrbitCountStore = dict[tuple[int, tuple[int, ...], int], dict[int, int] | None]
-
-
-def predicted_orbit_counts(lam: Partition, m: int, n: int, store: OrbitCountStore) -> dict[int, int] | None:
-    """Orbit counts of the q-dimension's residue mod q^n - 1, from
-    ``orbit_counts`` without taking the residue, available exactly when the
-    divisibility condition holds. The store keeps them by (m, weight, n), so
-    each is computed once for as long as the caller keeps the store: lam and
-    lam + (1^m) share a weight."""
+def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | None:
+    """The ``orbit_counts`` of A_(m-1) at ``gl_weight(lam, m)`` and order n,
+    with their order and degree caps, read off the shape's exponents; None
+    when m < 2 or n fails to divide some difference of padded parts."""
     if m < 2:
         return None
-    weight = gl_weight(lam, m)
-    key = (m, weight, n)
-    if key not in store:
-        datum = build_cartan_datum(f"A{m - 1}")
-        store[key] = orbit_counts(datum, weight, n) if divisibility_condition(datum, weight, n) else None
-    return store[key]
+    lam = as_partition(lam)
+    nums, dens = _gl_exponents(lam, m)
+    if any((x - y) % n for x, y in zip(nums, dens)):
+        return None
+    what = f"orbit counts of shape {lam} on {m} letters"
+    check_order(n, lambda: what)
+    _check_degree(nums, dens, what)
+    return _fixed_and_orbit_counts(nums, dens, n)[1]
 
 
 def csp_check(
@@ -97,7 +92,6 @@ def csp_check(
     action: str = "c",
     f: IntPoly | None = None,
     n: int | None = None,
-    orbit_counts: OrbitCountStore | None = None,
 ) -> CspReport:
     """Exact sieving check: for every power j of the acting generator,
     compare the number of tableaux fixed by it with the value of f at the
@@ -108,8 +102,7 @@ def csp_check(
     The values come from one ``root_values`` table, computed once per
     divisor of n. The verdict is true only when every evaluation is an
     integer equal to the fixed-point count. The predicted orbit counts are
-    read from orbit_counts when the caller passes a store that outlives the
-    call (see ``predicted_orbit_counts``).
+    those of ``predicted_orbit_counts`` at the same n, whatever f is.
     """
     lam = as_partition(lam)
     census = orbit_census(lam, m, action)
@@ -132,7 +125,7 @@ def csp_check(
         per_exponent=tuple(checks),
         verdict=all(c.match for c in checks),
         census=census,
-        predicted_a=predicted_orbit_counts(lam, m, n, {} if orbit_counts is None else orbit_counts),
+        predicted_a=predicted_orbit_counts(lam, m, n),
     )
 
 
@@ -211,22 +204,12 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
 
 def orbit_formula(a: int, d: int) -> int:
     """Number of size-d orbits of the cycle operator on the one-row shape (a*d),
-    letters d: Mobius sum over divisors e of d of mobius(d/e) times the
-    product over 1 <= k < e of (a*e/k + 1), divided by d."""
+    letters d: the Mobius inversion of the fixed counts b_e, over divisors e
+    of d, with b_e the product over 1 <= k < e of (a*e + k)/k."""
     if a < 0 or d <= 0:
         raise ValueError("need a >= 0 and d > 0")
-    total = Fraction(0)
-    for e in divisors(d):
-        prod = Fraction(1)
-        for k in range(1, e):
-            prod *= Fraction(a * e, k) + 1
-        total += mobius(d // e) * prod
-    total /= d
-    if total.denominator != 1:
-        raise InternalError(f"orbit count {total} for a={a}, d={d} is not an integer")
-    if total < 0:
-        raise InternalError(f"orbit count {total} for a={a}, d={d} is negative")
-    return int(total)
+    b = {e: q_ratio_at_one(range(a * e + 1, a * e + e), range(1, e)) for e in divisors(d)}
+    return _orbits_from_fixed(b)[d]
 
 
 class RectVerdict(NamedTuple):

@@ -23,10 +23,10 @@ from .partitions import Partition, as_partition
 from .qpoly import (
     ZERO,
     IntPoly,
+    _orbits_from_fixed,
     _residue,
     check_order,
     divisors,
-    mobius,
     orbit_basis_element,
     poly_to_json_coeffs,
     q_ratio,
@@ -165,6 +165,19 @@ class CongruenceResult:
         )
 
 
+def _fixed_and_orbit_counts(nums, dens, n: int):
+    """Fixed counts b and orbit counts a at order n of the product over these
+    exponents: b_d keeps the factors whose denominator (a rho pairing or
+    coroot height) n/d divides, and the a_d follow by Mobius inversion."""
+    b: dict[int, int] = {}
+    for d in divisors(n):
+        k = n // d
+        b[d] = q_ratio_at_one(
+            [x for x, y in zip(nums, dens) if y % k == 0], [y for y in dens if y % k == 0]
+        )
+    return b, _orbits_from_fixed(b)
+
+
 def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     """Exponents of the whole (dual) q-dimension product, the fixed counts b
     and the orbit counts a at order n, after every check ``congruence``
@@ -175,23 +188,7 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     nums, dens = _qdim_exponents(datum, lam, dual)
     if any((x - y) % n for x, y in zip(nums, dens)):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
-    b: dict[int, int] = {}
-    for d in divisors(n):
-        # the roots whose rho pairing (coroot height, if dual) n/d divides
-        k = n // d
-        b[d] = q_ratio_at_one(
-            [x for x, y in zip(nums, dens) if y % k == 0], [y for y in dens if y % k == 0]
-        )
-
-    a: dict[int, int] = {}
-    for d in divisors(n):
-        s = sum(mobius(d // e) * b[e] for e in divisors(d))
-        if s % d:
-            raise InternalError(f"Mobius sum {s} for d={d} is not divisible by {d}")
-        a[d] = s // d
-        if a[d] < 0:
-            raise InternalError(f"orbit count a_{d} = {a[d]} is negative")
-    return nums, dens, b, a
+    return (nums, dens, *_fixed_and_orbit_counts(nums, dens, n))
 
 
 def orbit_counts(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> dict[int, int]:
@@ -240,11 +237,17 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     raises ResourceLimit.
     """
     lam = as_partition(lam)
+    nums, dens = _gl_exponents(lam, m)
+    _check_degree(nums, dens, f"principal specialization of shape {lam} on {m} letters")
+    return q_ratio(nums, dens)
+
+
+def _gl_exponents(lam: Partition, m: int):
+    """l_i - l_j over j - i for the rows i < j of lam padded to m, with
+    l_i = lam_i + m - i: the exponents of the q-dimension of A_(m-1) at
+    ``gl_weight(lam, m)``, read off the shape."""
     if len(lam) > m:
         raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    nums = [padded[i] - padded[j] + j - i for i, j in pairs]
-    dens = [j - i for i, j in pairs]
-    _check_degree(nums, dens, f"principal specialization of shape {lam} on {m} letters")
-    return q_ratio(nums, dens)
+    return [padded[i] - padded[j] + j - i for i, j in pairs], [j - i for i, j in pairs]

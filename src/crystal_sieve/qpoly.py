@@ -352,6 +352,21 @@ def mobius(k: int) -> int:
     return out
 
 
+def _orbits_from_fixed(b: dict[int, int]) -> dict[int, int]:
+    """Orbit counts a from fixed counts b, both keyed by the divisors of an
+    order: d * a_d = sum over divisors e of d of mobius(d/e) * b_e, which
+    must divide exactly and give a_d >= 0 (InternalError otherwise)."""
+    a: dict[int, int] = {}
+    for d in b:
+        s = sum(mobius(d // e) * b[e] for e in divisors(d))
+        if s % d:
+            raise InternalError(f"Mobius sum {s} for d={d} is not divisible by {d}")
+        a[d] = s // d
+        if a[d] < 0:
+            raise InternalError(f"orbit count a_{d} = {a[d]} is negative")
+    return a
+
+
 @functools.cache
 def _totient(d: int) -> int:
     """Euler's phi of d, the degree of Phi_d, by Mobius inversion of

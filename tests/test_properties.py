@@ -3,8 +3,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystal_sieve.cartan import build_cartan_datum
-from crystal_sieve.qdim import congruence, orbit_counts, qdim, weyl_dim
+from crystal_sieve.cartan import build_cartan_datum, gl_weight
+from crystal_sieve.csp import predicted_orbit_counts
+from crystal_sieve.partitions import partitions_up_to
+from crystal_sieve.qdim import (
+    congruence,
+    divisibility_condition,
+    orbit_counts,
+    principal_specialization,
+    qdim,
+    weyl_dim,
+)
+from crystal_sieve.tableaux import ssyt_count
 
 TYPES = ["A1", "A3", "A6", "B2", "B4", "C3", "C5", "D4", "D6", "E6", "E7", "F4", "G2"]
 
@@ -32,3 +42,22 @@ def test_orbit_counts_are_those_of_congruence(case, n, dual):
     datum, lam = case
     lam = tuple(n * c for c in lam)
     assert orbit_counts(datum, lam, n, dual) == congruence(datum, lam, n, dual).a
+
+
+@st.composite
+def shape_on_letters(draw):
+    m = draw(st.integers(2, 6))
+    lam = draw(st.sampled_from(list(partitions_up_to(10, max_parts=m))))
+    return lam, m
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(shape_on_letters(), st.integers(1, 12))
+def test_type_a_shortcut_is_the_cartan_path(case, n):
+    # the shape's own exponents against A_(m-1) at the weight of the shape
+    lam, m = case
+    datum, weight = build_cartan_datum(f"A{m - 1}"), gl_weight(lam, m)
+    assert principal_specialization(lam, m) == qdim(datum, weight)
+    assert ssyt_count(lam, m) == weyl_dim(datum, weight)
+    want = orbit_counts(datum, weight, n) if divisibility_condition(datum, weight, n) else None
+    assert predicted_orbit_counts(lam, m, n) == want

@@ -394,6 +394,11 @@ class TestFixedPoints:
         assert [t.to_text() for t in fixed_points((2, 2), 2)] == ["1,1/2,2"]
         assert fixed_points((2, 1, 1), 2) == []
 
+    @pytest.mark.parametrize("lam, m", [((2,), 0), ((1,), -1)])
+    def test_letter_count_must_be_positive(self, lam, m):
+        with pytest.raises(ValueError, match="m must be positive"):
+            fixed_points(lam, m)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_uniform_content_filter(self, m):
         for lam in partitions_up_to(6, max_parts=m):
