@@ -18,7 +18,7 @@ import sys
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
 from .csp import aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
-from .errors import CrystalSieveError, InternalError, InvalidRank, ResourceLimit
+from .errors import CrystalSieveError, InternalError
 from .partitions import as_partition, partitions_up_to
 from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import fixed_points, orbit_census
@@ -160,13 +160,18 @@ def cmd_congruence(args) -> int:
     return 0
 
 
+def _census_line(census) -> str:
+    """Orbit sizes and the total of a census in plain output."""
+    sizes = ", ".join(f"{v} orbit(s) of size {d}" for d, v in census.by_size.items())
+    return f"{sizes} ({census.total} tableaux)" if sizes else "empty crystal (0 tableaux)"
+
+
 def _csp_plain(report, table: bool) -> str:
     lines = [
         f"action {report.action} on {report.lam or '()'} with {report.m} letters, order n = {report.n}",
         f"verdict: {'CSP holds' if report.verdict else 'CSP fails'}"
         + (" (irrational evaluation)" if report.nonrational else ""),
-        "census: " + ", ".join(f"{v} orbit(s) of size {d}" for d, v in report.census.by_size.items())
-        + f" ({report.census.total} tableaux)",
+        "census: " + _census_line(report.census),
     ]
     if report.predicted_a is not None:
         lines.append("predicted a: " + ", ".join(f"a_{d}={v}" for d, v in report.predicted_a.items()))
@@ -182,13 +187,7 @@ def cmd_crystal(args) -> int:
     lam = _parse_partition(args.partition)
     if args.what == "orbits":
         census = orbit_census(lam, args.m, args.action)
-        plain = (
-            ", ".join(f"{v} orbit(s) of size {d}" for d, v in census.by_size.items())
-            + f" ({census.total} tableaux)"
-            if census.by_size
-            else "empty crystal (0 tableaux)" if census.total == 0 else f"{census.total} tableaux"
-        )
-        _emit(args, census.to_json_dict(), plain)
+        _emit(args, census.to_json_dict(), _census_line(census))
     elif args.what == "fixed":
         tabs = fixed_points(lam, args.m)
         payload = {"count": len(tabs), "tableaux": [t.to_text() for t in tabs]}
@@ -392,18 +391,13 @@ def main(argv=None) -> int:
         # stdout at devnull so that the flush at shutdown cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (InvalidRank, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 5
     except CrystalSieveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        prefix = "internal error" if isinstance(exc, InternalError) else "error"
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 from .errors import ConditionViolated, InternalError
 from .partitions import Partition, as_partition
-from .qdim import _check_degree, _fixed_and_orbit_counts, _gl_exponents, kappa, principal_specialization
-from .qpoly import IntPoly, _orbits_from_fixed, check_order, divisors, mobius, q_ratio_at_one, root_values
+from .qdim import kappa, predicted_orbit_counts, principal_specialization
+from .qpoly import IntPoly, _mobius_sums, _orbits_from_fixed, divisors, q_ratio_at_one, root_values
 from .tableaux import OrbitCensus, orbit_census
 
 
@@ -68,22 +68,6 @@ class CspReport:
             if self.predicted_a is None
             else {str(d): str(v) for d, v in self.predicted_a.items()},
         }
-
-
-def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | None:
-    """The ``orbit_counts`` of A_(m-1) at ``gl_weight(lam, m)`` and order n,
-    with their order and degree caps, read off the shape's exponents; None
-    when m < 2 or n fails to divide some difference of padded parts."""
-    if m < 2:
-        return None
-    lam = as_partition(lam)
-    nums, dens = _gl_exponents(lam, m)
-    if any((x - y) % n for x, y in zip(nums, dens)):
-        return None
-    what = f"orbit counts of shape {lam} on {m} letters"
-    check_order(n, lambda: what)
-    _check_degree(nums, dens, what)
-    return _fixed_and_orbit_counts(nums, dens, n)[1]
 
 
 def csp_check(
@@ -156,15 +140,11 @@ def aa_verdict(values: tuple[int | None, ...]) -> AaResult:
     """``aa_criterion`` over a value table that the caller already holds:
     values[j-1] is the value at the j-th power of a primitive n-th root of
     unity, n = len(values), as ``root_values`` returns them."""
-    n = len(values)
     if any(v is None or v < 0 for v in values):
         return AaResult(False, (), values)
-    failures = []
-    for k in divisors(n):
-        total = sum(mobius(k // j) * values[j - 1] for j in divisors(k))
-        if total < 0:
-            failures.append(k)
-    return AaResult(not failures, tuple(failures), values)
+    sums = _mobius_sums({k: values[k - 1] for k in divisors(len(values))})
+    failures = tuple(k for k, total in sums.items() if total < 0)
+    return AaResult(not failures, failures, values)
 
 
 def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:

@@ -42,12 +42,11 @@ def dominates(lam: Partition, mu: Iterable[int]) -> bool:
     return True
 
 
-def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of n, weakly decreasing, lexicographically descending."""
     if n < 0:
         return
     bound_parts = n if max_parts is None else max_parts
-    bound_part = n if max_part is None else max_part
 
     def rec(remaining: int, cap: int, room: int, acc: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -60,10 +59,10 @@ def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = N
             yield from rec(remaining - part, part, room - 1, acc)
             acc.pop()
 
-    yield from rec(n, bound_part, bound_parts, [])
+    yield from rec(n, n, bound_parts, [])
 
 
-def partitions_up_to(n: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_up_to(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of sizes 0 through n inclusive (the empty one first)."""
     for size in range(n + 1):
-        yield from partitions_of(size, max_parts=max_parts, max_part=max_part)
+        yield from partitions_of(size, max_parts=max_parts)

@@ -118,6 +118,13 @@ def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
     return q_ratio_at_one(*_exponents(datum, lam, dual=False))
 
 
+def _divisible(nums, dens, n: int) -> bool:
+    """Whether n divides every num - den; ValueError unless n is positive."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return all((x - y) % n == 0 for x, y in zip(nums, dens))
+
+
 def divisibility_condition(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> bool:
     """Whether n divides (beta, lam) for every positive root beta
     (or n | <beta^vee, lam> when dual).
@@ -125,8 +132,7 @@ def divisibility_condition(datum: CartanDatum, lam: Weight, n: int, dual: bool =
     For a partition weight in type A this is exactly divisibility of every
     difference of padded parts by n.
     """
-    nums, dens = _exponents(datum, lam, dual)
-    return all((x - y) % n == 0 for x, y in zip(nums, dens))
+    return _divisible(*_exponents(datum, lam, dual), n)
 
 
 @dataclass(frozen=True)
@@ -186,7 +192,7 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     kind = "dual q-dimension" if dual else "q-dimension"
     check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
-    if any((x - y) % n for x, y in zip(nums, dens)):
+    if not _divisible(nums, dens, n):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
     return (nums, dens, *_fixed_and_orbit_counts(nums, dens, n))
 
@@ -251,3 +257,19 @@ def _gl_exponents(lam: Partition, m: int):
     padded = lam + (0,) * (m - len(lam))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     return [padded[i] - padded[j] + j - i for i, j in pairs], [j - i for i, j in pairs]
+
+
+def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | None:
+    """The ``orbit_counts`` of A_(m-1) at ``gl_weight(lam, m)`` and order n,
+    with their order and degree caps, read off the shape's exponents; None
+    when m < 2 or n fails to divide some difference of padded parts."""
+    if m < 2:
+        return None
+    lam = as_partition(lam)
+    nums, dens = _gl_exponents(lam, m)
+    if not _divisible(nums, dens, n):
+        return None
+    what = f"orbit counts of shape {lam} on {m} letters"
+    check_order(n, lambda: what)
+    _check_degree(nums, dens, what)
+    return _fixed_and_orbit_counts(nums, dens, n)[1]

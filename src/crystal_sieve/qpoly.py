@@ -352,13 +352,18 @@ def mobius(k: int) -> int:
     return out
 
 
+def _mobius_sums(b: dict[int, int]) -> dict[int, int]:
+    """{d: sum over divisors e of d of mobius(d/e) * b_e} over the keys d of
+    b, which are the divisors of an order."""
+    return {d: sum(mobius(d // e) * b[e] for e in divisors(d)) for d in b}
+
+
 def _orbits_from_fixed(b: dict[int, int]) -> dict[int, int]:
     """Orbit counts a from fixed counts b, both keyed by the divisors of an
-    order: d * a_d = sum over divisors e of d of mobius(d/e) * b_e, which
-    must divide exactly and give a_d >= 0 (InternalError otherwise)."""
+    order: d * a_d is the Mobius sum of b at d, which must divide exactly
+    and give a_d >= 0 (InternalError otherwise)."""
     a: dict[int, int] = {}
-    for d in b:
-        s = sum(mobius(d // e) * b[e] for e in divisors(d))
+    for d, s in _mobius_sums(b).items():
         if s % d:
             raise InternalError(f"Mobius sum {s} for d={d} is not divisible by {d}")
         a[d] = s // d

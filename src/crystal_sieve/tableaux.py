@@ -62,8 +62,13 @@ def _enum_cap() -> tuple[int, str]:
     return cap, f"set by {ENUM_CAP_ENV}"
 
 
-def _over_cap(count: str, what: str, limit: int, source: str) -> ResourceLimit:
-    return ResourceLimit(f"{count} tableaux of {what} exceed the cap {limit} {source}")
+def _check_cap(count: int, what: str, at_least: bool = False) -> None:
+    """ResourceLimit when count tableaux of what exceed the enumeration cap;
+    at_least words the count as "at least" the cap plus one."""
+    limit, source = _enum_cap()
+    if count > limit:
+        shown = f"at least {limit + 1}" if at_least else count
+        raise ResourceLimit(f"{shown} tableaux of {what} exceed the cap {limit} {source}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,8 @@ def ssyt_count(lam: Partition, m: int) -> int:
 
 def _check_count(lam: Partition, m: int) -> int:
     """Size of the crystal, from the product formula, within the cap."""
-    limit, source = _enum_cap()
     count = ssyt_count(lam, m)
-    if count > limit:
-        raise _over_cap(str(count), f"shape {lam} on {m} letters", limit, source)
+    _check_cap(count, f"shape {lam} on {m} letters")
     return count
 
 
@@ -283,11 +286,8 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
         raise ValueError(f"negative multiplicity in {mu}")
     if sum(lam) != sum(mu):
         raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
-    m = len(mu)
-    limit, source = _enum_cap()
     count = _content_count(lam, mu)
-    if count > limit:
-        raise _over_cap(f"at least {limit + 1}", f"shape {lam} on {m} letters with content {mu}", limit, source)
+    _check_cap(count, f"shape {lam} on {len(mu)} letters with content {mu}", at_least=True)
     return count
 
 
@@ -512,9 +512,7 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     if size % m:
         return []
     mu = (size // m,) * m
-    limit, source = _enum_cap()
-    if _content_count(lam, mu) > limit:
-        raise _over_cap(f"at least {limit + 1}", f"shape {lam} on {m} letters with uniform content", limit, source)
+    _check_cap(_content_count(lam, mu), f"shape {lam} on {m} letters with uniform content", at_least=True)
     return _tableaux(lam, m, mu)
 
 

@@ -148,6 +148,10 @@ class TestCrystal:
         assert code == 0
         assert "2 orbit(s) of size 1, 2 orbit(s) of size 3 (8 tableaux)" in out
 
+    def test_orbits_of_an_empty_crystal(self):
+        # three rows do not fit into two letters: no tableaux, no orbits
+        assert run_cli("crystal", "1,1,1", "orbits", "-m", "2") == (0, "empty crystal (0 tableaux)\n", "")
+
     def test_fixed_json(self):
         code, out, _ = run_cli("crystal", "3", "fixed", "-m", "3", "--format", "json")
         assert code == 0
@@ -288,6 +292,23 @@ class TestSweep:
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=process_env({}),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        # the runtime is pure standard library: every module loaded is
+        # stdlib, the package or the script; -S keeps the interpreter's site
+        # hooks, and with them site-packages, out of the process
+        probe = (
+            "import sys, crystal_sieve.cli; "
+            "print(sorted(name for name in sys.modules if name.partition('.')[0] "
+            "not in sys.stdlib_module_names | {'crystal_sieve', '__main__'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
             capture_output=True,
             text=True,
             env=process_env({}),
@@ -505,6 +526,7 @@ class TestExitCodes:
             (ConditionViolated, 3, "error"),
             (ResourceLimit, 4, "error"),
             (InternalError, 5, "internal error"),
+            (ValueError, 2, "error"),
         ],
     )
     def test_one_exit_code_per_class(self, monkeypatch, error, code, prefix):

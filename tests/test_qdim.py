@@ -29,6 +29,7 @@ from crystal_sieve.qdim import (
     divisibility_condition,
     kappa,
     orbit_counts,
+    predicted_orbit_counts,
     principal_specialization,
     qdim,
     qdim_dual,
@@ -184,6 +185,20 @@ class TestDivisibilityCondition:
                     assert r.b[d] == want
         # A2 at (4, 0): the rho pairings are 1, 1, 2, so n/d = 4 keeps no root
         assert congruence(build_cartan_datum("A2"), (4, 0), 4).b == {1: 1, 2: 3, 4: 15}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: divisibility_condition(build_cartan_datum("A2"), (1, 1), 0),
+            lambda: predicted_orbit_counts((1,), 2, 0),
+            lambda: predicted_orbit_counts((1,), 2, -2),
+        ],
+        ids=["condition-0", "predicted-0", "predicted-minus-2"],
+    )
+    def test_order_must_be_positive(self, call):
+        # every test of n | (beta, lam) refuses an order n <= 0 the same way
+        with pytest.raises(ValueError, match="n must be positive"):
+            call()
 
 
 class TestExponents:
