@@ -234,14 +234,9 @@ def copairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
 
 
 def corho_pairing(datum: CartanDatum, beta: Root) -> int:
-    """<beta^vee, rho> = 2 (beta, rho) / (beta, beta)."""
-    norm = root_norm(datum, beta)
-    if norm <= 0:
-        raise ConditionViolated(f"{beta} has nonpositive norm {norm}")
-    num = 2 * rho_pairing(datum, beta)
-    if num % norm:
-        raise ConditionViolated(f"coroot height of {beta} is not integral")
-    return num // norm
+    """<beta^vee, rho>: the copairing at rho, whose fundamental coordinates
+    are (1, ..., 1)."""
+    return copairing(datum, beta, (1,) * datum.rank)
 
 
 def is_dominant(lam: Weight) -> bool:

@@ -184,18 +184,17 @@ def _csp_plain(report, table: bool) -> str:
 
 
 def cmd_crystal(args) -> int:
+    if args.what == "csp":
+        return cmd_csp_check(args)
     lam = _parse_partition(args.partition)
     if args.what == "orbits":
         census = orbit_census(lam, args.m, args.action)
         _emit(args, census.to_json_dict(), _census_line(census))
-    elif args.what == "fixed":
+    else:  # fixed
         tabs = fixed_points(lam, args.m)
         payload = {"count": len(tabs), "tableaux": [t.to_text() for t in tabs]}
         plain = "\n".join(t.to_text() for t in tabs) if tabs else "no fixed points"
         _emit(args, payload, plain)
-    else:  # csp
-        report = csp_check(lam, args.m, args.action)
-        _emit(args, report.to_json_dict(), _csp_plain(report, args.table))
     return 0
 
 
@@ -274,12 +273,13 @@ def cmd_sweep(args) -> int:
             raise ValueError("sweep needs m >= 2")
         for lam in partitions_up_to(args.max_size, max_parts=m):
             cells.append((lam, m, ns or [m]))
-    if args.jobs and args.jobs > 1:
+    if args.jobs > 1:
         # imported here: only a parallel sweep needs multiprocessing, so no
         # other command pays for importing it at start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at once: never more than the CPUs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
             rows = [row for part in pool.map(_sweep_cell, cells, chunksize=8) for row in part]
     else:
         rows = [row for cell in cells for row in _sweep_cell(cell)]
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", choices=["c", "pr"], default="c")
     p.add_argument("--table", action="store_true", help="per-exponent table for csp")
     add_format(p)
-    p.set_defaults(func=cmd_crystal)
+    p.set_defaults(func=cmd_crystal, f=None, n=None)  # csp is csp-check without --f or -n
 
     p = sub.add_parser("csp-check", help="sieving check with an optional custom polynomial")
     p.add_argument("partition")
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, default=8)
     p.add_argument("--m", default="2,3,4", help="comma list of letter counts")
     p.add_argument("--n", help="comma list of orders (default: n = m)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_sweep, format="csv")
 
     return parser

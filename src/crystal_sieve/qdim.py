@@ -9,7 +9,7 @@ it checks that the quotient is a polynomial by counting cyclotomic factors,
 computes the lower half of its coefficients and mirrors them, since every
 such product is palindromic up to sign.
 The output degree is known from the exponents before any product work, and
-a degree above ``MAX_DEGREE`` raises ResourceLimit.
+a degree above ``qpoly.MAX_DEGREE`` raises ResourceLimit.
 """
 
 from __future__ import annotations
@@ -18,11 +18,13 @@ import operator
 from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
-from .errors import ConditionViolated, InternalError, ResourceLimit
+from .errors import ConditionViolated, InternalError
 from .partitions import Partition, as_partition
 from .qpoly import (
+    MAX_DEGREE,
     ZERO,
     IntPoly,
+    _check_degree,
     _orbits_from_fixed,
     _residue,
     check_order,
@@ -32,20 +34,6 @@ from .qpoly import (
     q_ratio,
     q_ratio_at_one,
 )
-
-
-# Largest output degree of qdim, qdim_dual, principal_specialization and
-# congruence; A20 at weight 12^20 has degree 18,480. The order n of
-# congruence has its own cap, qpoly.MAX_ORDER.
-MAX_DEGREE = 100_000
-
-
-def _check_degree(nums, dens, what: str) -> None:
-    """ResourceLimit when the product over these exponents has a degree above
-    MAX_DEGREE; what names the input."""
-    degree = sum(nums) - sum(dens)
-    if degree > MAX_DEGREE:
-        raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
 
 
 def _require_dominant(lam: Weight) -> None:
@@ -87,7 +75,7 @@ def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
     _require_dominant(lam)
     nums, dens = _exponents(datum, lam, dual)
     kind = "dual q-dimension" if dual else "q-dimension"
-    _check_degree(nums, dens, f"{kind} of {datum.cartan_type} at weight {lam}")
+    _check_degree(sum(nums) - sum(dens), f"{kind} of {datum.cartan_type} at weight {lam}")
     return nums, dens
 
 
@@ -244,18 +232,20 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     """
     lam = as_partition(lam)
     nums, dens = _gl_exponents(lam, m)
-    _check_degree(nums, dens, f"principal specialization of shape {lam} on {m} letters")
+    _check_degree(sum(nums) - sum(dens), f"principal specialization of shape {lam} on {m} letters")
     return q_ratio(nums, dens)
 
 
 def _gl_exponents(lam: Partition, m: int):
     """l_i - l_j over j - i for the rows i < j of lam padded to m, with
     l_i = lam_i + m - i: the exponents of the q-dimension of A_(m-1) at
-    ``gl_weight(lam, m)``, read off the shape."""
+    ``gl_weight(lam, m)``, read off the shape. Only the pairs with unequal
+    padded parts are listed, so i < len(lam); every other pair has
+    num = den and cancels."""
     if len(lam) > m:
         raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, j) for i in range(len(lam)) for j in range(i + 1, m) if padded[i] != padded[j]]
     return [padded[i] - padded[j] + j - i for i, j in pairs], [j - i for i, j in pairs]
 
 
@@ -271,5 +261,5 @@ def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | N
         return None
     what = f"orbit counts of shape {lam} on {m} letters"
     check_order(n, lambda: what)
-    _check_degree(nums, dens, what)
+    _check_degree(sum(nums) - sum(dens), what)
     return _fixed_and_orbit_counts(nums, dens, n)[1]

@@ -28,6 +28,11 @@ from .errors import ConditionViolated, InternalError, ResourceLimit
 # (6,3,3) with 6 letters.
 MAX_ORDER = 1_000_000
 
+# Largest degree of a parsed polynomial and of the output of qdim, qdim_dual,
+# principal_specialization and congruence; A20 at weight 12^20 has degree
+# 18,480.
+MAX_DEGREE = 100_000
+
 
 class IntPoly:
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of q^k.
@@ -139,6 +144,8 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q^k."""
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
         if self.is_zero:
             return self
         return _from_ints([0] * k + list(self.coeffs))
@@ -197,12 +204,15 @@ def parse_poly(text: str) -> IntPoly:
     """Parse ``c0 + c1*q + c2*q^2 + ...`` or a JSON array of coefficients.
 
     JSON coefficients may be integers or decimal strings (big values survive
-    a round trip through text that way). Raises ValueError on junk.
+    a round trip through text that way). Raises ValueError on junk, and
+    ResourceLimit for a degree above MAX_DEGREE, in the text form before the
+    coefficient list is allocated.
     """
     text = text.strip()
     if text.startswith("["):
-        data = json.loads(text)
-        return IntPoly([int(c) for c in data])
+        f = IntPoly([int(c) for c in json.loads(text)])
+        _check_degree(f.degree, f"polynomial {text!r}")
+        return f
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
@@ -227,10 +237,18 @@ def parse_poly(text: str) -> IntPoly:
         else:
             k = int(m.group("exp"))
         coeffs[k] = coeffs.get(k, 0) + coeff
-    out = [0] * (max(coeffs) + 1)
+    top = max(coeffs)
+    _check_degree(top, f"polynomial {text!r}")
+    out = [0] * (top + 1)
     for k, c in coeffs.items():
         out[k] = c
     return IntPoly(out)
+
+
+def _check_degree(degree: int, what: str) -> None:
+    """ResourceLimit when degree is above MAX_DEGREE; what names the input."""
+    if degree > MAX_DEGREE:
+        raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
 
 
 def poly_to_json_coeffs(f: IntPoly) -> list[str]:

@@ -14,8 +14,9 @@ the patterns of a content level by level and lists none.
 
 The reflection s_i, the raising and lowering operators e_i and f_i and the
 Bender-Knuth involution t_i change only G[i], and the new G[i] depends only
-on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: a bracket
-pass over the rows for s_i (which e_i and f_i share) and the piecewise-linear
+on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: the
+signature move, a bracket pass over the rows that turns k unmatched letters
+(all of them for s_i, one for f_i or e_i), and the piecewise-linear
 reflection for t_i. The public operators convert a ``Tableau`` to GT rows
 and back; the way back builds the result without validating it again,
 since it comes from a valid pattern. A census never builds a ``Tableau``:
@@ -45,7 +46,7 @@ DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
 
 Row = tuple[int, ...]
-RowRule = Callable[[Row, Row, Row], Row]
+RowRule = Callable[[Row, Row, Row], Row | None]
 
 
 def _enum_cap() -> tuple[int, str]:
@@ -62,13 +63,11 @@ def _enum_cap() -> tuple[int, str]:
     return cap, f"set by {ENUM_CAP_ENV}"
 
 
-def _check_cap(count: int, what: str, at_least: bool = False) -> None:
-    """ResourceLimit when count tableaux of what exceed the enumeration cap;
-    at_least words the count as "at least" the cap plus one."""
+def _check_cap(count: int, what: str) -> None:
+    """ResourceLimit when count tableaux of what exceed the enumeration cap."""
     limit, source = _enum_cap()
     if count > limit:
-        shown = f"at least {limit + 1}" if at_least else count
-        raise ResourceLimit(f"{shown} tableaux of {what} exceed the cap {limit} {source}")
+        raise ResourceLimit(f"{count} tableaux of {what} exceed the cap {limit} {source}")
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,6 @@ def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
     CRYSTAL_SIEVE_MAX_ENUM environment variable, else 10^7).
     """
     lam = as_partition(lam)
-    if len(lam) > m:
-        return []
     _check_count(lam, m)
     return _tableaux(lam, m)
 
@@ -287,7 +284,7 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
     if sum(lam) != sum(mu):
         raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
     count = _content_count(lam, mu)
-    _check_cap(count, f"shape {lam} on {len(mu)} letters with content {mu}", at_least=True)
+    _check_cap(count, f"shape {lam} on {len(mu)} letters with content {mu}")
     return count
 
 
@@ -363,21 +360,22 @@ def _opened(lo: Row, row: Row, hi: Row) -> list[int]:
     return opened
 
 
-def _reflect_row(lo: Row, row: Row, hi: Row) -> Row:
-    """s_i on G[i]: the unmatched i^a (i+1)^b of the reading word become
-    i^b (i+1)^a. Matched pairs hold one i and one i+1, so a - b is the
-    count of i's minus the count of i+1's. When a > b the last a - b free
-    i's, top rows first, turn into i+1; when b > a the first b - a
-    unmatched i+1's, bottom rows first, turn into i."""
-    k = 2 * sum(row) - sum(lo) - sum(hi)
-    if k == 0:
-        return row
+def _reflect_row(lo: Row, row: Row, hi: Row, k: int | None = None) -> Row | None:
+    """The signature move on G[i]: k > 0 turns the last k free i's of the
+    reading word, top rows first, into i+1, and k < 0 the first -k unmatched
+    i+1's, bottom rows first, into i; None when fewer are unmatched. f_i is
+    k = 1 and e_i k = -1. s_i (k None) turns the unmatched i^a (i+1)^b into
+    i^b (i+1)^a, with k = a - b the count of i's minus that of i+1's."""
+    if k is None:
+        k = 2 * sum(row) - sum(lo) - sum(hi)
+        if k == 0:
+            return row
     out = list(row)
     if k > 0:
         for r, a in enumerate(_free(lo, row, hi)):
             if a >= k:
                 out[r] -= k
-                break
+                return tuple(out)
             out[r] -= a
             k -= a
     else:
@@ -386,10 +384,10 @@ def _reflect_row(lo: Row, row: Row, hi: Row) -> Row:
         for r in range(len(out) - 1, -1, -1):
             if opened[r] >= k:
                 out[r] += k
-                break
+                return tuple(out)
             out[r] += opened[r]
             k -= opened[r]
-    return tuple(out)
+    return None
 
 
 def _bender_knuth_row(lo: Row, row: Row, hi: Row) -> Row:
@@ -415,35 +413,28 @@ def _check_index(i: int, m: int) -> None:
         raise ValueError(f"index {i} outside 1..{m - 1}")
 
 
-def _bump(g: list[Row], i: int, r: int, delta: int, m: int) -> Tableau:
-    row = g[i]
-    g[i] = row[:r] + (row[r] + delta,) + row[r + 1:]
-    return _from_gt(g, m)
-
-
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
     """Lowering operator: turns the rightmost unmatched i into i+1,
     or None when there is none."""
     _check_index(i, t.m)
-    g = _gt(t)
-    rows = [r for r, a in enumerate(_free(g[i - 1], g[i], g[i + 1])) if a]
-    return _bump(g, i, rows[0], -1, t.m) if rows else None
+    return _rewrite(functools.partial(_reflect_row, k=1), (i,), t)
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
     """Raising operator: turns the leftmost unmatched i+1 into i,
     or None when there is none."""
     _check_index(i, t.m)
-    g = _gt(t)
-    rows = [r for r, b in enumerate(_opened(g[i - 1], g[i], g[i + 1])) if b]
-    return _bump(g, i, rows[-1], 1, t.m) if rows else None
+    return _rewrite(functools.partial(_reflect_row, k=-1), (i,), t)
 
 
-def _rewrite(rule: RowRule, indices, t: Tableau) -> Tableau:
-    """Apply the row rule to G[i] for each i in turn."""
+def _rewrite(rule: RowRule, indices, t: Tableau) -> Tableau | None:
+    """Apply the row rule to G[i] for each i in turn; None as soon as the
+    rule returns None."""
     g = _gt(t)
     for i in indices:
         g[i] = rule(g[i - 1], g[i], g[i + 1])
+        if g[i] is None:
+            return None
     return _from_gt(g, t.m)
 
 
@@ -486,6 +477,8 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     regime; that surfaces as ConditionViolated rather than being patched.
     """
     lam = as_partition(lam)
+    if m < 1:
+        raise ValueError("m must be positive")
     size = sum(lam)
     if size % m:
         raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
@@ -512,7 +505,7 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     if size % m:
         return []
     mu = (size // m,) * m
-    _check_cap(_content_count(lam, mu), f"shape {lam} on {m} letters with uniform content", at_least=True)
+    _check_cap(_content_count(lam, mu), f"shape {lam} on {m} letters with uniform content")
     return _tableaux(lam, m, mu)
 
 

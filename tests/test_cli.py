@@ -283,6 +283,33 @@ class TestSweep:
         _, parallel, _ = run_cli("sweep", "--max-size", "4", "--m", "2,3", "--jobs", "2")
         assert serial == parallel
 
+    def test_pool_never_outgrows_the_cpus(self, monkeypatch):
+        # a stand-in pool that starts no process: it records its size and
+        # maps in this process
+        import concurrent.futures
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        argv = ["sweep", "--max-size", "4", "--m", "2,3"]
+        code, pooled, _ = run_cli(*argv, "--jobs", "100000")
+        assert code == 0 and len(sizes) == 1
+        assert 1 <= sizes[0] <= (os.cpu_count() or 1)
+        assert pooled == run_cli(*argv)[1]
+
     def test_import_leaves_the_process_pool_out(self):
         # only sweep --jobs N with N > 1 needs the pool, so importing the
         # CLI must not pay for multiprocessing
@@ -390,6 +417,14 @@ class TestDegreeCap:
         assert code == 4 and not out
         assert "A1" in err and "(1000000000,)" in err and "degree cap 100000" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["aa-check", "q^200000", "-n", "2"], ["csp-check", "2", "-m", "2", "--f", "q^200000"]]
+    )
+    def test_polynomial_input_is_capped(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 4 and not out
+        assert "'q^200000' has degree 200000" in err and "degree cap 100000" in err
+
     def test_huge_weight_as_a_process(self):
         proc = run_process(["qdim", "A1", "1000000000"], {})
         assert proc.returncode == 4
@@ -480,6 +515,8 @@ class TestExitCodes:
             (["crystal", "3", "orbits", "-m", "1"], {}),
             (["sweep", "--m", "x"], {}),
             (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "abc"}),
+            (["sweep", "--jobs", "0"], {}),
+            (["sweep", "--jobs", "-1"], {}),
         ],
     )
     def test_malformed_input(self, args, env):

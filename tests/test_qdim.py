@@ -25,6 +25,7 @@ from crystal_sieve.qdim import (
     MAX_DEGREE,
     CongruenceResult,
     _exponents,
+    _gl_exponents,
     congruence,
     divisibility_condition,
     kappa,
@@ -376,6 +377,17 @@ class TestPrincipalSpecialization:
     def test_too_many_rows(self):
         with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 letters"):
             principal_specialization((1, 1, 1), 2)
+
+    def test_only_pairs_that_do_not_cancel(self):
+        # a pair of equal padded parts has num = den; one row on 300 letters
+        # keeps the 299 pairs of its first row with the others, out of 44,850
+        nums, dens = _gl_exponents((1,), 300)
+        assert len(nums) == len(dens) == 299
+        assert all(x != y for x, y in zip(nums, dens))
+        assert _gl_exponents((), 5) == ([], [])
+        # (2, 2, 1, 0): rows 0 and 1 are equal
+        assert _gl_exponents((2, 2, 1), 4) == ([3, 5, 2, 4, 2], [2, 3, 1, 2, 1])
+        assert principal_specialization((1,), 2000)(1) == 2000
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_tableau_statistic(self, m):

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystal_sieve.cartan import build_cartan_datum
-from crystal_sieve.errors import ConditionViolated, InternalError
+from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
 from crystal_sieve.qdim import congruence
 from crystal_sieve.qpoly import (
     ONE,
@@ -119,6 +119,9 @@ class TestIntPoly:
         assert IntPoly.monomial(0, 5) == 5
         with pytest.raises(ValueError):
             IntPoly.monomial(-1)
+        for f in (IntPoly([1, 2]), ZERO):
+            with pytest.raises(ValueError, match="exponent must be nonnegative"):
+                f.shift(-1)
 
 
 def one_minus_q(k):
@@ -542,6 +545,16 @@ class TestTextFormats:
         for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+    def test_degree_cap(self):
+        assert parse_poly("q^100000") == IntPoly.monomial(qpoly.MAX_DEGREE)
+        assert parse_poly(json.dumps([0] * qpoly.MAX_DEGREE + [1])).degree == qpoly.MAX_DEGREE
+        # the text form refuses before it allocates 10^9 coefficients
+        for text, degree in [("1 + q^1000000000", 10**9), (json.dumps([0] * 100001 + [1]), 100001)]:
+            with pytest.raises(ResourceLimit) as exc:
+                parse_poly(text)
+            for part in [text[:10], f"degree {degree}", "degree cap 100000"]:
+                assert part in str(exc.value)
 
     def test_roundtrip_through_text(self):
         rng = random.Random(5)

@@ -106,8 +106,8 @@ class TestEnumeration:
     def test_cap_messages_name_input_and_limit(self, monkeypatch):
         cases = [
             ("100", lambda: enumerate_ssyt((8,), 4), ["(8,) on 4 letters", "165", "cap 100", "set by CRYSTAL_SIEVE_MAX_ENUM"]),
-            ("2", lambda: kostka((4, 4), (2, 2, 2, 2)), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "at least 3", "cap 2"]),
-            ("1", lambda: fixed_points((4, 4), 4), ["(4, 4) on 4 letters", "uniform content", "at least 2", "cap 1"]),
+            ("2", lambda: kostka((4, 4), (2, 2, 2, 2)), ["(4, 4) on 4 letters", "(2, 2, 2, 2)", "3 tableaux", "cap 2"]),
+            ("1", lambda: fixed_points((4, 4), 4), ["(4, 4) on 4 letters", "uniform content", "3 tableaux", "cap 1"]),
             # C(39, 9) = 211,915,132 tableaux, refused before any is built
             (None, lambda: enumerate_ssyt((30,), 10), ["(30,) on 10 letters", "211915132", "cap 10000000", "default"]),
         ]
@@ -398,6 +398,12 @@ class TestFixedPoints:
     def test_letter_count_must_be_positive(self, lam, m):
         with pytest.raises(ValueError, match="m must be positive"):
             fixed_points(lam, m)
+
+    @pytest.mark.parametrize("call, lam", [(superstandard, (2,)), (enumerate_ssyt, (1,))])
+    def test_other_calls_check_the_letter_count_first(self, call, lam):
+        # before the division by m, and before the shape is found too long
+        with pytest.raises(ValueError, match="m must be positive"):
+            call(lam, 0)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_uniform_content_filter(self, m):
