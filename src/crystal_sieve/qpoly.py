@@ -203,14 +203,18 @@ _TERM_RE = re.compile(
 def parse_poly(text: str) -> IntPoly:
     """Parse ``c0 + c1*q + c2*q^2 + ...`` or a JSON array of coefficients.
 
-    JSON coefficients may be integers or decimal strings (big values survive
-    a round trip through text that way). Raises ValueError on junk, and
-    ResourceLimit for a degree above MAX_DEGREE, in the text form before the
-    coefficient list is allocated.
+    JSON coefficients must be integers or decimal strings (big values survive
+    a round trip through text that way); a float, bool, list or other string
+    is junk. Raises ValueError on junk, and ResourceLimit for a degree above
+    MAX_DEGREE, in the text form before the coefficient list is allocated.
     """
     text = text.strip()
     if text.startswith("["):
-        f = IntPoly([int(c) for c in json.loads(text)])
+        coeffs = json.loads(text)
+        for c in coeffs:
+            if not (type(c) is int or isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c)):
+                raise ValueError(f"coefficient {c!r} in {text!r} is not an integer")
+        f = IntPoly([int(c) for c in coeffs])
         _check_degree(f.degree, f"polynomial {text!r}")
         return f
     compact = text.replace(" ", "")

@@ -24,6 +24,16 @@ it interns each row of the enumerated patterns as a small int for the
 length of the call, and memoizes each move of G[i] under its triple, so one
 step of the cycle operator or of promotion is m - 1 lookups.
 
+The census under the cycle operator c walks only the patterns of periodic
+content. c has order m and shifts a content's coordinates cyclically, so it
+keeps a content's period, and a tableau of aperiodic content, whose
+stabiliser under the shift is trivial, lies in an orbit of size m. The
+census checks that each walk returns within m steps with a length that
+divides m, that it walked as many patterns as their contents' Kostka
+numbers add up to, that no cycle leaves those patterns, and that the rest
+of ssyt_count is a nonnegative multiple of m. Only contents with a tableau
+are listed, so the work stays within ssyt_count, which the cap bounds.
+
 The canonical order of enumeration and fixed points is lexicographic on the
 reading word (rows left to right, bottom row first). GT order is not that
 order, so the tableaux are sorted by reading word after conversion.
@@ -34,13 +44,13 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, as_partition
 from .qdim import _gl_exponents
-from .qpoly import q_ratio_at_one
+from .qpoly import divisors, q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
@@ -584,17 +594,101 @@ _ROW_RULES: dict[str, RowRule] = {
 }
 
 
+def _arrangements(parts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of the multiset parts, in lexicographic order,
+    each from the last by one next-permutation step."""
+    a = sorted(parts)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _partitions_under(caps: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The partitions p of n into len(caps) parts, zeros allowed, with
+    p_1 + ... + p_k <= caps[k-1] for every k.
+
+    Depth first, each prefix completed by the most even split of what is
+    left, which is the least completion in dominance order: a prefix is
+    kept only if that completion keeps within caps, so every prefix kept
+    ends in a partition listed. Raising a part only raises partial sums, so
+    the first raise that breaks a cap ends the raises of that part."""
+    e = len(caps)
+
+    def completed(parts: list[int]) -> list[int] | None:
+        q, extra = divmod(n - sum(parts), e - len(parts))
+        full = parts + [q + 1] * extra + [q] * (e - len(parts) - extra)
+        return full if all(s <= c for s, c in zip(accumulate(full), caps)) else None
+
+    parts = completed([])
+    while parts is not None:
+        yield tuple(parts)
+        while parts:
+            x = parts.pop() + 1
+            if x <= n - sum(parts) and (not parts or x <= parts[-1]):
+                full = completed(parts + [x])
+                if full is not None:
+                    parts = full
+                    break
+        else:
+            return
+
+
+def _periodic_contents(lam: Partition, m: int) -> list[tuple[int, ...]]:
+    """The contents on m letters with a period e < m and a tableau of shape
+    lam: mu = nu^(m/e) for each proper divisor e of m with m | e|lam| and
+    each arrangement nu of a partition p of e|lam|/m into e parts with
+    p^(m/e), the sorted mu, dominated by lam. A Kostka number is positive
+    exactly under dominance and keeps its value when the content is
+    rearranged, so each content listed has a tableau and there are at most
+    ssyt_count of them. (k^m) arises from every e, so each content is kept
+    once."""
+    size = sum(lam)
+    bound = list(accumulate(lam[:m] + (0,) * (m - len(lam)), initial=0))
+    out = set()
+    for e in divisors(m)[:-1]:
+        n, r = divmod(e * size, m)
+        if r:
+            continue
+        reps = m // e
+        # lam's partial sums are concave and mu's are linear across each
+        # block of reps equal parts, so dominance need hold only at block ends
+        caps = [bound[k * reps] // reps for k in range(1, e + 1)]
+        for p in _partitions_under(caps, n):
+            out.update(nu * reps for nu in _arrangements(p))
+    return sorted(out)
+
+
 def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
     cycles by length.
 
-    Walks every cycle on GT patterns whose rows are interned as small ints.
+    Walks cycles on GT patterns whose rows are interned as small ints.
     One step rewrites G[m-1], ..., G[1] in turn, each by one lookup in a
     table of moves (G[i-1], G[i], G[i+1]) -> new G[i], which the action's
     row rule fills on first use; the table lives for this call. The
     enumeration order is free, so the first pattern met of each cycle
     starts its walk and the rest wait in a set until the enumeration
     reaches them.
+
+    Promotion walks the whole crystal, and the total walked must equal
+    ssyt_count. Under c, whose orbits of size below m lie among the
+    periodic contents (see the module docstring), only the patterns of
+    _periodic_contents are walked and the rest count as orbits of size m.
+    Each of four checks raises InternalError: a walk that does not return
+    within m steps or whose length does not divide m; a walked count other
+    than the sum of the contents' Kostka numbers; cycles that leave the
+    patterns enumerated, seen as a pattern left waiting in the set or as
+    cycle lengths that add up to more than were enumerated; and a
+    remainder ssyt_count - walked that is negative or not a multiple of m.
     """
     rule = _ROW_RULES.get(action)
     if rule is None:
@@ -604,13 +698,24 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
         raise ValueError("the cycle operator and promotion need at least two letters")
     count = _check_count(lam, m)
     ids: dict[Row, int] = {}
+    if action == "c":
+        contents = _periodic_contents(lam, m)
+        starts = chain.from_iterable(_patterns(lam, m, ids, mu) for mu in contents)
+        expected = sum(_content_count(lam, mu) for mu in contents)
+        longest = m
+    else:
+        starts, expected, longest = _patterns(lam, m, ids), count, count
     rows: list[Row] = []  # the rows of ids, in id order, refreshed when ids grew
     moves: dict[tuple[int, int, int], int] = {}
     factors = range(m - 1, 0, -1)
     ahead: set[tuple[int, ...]] = set()
     by_size: dict[int, int] = {}
     total = 0
-    for start in _patterns(lam, m, ids):
+
+    def tableau(pattern: tuple[int, ...]) -> Tableau:
+        return _from_gt([list(ids)[k] for k in pattern], m)
+
+    for start in starts:
         total += 1
         if start in ahead:
             ahead.remove(start)
@@ -631,14 +736,27 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
             cur = tuple(g)
             if cur == start:
                 break
-            if length >= count:
-                t = _from_gt([list(ids)[k] for k in start], m)
-                raise InternalError(f"action {action} does not return to {t} on shape {lam}")
+            if length >= longest:
+                raise InternalError(
+                    f"action {action} does not return to {tableau(start)} within {longest} steps on shape {lam}"
+                )
             ahead.add(cur)
+        if action == "c" and m % length:
+            raise InternalError(f"c returns to {tableau(start)} after {length} steps, not a divisor of {m}")
         by_size[length] = by_size.get(length, 0) + 1
-    if total != count:
-        raise InternalError(f"enumerated {total} tableaux of shape {lam} on {m} letters, expected {count}")
-    return OrbitCensus(dict(sorted(by_size.items())), total)
+    if total != expected:
+        raise InternalError(f"walked {total} tableaux of shape {lam} on {m} letters, expected {expected}")
+    if ahead or sum(d * k for d, k in by_size.items()) != total:
+        raise InternalError(f"cycles of {action} on shape {lam} on {m} letters leave the {total} patterns enumerated")
+    rest, stray = divmod(count - total, m)
+    if rest < 0 or stray:
+        raise InternalError(
+            f"{count - total} tableaux of shape {lam} on {m} letters have aperiodic content, "
+            f"not a multiple of {m}"
+        )
+    if rest:
+        by_size[m] = by_size.get(m, 0) + rest
+    return OrbitCensus(dict(sorted(by_size.items())), count)
 
 
 __all__ = [

@@ -148,6 +148,15 @@ class TestCrystal:
         assert code == 0
         assert "2 orbit(s) of size 1, 2 orbit(s) of size 3 (8 tableaux)" in out
 
+    def test_orbits_on_many_letters_walk_nothing(self):
+        # no content of one box on 20,000 letters is periodic, so nothing is
+        # stored per tableau; a full walk would hold about 4e8 row ids
+        start = time.perf_counter()
+        code, out, _ = run_cli("crystal", "1", "orbits", "-m", "20000")
+        assert code == 0
+        assert "1 orbit(s) of size 20000 (20000 tableaux)" in out
+        assert time.perf_counter() - start < 5
+
     def test_orbits_of_an_empty_crystal(self):
         # three rows do not fit into two letters: no tableaux, no orbits
         assert run_cli("crystal", "1,1,1", "orbits", "-m", "2") == (0, "empty crystal (0 tableaux)\n", "")
@@ -517,6 +526,10 @@ class TestExitCodes:
             (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "abc"}),
             (["sweep", "--jobs", "0"], {}),
             (["sweep", "--jobs", "-1"], {}),
+            (["aa-check", "[1.5,1]", "-n", "2"], {}),
+            (["aa-check", "[[1]]", "-n", "2"], {}),
+            (["aa-check", "[1e400]", "-n", "2"], {}),
+            (["aa-check", "[true,1]", "-n", "2"], {}),
         ],
     )
     def test_malformed_input(self, args, env):

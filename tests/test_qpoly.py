@@ -540,6 +540,17 @@ class TestTextFormats:
         assert parse_poly("[1, 2, 3]") == IntPoly([1, 2, 3])
         big = 10**30
         assert parse_poly(f'["{big}", -1]') == IntPoly([big, -1])
+        big = 123456789012345678901234567890
+        assert parse_poly(f'["{big}", 1]') == IntPoly([big, 1])
+
+    @pytest.mark.parametrize(
+        "text, coeff",
+        [("[1.5, 1]", "1.5"), ("[[1]]", "[1]"), ("[1e400]", "inf"), ("[true, 1]", "True"), ('["1.0"]', "'1.0'")],
+    )
+    def test_parse_json_rejects_what_is_not_an_integer(self, text, coeff):
+        with pytest.raises(ValueError, match="coefficient") as exc:
+            parse_poly(text)
+        assert coeff in str(exc.value) and text in str(exc.value)
 
     def test_parse_rejects_junk(self):
         for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5"):

@@ -6,6 +6,8 @@ which is a different algorithm from the bead-sliding implementation under
 test; signs are accumulated as (-1)^(rows spanned - 1) per removal.
 """
 
+import time
+
 import pytest
 
 from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
@@ -13,6 +15,7 @@ from crystal_sieve.partitions import partitions_of, partitions_up_to
 from crystal_sieve.qdim import kappa, principal_specialization
 from crystal_sieve.qpoly import eval_root_of_unity
 from crystal_sieve.tableaux import (
+    OrbitCensus,
     Tableau,
     bender_knuth,
     c_action,
@@ -308,28 +311,114 @@ class TestCycleOperator:
         # a move that copies the row above is idempotent after one step, so
         # a walk never comes back to a pattern whose rows differ
         monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: hi)
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match="within 3 steps"):
             orbit_census((2, 1), 3)
 
 
-    def test_move_table_lives_for_one_call(self, monkeypatch):
+    @staticmethod
+    def check_move_table(monkeypatch, lam, m, action):
         from crystal_sieve import tableaux
 
         moves = []
-        reflect = tableaux._ROW_RULES["c"]
+        rule = tableaux._ROW_RULES[action]
 
         def counted(lo, row, hi):
             moves.append((lo, row, hi))
-            return reflect(lo, row, hi)
+            return rule(lo, row, hi)
 
-        monkeypatch.setitem(tableaux._ROW_RULES, "c", counted)
-        first = orbit_census((3, 2), 4)
+        monkeypatch.setitem(tableaux._ROW_RULES, action, counted)
+        first = orbit_census(lam, m, action)
         computed = len(moves)
-        assert orbit_census((3, 2), 4) == first
+        assert orbit_census(lam, m, action) == first
         # each move is computed once per call, fewer than the steps taken
         assert 0 < computed < first.total * 3
         assert len(set(moves[:computed])) == computed
         assert moves[computed:] == moves[:computed]
+
+    def test_move_table_lives_for_one_call(self, monkeypatch):
+        # (3,3) on 4 letters has contents of period 2, so c walks
+        self.check_move_table(monkeypatch, (3, 3), 4, "c")
+
+    def test_promotion_move_table_lives_for_one_call(self, monkeypatch):
+        self.check_move_table(monkeypatch, (3, 2), 4, "pr")
+
+    def test_aperiodic_contents_are_not_walked(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # 7 is prime and does not divide 13, so no content is periodic and
+        # every orbit has size 7 without a step taken
+        moves = []
+        rule = tableaux._ROW_RULES["c"]
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda *rows: moves.append(rows) or rule(*rows))
+        assert orbit_census((4, 4, 2, 1, 1, 1), 7).by_size == {7: 3024}
+        assert moves == []
+
+    def test_census_checks_the_walked_count(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        count = tableaux._content_count
+        monkeypatch.setattr(tableaux, "_content_count", lambda lam, mu: count(lam, mu) + 1)
+        with pytest.raises(InternalError, match="walked 2 tableaux"):
+            orbit_census((2, 1), 3)
+
+    @pytest.mark.parametrize("offset", [1, -8])
+    def test_census_checks_the_aperiodic_remainder(self, monkeypatch, offset):
+        from crystal_sieve import tableaux
+
+        # (2,1) on 3 letters: 8 tableaux, 2 of them of periodic content
+        count = tableaux.ssyt_count
+        monkeypatch.setattr(tableaux, "ssyt_count", lambda lam, m: count(lam, m) + offset)
+        with pytest.raises(InternalError, match="aperiodic content, not a multiple of 3"):
+            orbit_census((2, 1), 3)
+
+    def test_census_checks_that_orbit_lengths_divide_m(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # promotion's step in place of c's: on (2,1) on 3 letters it takes
+        # a tableau of uniform content back after 2 steps
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", tableaux._bender_knuth_row)
+        with pytest.raises(InternalError, match="after 2 steps, not a divisor of 3"):
+            orbit_census((2, 1), 3)
+
+    def test_census_checks_that_cycles_stay_in_the_periodic_contents(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # on (2,) on 2 letters c swaps 11 and 22 and fixes 12, the one
+        # tableau of periodic content; a step that swaps 12 and 11 has
+        # cycles of length dividing 2 but walks into aperiodic content
+        swap = {(1,): (2,), (2,): (1,)}
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: swap.get(row, row))
+        with pytest.raises(InternalError, match="leave the 1 patterns enumerated"):
+            orbit_census((2,), 2)
+
+    @pytest.mark.parametrize("k, m, by_size", [(24, 24, {1: 1}), (30, 30, {1: 1}), (40, 30, {})])
+    def test_periodic_contents_without_a_tableau_are_not_listed(self, k, m, by_size):
+        # a column of k boxes has at most one tableau, and there are
+        # millions of compositions of period m / 2 and beyond
+        from crystal_sieve import tableaux
+
+        start = time.perf_counter()
+        assert orbit_census((1,) * k, m) == OrbitCensus(by_size, len(by_size))
+        assert time.perf_counter() - start < 1.0
+        assert len(tableaux._periodic_contents((1,) * k, m)) == len(by_size)
+
+    @pytest.mark.parametrize("lam, m", [((6, 3, 3), 6), ((4, 4, 2, 2), 6), ((3, 3, 2), 8)])
+    def test_census_equals_the_cycles_of_c_action(self, lam, m):
+        # between them, orbits of every size that divides m
+        seen = set()
+        sizes: dict[int, int] = {}
+        for t in enumerate_ssyt(lam, m):
+            if t in seen:
+                continue
+            cur, length = c_action(t), 1
+            seen.add(t)
+            while cur != t:
+                seen.add(cur)
+                cur, length = c_action(cur), length + 1
+            sizes[length] = sizes.get(length, 0) + 1
+        census = orbit_census(lam, m)
+        assert census.by_size == dict(sorted(sizes.items()))
+        assert census.total == len(seen)
 
 
 class TestBenderKnuth:
