@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 from .errors import ConditionViolated, InternalError
 from .partitions import Partition, as_partition
-from .qdim import kappa, predicted_orbit_counts, principal_specialization
-from .qpoly import IntPoly, _mobius_sums, _orbits_from_fixed, divisors, q_ratio_at_one, root_values
+from .qdim import _fixed_and_orbit_counts, _gl_exponents, kappa, predicted_orbit_counts, principal_specialization
+from .qpoly import IntPoly, _mobius_sums, check_order, divisors, root_values
 from .tableaux import OrbitCensus, orbit_census
 
 
@@ -184,12 +184,12 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
 
 def orbit_formula(a: int, d: int) -> int:
     """Number of size-d orbits of the cycle operator on the one-row shape (a*d),
-    letters d: the Mobius inversion of the fixed counts b_e, over divisors e
-    of d, with b_e the product over 1 <= k < e of (a*e + k)/k."""
+    letters d: ``predicted_orbit_counts`` at order d without its degree cap.
+    An order d above MAX_ORDER or above MAX_LETTERS raises ResourceLimit."""
     if a < 0 or d <= 0:
         raise ValueError("need a >= 0 and d > 0")
-    b = {e: q_ratio_at_one(range(a * e + 1, a * e + e), range(1, e)) for e in divisors(d)}
-    return _orbits_from_fixed(b)[d]
+    check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
+    return _fixed_and_orbit_counts(*_gl_exponents(as_partition((a * d,)), d), d)[1][d]
 
 
 class RectVerdict(NamedTuple):

@@ -25,6 +25,7 @@ from .qpoly import (
     ZERO,
     IntPoly,
     _check_degree,
+    _check_letters,
     _orbits_from_fixed,
     _residue,
     check_order,
@@ -241,7 +242,8 @@ def _gl_exponents(lam: Partition, m: int):
     l_i = lam_i + m - i: the exponents of the q-dimension of A_(m-1) at
     ``gl_weight(lam, m)``, read off the shape. Only the pairs with unequal
     padded parts are listed, so i < len(lam); every other pair has
-    num = den and cancels."""
+    num = den and cancels. An m above MAX_LETTERS raises ResourceLimit."""
+    _check_letters(lam, m)
     if len(lam) > m:
         raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
     padded = lam + (0,) * (m - len(lam))

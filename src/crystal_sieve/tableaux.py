@@ -8,21 +8,23 @@ The public type is the validated, immutable ``Tableau`` of row tuples with
 pattern, the rows G[0..m] with G[v][r] the number of entries <= v in row r;
 G[v] interlaces G[v+1], and |G[v]| - |G[v-1]| is the number of v's. One
 enumerator, ``_patterns``, lists the patterns of a shape depth first from
-G[m] = lam down, optionally only those of a given content. Enumeration and
-fixed points convert its patterns to ``Tableau``; the Kostka number counts
-the patterns of a content level by level and lists none.
+G[m] = lam down, optionally only those of a given content, whose partial
+sums the row lister ``_rows_below`` applies. Enumeration and fixed points
+convert its patterns to ``Tableau``; the Kostka number counts the patterns
+of a content level by level and lists none.
 
 The reflection s_i, the raising and lowering operators e_i and f_i and the
 Bender-Knuth involution t_i change only G[i], and the new G[i] depends only
 on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: the
-signature move, a bracket pass over the rows that turns k unmatched letters
-(all of them for s_i, one for f_i or e_i), and the piecewise-linear
-reflection for t_i. The public operators convert a ``Tableau`` to GT rows
-and back; the way back builds the result without validating it again,
-since it comes from a valid pattern. A census never builds a ``Tableau``:
-it interns each row of the enumerated patterns as a small int for the
-length of the call, and memoizes each move of G[i] under its triple, so one
-step of the cycle operator or of promotion is m - 1 lookups.
+signature move, one bracket pass that reads the rows in one direction for
+the unmatched letters and turns k of them (all for s_i, one for f_i or
+e_i) taking the rows in the other, and the piecewise-linear reflection for
+t_i. The public operators convert a ``Tableau`` to GT rows and back; the
+way back builds the result without validating it again, since it comes
+from a valid pattern. A census never builds a ``Tableau``: it interns each
+row of the enumerated patterns as a small int for the length of the call,
+and memoizes each move of G[i] under its triple, so one step of the cycle
+operator or of promotion is m - 1 lookups.
 
 The census under the cycle operator c walks only the patterns of periodic
 content. c has order m and shifts a content's coordinates cyclically, so it
@@ -50,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, as_partition
 from .qdim import _gl_exponents
-from .qpoly import divisors, q_ratio_at_one
+from .qpoly import _check_letters, divisors, q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
@@ -166,14 +168,21 @@ def _check_count(lam: Partition, m: int) -> int:
     return count
 
 
-def _rows_below(upper: Row, v: int) -> Iterator[Row]:
+def _rows_below(upper: Row, v: int, total: int | None = None) -> Iterator[Row]:
     """The rows G[v] under G[v+1] = upper: those that interlace it,
-    upper[r+1] <= G[v][r] <= upper[r], and vanish from index v on."""
+    upper[r+1] <= G[v][r] <= upper[r], and vanish from index v on. With a
+    total, only the rows that sum to it: the last free entry is solved from
+    the total and kept when it lies in its range."""
     n = len(upper)
     k = min(v, n)
     tail = (0,) * (n - k)
     ranges = [range(upper[r + 1] if r + 1 < n else 0, upper[r] + 1) for r in range(k)]
-    return (y + tail for y in product(*ranges))
+    if total is None:
+        return (y + tail for y in product(*ranges))
+    if not ranges:
+        return iter(() if total else (tail,))
+    last = ranges.pop()
+    return (y + (x,) + tail for y in product(*ranges) if (x := total - sum(y)) in last)
 
 
 def _patterns(
@@ -184,38 +193,33 @@ def _patterns(
     With a content mu (summing to |lam|), only the patterns of that content:
     those with |G[v]| = mu_1 + ... + mu_v at every level.
 
-    Depth first from G[m] = lam down, each G[v] over _rows_below(G[v+1], v).
-    The rows below each row are listed, and filtered by content, once. G[1]
-    is some (x, 0, ..., 0), so those rows are interned up front and each
-    list of them is a slice; with a content, x = mu_1."""
+    Depth first from G[m] = lam down, each G[v] over _rows_below(G[v+1], v),
+    with the content's sum at v. The rows below each row are listed once.
+    G[1] is some (x, 0, ..., 0), so those rows are interned up front and each
+    list of them is a slice, with x between (least, most): (0, lam_1), or
+    (mu_1, mu_1) with a content."""
     if len(lam) > m:
         return
     if not lam:
         yield (ids.setdefault((), len(ids)),) * (m + 1)
         return
     n = len(lam)
-    sums = None if mu is None else list(accumulate(mu, initial=0))
+    sums = [None] * m if mu is None else list(accumulate(mu, initial=0))
     listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
 
     def below(top: int, upper: Row, v: int) -> list[tuple[int, Row]]:
         out = listed.get((top, v))
         if out is None:
-            rows = _rows_below(upper, v)
-            if sums is not None:
-                rows = (x for x in rows if sum(x) == sums[v])
+            rows = _rows_below(upper, v, sums[v])
             out = listed[top, v] = [(ids.setdefault(x, len(ids)), x) for x in rows]
         return out
 
     tail = (0,) * (n - 1)
     firsts = [ids.setdefault((x,) + tail, len(ids)) for x in range(lam[0] + 1)]
+    least, most = (0, lam[0]) if mu is None else (mu[0], mu[0])
 
-    if mu is None:
-        def leaves(upper: Row) -> list[int]:
-            return firsts[upper[1] if n > 1 else 0:upper[0] + 1]
-    else:
-        def leaves(upper: Row) -> list[int]:
-            x = mu[0]
-            return firsts[x:x + 1] if (upper[1] if n > 1 else 0) <= x <= upper[0] else []
+    def leaves(upper: Row) -> list[int]:
+        return firsts[max(least, upper[1] if n > 1 else 0):min(most, upper[0]) + 1]
 
     g = [firsts[0]] + [0] * m
     g[m] = ids.setdefault(lam, len(ids))
@@ -274,9 +278,8 @@ def _content_count(lam: Partition, mu: tuple[int, ...]) -> int:
     for v in range(len(mu) - 1, -1, -1):
         level: dict[Row, int] = {}
         for upper, w in ways.items():
-            for x in _rows_below(upper, v):
-                if sum(x) == sums[v]:
-                    level[x] = level.get(x, 0) + w
+            for x in _rows_below(upper, v, sums[v]):
+                level[x] = level.get(x, 0) + w
         ways = level
     return sum(ways.values())
 
@@ -332,71 +335,45 @@ def _from_gt(g: list[Row], m: int) -> Tableau:
     return t
 
 
-def _free(lo: Row, row: Row, hi: Row) -> list[int]:
-    """The bracket pass of s_i, e_i and f_i, row by row: per row, the i's
-    that no i+1 matches. With lo, row, hi the GT rows G[i-1], G[i], G[i+1],
-    tableau row r holds row[r] - lo[r] i's followed by hi[r] - row[r]
-    i+1's. The reading word takes the rows bottom row first; each i+1 opens
-    a bracket and each i closes an open one, so a row's i's first close the
-    brackets still open below it, and the rest are free: its rightmost
-    i's."""
-    free = [0] * len(row)
-    open_below = 0
-    for r in range(len(row) - 1, -1, -1):
-        a = row[r] - lo[r]
-        if a > open_below:
-            free[r] = a - open_below
-            open_below = 0
-        else:
-            open_below -= a
-        open_below += hi[r] - row[r]
-    return free
-
-
-def _opened(lo: Row, row: Row, hi: Row) -> list[int]:
-    """Per row, the i+1's that no i matches: the same pass read backwards,
-    top row first, where a row's i+1's first close the i's left over above
-    it, and the rest stay open: its leftmost i+1's."""
-    opened = [0] * len(row)
-    left_above = 0
-    for r in range(len(row)):
-        b = hi[r] - row[r]
-        if b > left_above:
-            opened[r] = b - left_above
-            left_above = 0
-        else:
-            left_above -= b
-        left_above += row[r] - lo[r]
-    return opened
-
-
 def _reflect_row(lo: Row, row: Row, hi: Row, k: int | None = None) -> Row | None:
     """The signature move on G[i]: k > 0 turns the last k free i's of the
-    reading word, top rows first, into i+1, and k < 0 the first -k unmatched
-    i+1's, bottom rows first, into i; None when fewer are unmatched. f_i is
-    k = 1 and e_i k = -1. s_i (k None) turns the unmatched i^a (i+1)^b into
-    i^b (i+1)^a, with k = a - b the count of i's minus that of i+1's."""
+    reading word into i+1, and k < 0 the first -k unmatched i+1's into i;
+    None when fewer are unmatched. f_i is k = 1 and e_i k = -1. s_i (k None)
+    turns the unmatched i^a (i+1)^b into i^b (i+1)^a, with k = a - b.
+
+    With lo, row, hi the GT rows G[i-1], G[i], G[i+1], tableau row r holds
+    row[r] - lo[r] i's followed by hi[r] - row[r] i+1's. One bracket pass
+    finds each row's unmatched letters. For k > 0 it reads the rows bottom
+    row first, as the reading word does: a row's i's close the brackets that
+    the i+1's below opened, and the rest are free, its rightmost i's. For
+    k < 0 it reads them top row first with the roles swapped, leaving a
+    row's leftmost i+1's open. The letters are then turned taking the rows
+    in the opposite order."""
     if k is None:
         k = 2 * sum(row) - sum(lo) - sum(hi)
         if k == 0:
             return row
+    n = len(row)
+    order = range(n - 1, -1, -1) if k > 0 else range(n)
+    unmatched = [0] * n
+    waiting = 0
+    for r in order:
+        closing, opening = row[r] - lo[r], hi[r] - row[r]
+        if k < 0:
+            closing, opening = opening, closing
+        if closing > waiting:
+            unmatched[r], waiting = closing - waiting, opening
+        else:
+            waiting += opening - closing
+    step, k = (1, k) if k > 0 else (-1, -k)
     out = list(row)
-    if k > 0:
-        for r, a in enumerate(_free(lo, row, hi)):
-            if a >= k:
-                out[r] -= k
-                return tuple(out)
-            out[r] -= a
-            k -= a
-    else:
-        k = -k
-        opened = _opened(lo, row, hi)
-        for r in range(len(out) - 1, -1, -1):
-            if opened[r] >= k:
-                out[r] += k
-                return tuple(out)
-            out[r] += opened[r]
-            k -= opened[r]
+    for r in reversed(order):
+        x = unmatched[r]
+        if x >= k:
+            out[r] -= step * k
+            return tuple(out)
+        out[r] -= step * x
+        k -= x
     return None
 
 
@@ -489,6 +466,7 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     lam = as_partition(lam)
     if m < 1:
         raise ValueError("m must be positive")
+    _check_letters(lam, m)
     size = sum(lam)
     if size % m:
         raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
@@ -511,6 +489,7 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     lam = as_partition(lam)
     if m < 1:
         raise ValueError("m must be positive")
+    _check_letters(lam, m)
     size = sum(lam)
     if size % m:
         return []
@@ -701,7 +680,9 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     if action == "c":
         contents = _periodic_contents(lam, m)
         starts = chain.from_iterable(_patterns(lam, m, ids, mu) for mu in contents)
-        expected = sum(_content_count(lam, mu) for mu in contents)
+        # a Kostka number keeps its value when the content is rearranged
+        count_of = functools.cache(lambda sorted_mu: _content_count(lam, sorted_mu))
+        expected = sum(count_of(tuple(sorted(mu, reverse=True))) for mu in contents)
         longest = m
     else:
         starts, expected, longest = _patterns(lam, m, ids), count, count

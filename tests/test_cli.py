@@ -464,6 +464,33 @@ class TestOrderCap:
         assert "1000001" in err and "order cap 1000000" in err
 
 
+class TestLetterCap:
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize(
+        "argv, shape",
+        [
+            (["crystal", "1", "orbits", "-m", HUGE], "(1,)"),
+            (["crystal", "1", "csp", "-m", HUGE], "(1,)"),
+            (["crystal", "0", "fixed", "-m", HUGE], "()"),
+            (["csp-check", "2,1", "-m", HUGE], "(2, 1)"),
+            (["specialize", "2,1,1", "-m", HUGE], "(2, 1, 1)"),
+            (["sweep", "--max-size", "1", "--m", HUGE], "()"),
+        ],
+    )
+    def test_every_letter_count_is_capped(self, argv, shape):
+        code, out, err = run_cli(*argv)
+        assert code == 4 and not out
+        assert err == f"error: shape {shape} on {self.HUGE} letters: above the letter cap 100000\n"
+
+    def test_huge_orbit_formula_order_exits_4_at_once(self):
+        start = time.perf_counter()
+        code, out, err = run_cli("orbit-formula", "2", self.HUGE)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and not out
+        assert f"order n = {self.HUGE}: above the order cap 1000000" in err
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -20,7 +20,7 @@ from crystal_sieve.csp import (
 from crystal_sieve.cartan import build_cartan_datum, gl_weight
 from crystal_sieve.errors import ConditionViolated, ResourceLimit
 from crystal_sieve.partitions import partitions_up_to
-from crystal_sieve.qdim import congruence, kappa, principal_specialization
+from crystal_sieve.qdim import congruence, kappa, predicted_orbit_counts, principal_specialization
 from crystal_sieve import qpoly
 from crystal_sieve.qpoly import IntPoly, cyclotomic, divisors, eval_root_of_unity, mobius, rem_mod
 from crystal_sieve.tableaux import enumerate_ssyt, orbit_census
@@ -216,6 +216,11 @@ class TestCensusVsA:
         with pytest.raises(ConditionViolated):
             census_vs_a((2,), 1)
 
+    def test_cycle_length_off_the_order(self):
+        # promotion on (6, 3) with 3 letters has cycles longer than 3
+        with pytest.raises(ConditionViolated, match="a cycle length does not divide the order 3"):
+            census_vs_a((6, 3), 3, "pr")
+
 
 class TestOrbitFormula:
     def test_values(self):
@@ -245,6 +250,15 @@ class TestOrbitFormula:
         for a in range(0, 6):
             assert orbit_formula(a, 2) == a
             assert orbit_formula(a, 3) == 3 * a * (a + 1) // 2
+
+    def test_equals_the_predicted_orbit_counts(self):
+        for a in range(0, 5):
+            for d in range(2, 13):
+                assert orbit_formula(a, d) == predicted_orbit_counts((a * d,), d, d)[d]
+
+    def test_order_is_capped_first(self):
+        with pytest.raises(ResourceLimit, match="order n = 1000001: above the order cap 1000000"):
+            orbit_formula(2, 10**6 + 1)
 
 
 class TestRectCharacterization:

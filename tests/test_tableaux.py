@@ -68,6 +68,12 @@ class TestTableauType:
             Tableau(((1, 3),), 2)
         with pytest.raises(ConditionViolated, match="row 2 longer than the row above"):
             Tableau(((1,), (2, 2)), 2)
+        with pytest.raises(ConditionViolated, match="empty row"):
+            Tableau(((),), 2)
+
+    def test_rejects_no_letters(self):
+        with pytest.raises(ValueError, match="entry bound m must be positive"):
+            Tableau((), 0)
 
     def test_hashable_and_frozen(self):
         t = tab("1,2", 2)
@@ -161,6 +167,19 @@ class TestKostka:
         with pytest.raises(ConditionViolated, match="content sums to 1"):
             kostka((2,), (1,))
 
+    def test_negative_multiplicity(self):
+        with pytest.raises(ValueError, match=r"negative multiplicity in \(3, -1\)"):
+            kostka((2,), (3, -1))
+
+    @pytest.mark.parametrize("upper", [(), (3,), (4, 2), (5, 3, 3, 1), (6, 4, 2, 2, 0)])
+    def test_rows_below_with_a_total_are_the_rows_of_that_sum(self, upper):
+        from crystal_sieve.tableaux import _rows_below
+
+        for v in range(len(upper) + 2):
+            rows = list(_rows_below(upper, v))
+            for total in range(-1, sum(upper) + 2):
+                assert list(_rows_below(upper, v, total)) == [x for x in rows if sum(x) == total]
+
 
 class TestCrystalOperators:
     def test_chain_on_one_row(self):
@@ -212,17 +231,22 @@ class TestCrystalOperators:
     @pytest.mark.parametrize("m", [2, 3])
     def test_string_lengths_match_weight(self, m):
         # phi - epsilon must equal the i-th weight coordinate c_i - c_{i+1}
+        # a string never visits a tableau twice, so each walk is bounded by
+        # the crystal's size and fails, rather than hangs, past it
         for lam in partitions_up_to(5, max_parts=m):
-            for t in enumerate_ssyt(lam, m):
+            tabs = enumerate_ssyt(lam, m)
+            for t in tabs:
                 for i in range(1, m):
                     phi = 0
                     cur = t
                     while (nxt := crystal_f(i, cur)) is not None:
                         phi, cur = phi + 1, nxt
+                        assert phi < len(tabs), f"f_{i} string from {t} does not end"
                     eps = 0
                     cur = t
                     while (nxt := crystal_e(i, cur)) is not None:
                         eps, cur = eps + 1, nxt
+                        assert eps < len(tabs), f"e_{i} string from {t} does not end"
                     c = t.content()
                     assert phi - eps == c[i - 1] - c[i]
 
@@ -299,6 +323,10 @@ class TestCycleOperator:
     def test_unknown_action(self):
         with pytest.raises(ValueError):
             orbit_census((2,), 2, action="rot")
+
+    def test_census_needs_two_letters(self):
+        with pytest.raises(ValueError, match="at least two letters"):
+            orbit_census((1,), 1)
 
     def test_census_cap(self, monkeypatch):
         monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "10")
@@ -405,14 +433,18 @@ class TestCycleOperator:
     @pytest.mark.parametrize("lam, m", [((6, 3, 3), 6), ((4, 4, 2, 2), 6), ((3, 3, 2), 8)])
     def test_census_equals_the_cycles_of_c_action(self, lam, m):
         # between them, orbits of every size that divides m
+        # each walk is bounded by the crystal's size, so a c that is not a
+        # bijection fails rather than hangs
         seen = set()
         sizes: dict[int, int] = {}
-        for t in enumerate_ssyt(lam, m):
+        tabs = enumerate_ssyt(lam, m)
+        for t in tabs:
             if t in seen:
                 continue
             cur, length = c_action(t), 1
             seen.add(t)
             while cur != t:
+                assert length < len(tabs), f"c does not return to {t}"
                 seen.add(cur)
                 cur, length = c_action(cur), length + 1
             sizes[length] = sizes.get(length, 0) + 1
@@ -487,6 +519,13 @@ class TestFixedPoints:
     def test_letter_count_must_be_positive(self, lam, m):
         with pytest.raises(ValueError, match="m must be positive"):
             fixed_points(lam, m)
+
+    @pytest.mark.parametrize("call", [fixed_points, ssyt_count, enumerate_ssyt, superstandard])
+    def test_letter_count_is_capped(self, call):
+        from crystal_sieve.qpoly import MAX_LETTERS
+
+        with pytest.raises(ResourceLimit, match=rf"shape \(\) on {MAX_LETTERS + 1} letters: above the letter cap"):
+            call((), MAX_LETTERS + 1)
 
     @pytest.mark.parametrize("call, lam", [(superstandard, (2,)), (enumerate_ssyt, (1,))])
     def test_other_calls_check_the_letter_count_first(self, call, lam):
