@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConditionViolated, InvalidRank
-from .partitions import Partition, as_partition
+from .partitions import Partition, _beta_numbers, _on_letters
 
 Root = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -245,12 +245,9 @@ def is_dominant(lam: Weight) -> bool:
 
 def gl_weight(lam: Partition | tuple[int, ...], m: int) -> Weight:
     """Fundamental coordinates of a partition viewed as a weight for m letters:
-    coordinate i is lam_i - lam_(i+1) after padding with zeros to length m.
+    coordinate i is lam_i - lam_(i+1) = b_i - b_(i+1) - 1 for the beta numbers b.
 
     The result has m - 1 coordinates and is always dominant.
     """
-    lam = as_partition(lam)
-    if len(lam) > m:
-        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
-    padded = lam + (0,) * (m - len(lam))
-    return tuple(padded[i] - padded[i + 1] for i in range(m - 1))
+    b = _beta_numbers(_on_letters(lam, m), m)
+    return tuple(b[i] - b[i + 1] - 1 for i in range(m - 1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, as_partition
+from .partitions import Partition, _on_letters, as_partition
 from .qdim import _fixed_and_orbit_counts, _gl_exponents, kappa, predicted_orbit_counts, principal_specialization
 from .qpoly import IntPoly, _mobius_sums, check_order, divisors, root_values
 from .tableaux import OrbitCensus, orbit_census
@@ -189,7 +189,7 @@ def orbit_formula(a: int, d: int) -> int:
     if a < 0 or d <= 0:
         raise ValueError("need a >= 0 and d > 0")
     check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
-    return _fixed_and_orbit_counts(*_gl_exponents(as_partition((a * d,)), d), d)[1][d]
+    return _fixed_and_orbit_counts(*_gl_exponents(_on_letters((a * d,), d), d), d)[1][d]
 
 
 class RectVerdict(NamedTuple):
@@ -240,18 +240,18 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     value at a primitive p-th root of unity is 0 exactly when Phi_p divides.
     The two sides are computed independently and cross-asserted.
     action_exists reports whether an order-p cyclic action realizes that
-    unnormalized specialization.
+    unnormalized specialization. An order p above MAX_ORDER raises
+    ResourceLimit before the primality test.
     """
-    lam = as_partition(lam)
+    lam = _on_letters(lam, m)
+    check_order(p, lambda: f"prime criterion of shape {lam} on {m} letters")
     if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise ConditionViolated(f"{p} is not prime")
     if p < m:
         raise ConditionViolated(f"prime {p} is below the letter count {m}")
-    if len(lam) > m:
-        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
-    padded = lam + (0,) * (m - len(lam))
-    marks = [(padded[i] - (i + 1)) % p for i in range(m)]
-    residues_collide = len(set(marks)) < m
+    # lam_i - i = lam_j - j mod p is p | b_i - b_j for the beta numbers b;
+    # the pairs _gl_exponents leaves out differ by j - i < m <= p
+    residues_collide = any(x % p == 0 for x in _gl_exponents(lam, m)[0])
 
     schur = principal_specialization(lam, m).shift(kappa(lam))
     aa = aa_criterion(schur, p)

@@ -1,10 +1,18 @@
-"""Integer partition helpers shared by the weight, q-dimension, and tableau layers."""
+"""Integer partitions, and how a shape sits on m letters: every type-A entry
+point passes its shape through one gate, ``_on_letters``, and reads what it
+needs of it off one list, ``_beta_numbers``."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from .errors import ConditionViolated, ResourceLimit
+
 Partition = tuple[int, ...]
+
+# Largest number of letters m of a type-A shape, checked before any m-tuple
+# is built; ssyt_count of (1,) on m letters takes seconds at m = 100,000.
+MAX_LETTERS = 100_000
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -13,15 +21,35 @@ def as_partition(parts: Iterable[int]) -> Partition:
     Trailing zeros are stripped; anything else out of order or nonpositive
     raises ValueError.
     """
-    p = tuple(int(x) for x in parts)
+    p = list(map(int, parts))
     while p and p[-1] == 0:
-        p = p[:-1]
+        p.pop()
+    p = tuple(p)
     for k, part in enumerate(p):
         if part <= 0:
             raise ValueError(f"part {part} is not positive in {p}")
         if k and p[k - 1] < part:
             raise ValueError(f"parts not weakly decreasing in {p}")
     return p
+
+
+def _on_letters(parts: Iterable[int], m: int) -> Partition:
+    """The shape parts as a partition on m letters: ValueError unless m is
+    positive, ResourceLimit when m is above MAX_LETTERS."""
+    lam = as_partition(parts)
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m > MAX_LETTERS:
+        raise ResourceLimit(f"shape {lam} on {m} letters: above the letter cap {MAX_LETTERS}")
+    return lam
+
+
+def _beta_numbers(lam: Partition, m: int) -> tuple[int, ...]:
+    """The strictly decreasing l_k = lam_k + m - 1 - k, k = 0..m-1, of lam
+    padded to m rows; ConditionViolated when lam has more than m rows."""
+    if len(lam) > m:
+        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
+    return tuple(part + m - 1 - k for k, part in enumerate(lam + (0,) * (m - len(lam))))
 
 
 def dominates(lam: Partition, mu: Iterable[int]) -> bool:

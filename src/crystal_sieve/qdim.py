@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, as_partition
+from .partitions import Partition, _beta_numbers, _on_letters, as_partition
 from .qpoly import (
     MAX_DEGREE,
     ZERO,
     IntPoly,
     _check_degree,
-    _check_letters,
     _orbits_from_fixed,
     _residue,
     check_order,
@@ -231,33 +230,34 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     the value at 1 counts semistandard fillings. A degree above MAX_DEGREE
     raises ResourceLimit.
     """
-    lam = as_partition(lam)
+    lam = _on_letters(lam, m)
     nums, dens = _gl_exponents(lam, m)
     _check_degree(sum(nums) - sum(dens), f"principal specialization of shape {lam} on {m} letters")
     return q_ratio(nums, dens)
 
 
 def _gl_exponents(lam: Partition, m: int):
-    """l_i - l_j over j - i for the rows i < j of lam padded to m, with
-    l_i = lam_i + m - i: the exponents of the q-dimension of A_(m-1) at
-    ``gl_weight(lam, m)``, read off the shape. Only the pairs with unequal
-    padded parts are listed, so i < len(lam); every other pair has
-    num = den and cancels. An m above MAX_LETTERS raises ResourceLimit."""
-    _check_letters(lam, m)
-    if len(lam) > m:
-        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
-    padded = lam + (0,) * (m - len(lam))
-    pairs = [(i, j) for i in range(len(lam)) for j in range(i + 1, m) if padded[i] != padded[j]]
-    return [padded[i] - padded[j] + j - i for i, j in pairs], [j - i for i, j in pairs]
+    """The exponents of the q-dimension of A_(m-1) at ``gl_weight(lam, m)``,
+    read off the shape: b_i - b_j over j - i for i < j and the beta numbers
+    b of lam on m letters. Only the pairs with b_i - b_j != j - i are
+    listed, so i < len(lam); every other pair has num = den and cancels."""
+    b = _beta_numbers(lam, m)
+    nums, dens = [], []
+    for i, x in enumerate(b[:len(lam)]):
+        for d, y in enumerate(b[i + 1:], 1):
+            if x - y != d:
+                nums.append(x - y)
+                dens.append(d)
+    return nums, dens
 
 
 def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | None:
     """The ``orbit_counts`` of A_(m-1) at ``gl_weight(lam, m)`` and order n,
     with their order and degree caps, read off the shape's exponents; None
     when m < 2 or n fails to divide some difference of padded parts."""
+    lam = _on_letters(lam, m)
     if m < 2:
         return None
-    lam = as_partition(lam)
     nums, dens = _gl_exponents(lam, m)
     if not _divisible(nums, dens, n):
         return None

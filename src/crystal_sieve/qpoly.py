@@ -28,10 +28,6 @@ from .errors import ConditionViolated, InternalError, ResourceLimit
 # (6,3,3) with 6 letters.
 MAX_ORDER = 1_000_000
 
-# Largest number of letters m of a type-A shape, checked before any m-tuple
-# is built; ssyt_count of (1,) on m letters takes seconds at m = 100,000.
-MAX_LETTERS = 100_000
-
 # Largest degree of a parsed polynomial and of the output of qdim, qdim_dual,
 # principal_specialization and congruence; A20 at weight 12^20 has degree
 # 18,480.
@@ -257,12 +253,6 @@ def _check_degree(degree: int, what: str) -> None:
     """ResourceLimit when degree is above MAX_DEGREE; what names the input."""
     if degree > MAX_DEGREE:
         raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
-
-
-def _check_letters(lam: tuple[int, ...], m: int) -> None:
-    """ResourceLimit when m, the letters of shape lam, is above MAX_LETTERS."""
-    if m > MAX_LETTERS:
-        raise ResourceLimit(f"shape {lam} on {m} letters: above the letter cap {MAX_LETTERS}")
 
 
 def poly_to_json_coeffs(f: IntPoly) -> list[str]:

@@ -50,9 +50,9 @@ from itertools import accumulate, chain, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, as_partition
+from .partitions import Partition, _beta_numbers, _on_letters, as_partition
 from .qdim import _gl_exponents
-from .qpoly import _check_letters, divisors, q_ratio_at_one
+from .qpoly import divisors, q_ratio_at_one
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
@@ -153,9 +153,7 @@ class Tableau:
 def ssyt_count(lam: Partition, m: int) -> int:
     """Number of semistandard fillings, by the Weyl dimension product
     over pairs of padded rows. Zero when the shape has too many rows."""
-    lam = as_partition(lam)
-    if m < 1:
-        raise ValueError("m must be positive")
+    lam = _on_letters(lam, m)
     if len(lam) > m:
         return 0
     return q_ratio_at_one(*_gl_exponents(lam, m))
@@ -463,15 +461,11 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     Column strictness can genuinely fail for shapes outside the uniform
     regime; that surfaces as ConditionViolated rather than being patched.
     """
-    lam = as_partition(lam)
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_letters(lam, m)
+    lam = _on_letters(lam, m)
     size = sum(lam)
     if size % m:
         raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
-    if len(lam) > m:
-        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} letters")
+    _beta_numbers(lam, m)  # refuses more than m rows
     k = size // m
     entries = [v for v in range(1, m + 1) for _ in range(k)]
     rows = []
@@ -486,10 +480,7 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     """All tableaux of uniform content (|lam|/m, ..., |lam|/m), in canonical
     order; empty when m does not divide |lam|. These are exactly the fixed
     points of the cycle operator."""
-    lam = as_partition(lam)
-    if m < 1:
-        raise ValueError("m must be positive")
-    _check_letters(lam, m)
+    lam = _on_letters(lam, m)
     size = sum(lam)
     if size % m:
         return []
@@ -507,18 +498,20 @@ class MCoreResult(NamedTuple):
 def m_core(lam: Partition, m: int) -> MCoreResult:
     """Core of the partition on the m-runner abacus.
 
-    Beta-numbers are lam_k + m - k for the shape padded to m rows. The core
-    is empty exactly when the beta residues mod m are pairwise distinct; in
+    The runners hold the beta numbers of the shape on m letters. The core
+    is empty exactly when their residues mod m are pairwise distinct; in
     that case sign is the sign of the permutation taking those residues to
     (m-1, ..., 1, 0), and otherwise None.
     """
-    lam = as_partition(lam)
-    if len(lam) > m:
-        raise ConditionViolated(f"{len(lam)} parts will not fit into {m} runners")
-    padded = lam + (0,) * (m - len(lam))
-    beta = [padded[k] + m - 1 - k for k in range(m)]
-    residues = [b % m for b in beta]
-    is_empty = len(set(residues)) == m
+    lam = _on_letters(lam, m)
+    residues = [b % m for b in _beta_numbers(lam, m)]
+    if len(set(residues)) == m:
+        # sort by transpositions, each of which puts one point in its place
+        perm, swaps = [m - 1 - r for r in residues], 0
+        for x in range(m):
+            while (y := perm[x]) != x:
+                perm[x], perm[y], swaps = perm[y], y, swaps + 1
+        return MCoreResult((), True, (-1) ** swaps)
 
     # slide beads down: on each runner keep as many beads, as low as possible
     per_runner = [0] * m
@@ -528,20 +521,7 @@ def m_core(lam: Partition, m: int) -> MCoreResult:
         (r + m * k for r in range(m) for k in range(per_runner[r])),
         reverse=True,
     )
-    core = tuple(core_beta[k] - (m - 1 - k) for k in range(m))
-    core = as_partition(core)
-
-    sign: int | None = None
-    if is_empty:
-        perm = [m - 1 - r for r in residues]
-        inversions = sum(
-            1
-            for x in range(m)
-            for y in range(x + 1, m)
-            if perm[x] > perm[y]
-        )
-        sign = -1 if inversions % 2 else 1
-    return MCoreResult(core, is_empty, sign)
+    return MCoreResult(as_partition(core_beta[k] - (m - 1 - k) for k in range(m)), False, None)
 
 
 @dataclass(frozen=True)
@@ -631,7 +611,7 @@ def _periodic_contents(lam: Partition, m: int) -> list[tuple[int, ...]]:
     ssyt_count of them. (k^m) arises from every e, so each content is kept
     once."""
     size = sum(lam)
-    bound = list(accumulate(lam[:m] + (0,) * (m - len(lam)), initial=0))
+    bound = list(accumulate(lam, initial=0))
     out = set()
     for e in divisors(m)[:-1]:
         n, r = divmod(e * size, m)
@@ -640,7 +620,7 @@ def _periodic_contents(lam: Partition, m: int) -> list[tuple[int, ...]]:
         reps = m // e
         # lam's partial sums are concave and mu's are linear across each
         # block of reps equal parts, so dominance need hold only at block ends
-        caps = [bound[k * reps] // reps for k in range(1, e + 1)]
+        caps = [bound[min(k * reps, len(lam))] // reps for k in range(1, e + 1)]
         for p in _partitions_under(caps, n):
             out.update(nu * reps for nu in _arrangements(p))
     return sorted(out)

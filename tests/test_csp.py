@@ -302,6 +302,9 @@ class TestPrimeCriterion:
             prime_specialization_criterion((2, 2), 3, 2)
         with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 letters"):
             prime_specialization_criterion((1, 1, 1), 2, 5)
+        # 10^18 + 3 is prime; the order cap refuses it before any trial division
+        with pytest.raises(ResourceLimit, match="above the order cap 1000000"):
+            prime_specialization_criterion((2,), 2, 10**18 + 3)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_divisibility_equals_collision_everywhere(self, p):

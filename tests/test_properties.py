@@ -1,10 +1,15 @@
-"""Property tests over random weights in every finite family."""
+"""Property tests over random weights in every finite family, and over
+shapes on any number of letters at every type-A entry point."""
 
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystal_sieve.cartan import build_cartan_datum, gl_weight
-from crystal_sieve.csp import predicted_orbit_counts
+from crystal_sieve.csp import orbit_formula, predicted_orbit_counts, prime_specialization_criterion
+from crystal_sieve.errors import ConditionViolated
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import (
     congruence,
@@ -14,7 +19,7 @@ from crystal_sieve.qdim import (
     qdim,
     weyl_dim,
 )
-from crystal_sieve.tableaux import ssyt_count
+from crystal_sieve.tableaux import fixed_points, m_core, ssyt_count, superstandard
 
 TYPES = ["A1", "A3", "A6", "B2", "B4", "C3", "C5", "D4", "D6", "E6", "E7", "F4", "G2"]
 
@@ -61,3 +66,32 @@ def test_type_a_shortcut_is_the_cartan_path(case, n):
     assert ssyt_count(lam, m) == weyl_dim(datum, weight)
     want = orbit_counts(datum, weight, n) if divisibility_condition(datum, weight, n) else None
     assert predicted_orbit_counts(lam, m, n) == want
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(list(partitions_up_to(6, max_parts=5))), st.integers(-2, 4))
+def test_every_type_a_entry_reads_the_shape_on_m_letters(lam, m):
+    if m <= 0:
+        calls = [
+            principal_specialization, ssyt_count, superstandard, fixed_points, m_core, gl_weight,
+            lambda lam, m: predicted_orbit_counts(lam, m, 2),
+            lambda lam, m: prime_specialization_criterion(lam, m, 5),
+            lambda lam, m: orbit_formula(sum(lam), m),
+        ]
+        for call in calls:
+            # orbit_formula words its own check of a and d
+            with pytest.raises(ValueError, match=r"m must be positive|and d > 0"):
+                call(lam, m)
+    elif len(lam) > m:
+        assert ssyt_count(lam, m) == 0
+        assert fixed_points(lam, m) == []
+        # superstandard asks first whether m divides |lam|
+        fits = [principal_specialization, gl_weight, m_core] + ([superstandard] if sum(lam) % m == 0 else [])
+        for call in fits:
+            with pytest.raises(ConditionViolated, match=re.escape(f"{len(lam)} parts will not fit into {m} letters")):
+                call(lam, m)
+        if sum(lam) % m:
+            with pytest.raises(ConditionViolated, match=re.escape(f"{m} does not divide")):
+                superstandard(lam, m)
+    else:
+        assert principal_specialization(lam, m)(1) == ssyt_count(lam, m)

@@ -10,8 +10,10 @@ import time
 
 import pytest
 
+from crystal_sieve.cartan import gl_weight
+from crystal_sieve.csp import orbit_formula, predicted_orbit_counts, prime_specialization_criterion
 from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
-from crystal_sieve.partitions import partitions_of, partitions_up_to
+from crystal_sieve.partitions import MAX_LETTERS, partitions_of, partitions_up_to
 from crystal_sieve.qdim import kappa, principal_specialization
 from crystal_sieve.qpoly import eval_root_of_unity
 from crystal_sieve.tableaux import (
@@ -35,6 +37,22 @@ from crystal_sieve.tableaux import (
 
 def tab(text, m):
     return Tableau.from_text(text, m)
+
+
+# every type-A entry point as a call (lam, m); orbit_formula(a, d) is the
+# one-row shape (a*d) on d letters
+TYPE_A_ENTRIES = [
+    ssyt_count,
+    enumerate_ssyt,
+    superstandard,
+    fixed_points,
+    m_core,
+    principal_specialization,
+    gl_weight,
+    pytest.param(lambda lam, m: predicted_orbit_counts(lam, m, 2), id="predicted_orbit_counts"),
+    pytest.param(lambda lam, m: prime_specialization_criterion(lam, m, 3), id="prime_specialization_criterion"),
+    pytest.param(lambda lam, m: orbit_formula(sum(lam), m), id="orbit_formula"),
+]
 
 
 class TestTableauType:
@@ -515,15 +533,15 @@ class TestFixedPoints:
         assert [t.to_text() for t in fixed_points((2, 2), 2)] == ["1,1/2,2"]
         assert fixed_points((2, 1, 1), 2) == []
 
+    @pytest.mark.parametrize("call", TYPE_A_ENTRIES)
     @pytest.mark.parametrize("lam, m", [((2,), 0), ((1,), -1)])
-    def test_letter_count_must_be_positive(self, lam, m):
-        with pytest.raises(ValueError, match="m must be positive"):
-            fixed_points(lam, m)
+    def test_letter_count_must_be_positive(self, lam, m, call):
+        # orbit_formula words its own check of a and d
+        with pytest.raises(ValueError, match=r"m must be positive|and d > 0"):
+            call(lam, m)
 
-    @pytest.mark.parametrize("call", [fixed_points, ssyt_count, enumerate_ssyt, superstandard])
+    @pytest.mark.parametrize("call", TYPE_A_ENTRIES)
     def test_letter_count_is_capped(self, call):
-        from crystal_sieve.qpoly import MAX_LETTERS
-
         with pytest.raises(ResourceLimit, match=rf"shape \(\) on {MAX_LETTERS + 1} letters: above the letter cap"):
             call((), MAX_LETTERS + 1)
 
@@ -599,8 +617,13 @@ class TestMCore:
         assert m_core((3, 1), 2) == ((), True, -1)
         assert m_core((1,), 2) == ((1,), False, None)
         assert m_core((), 3) == ((), True, 1)
+        # the sign sorts by transpositions, not by counting inversions: linear in m
+        start = time.perf_counter()
+        assert m_core((), MAX_LETTERS) == ((), True, 1)
+        assert m_core((1,), MAX_LETTERS) == ((1,), False, None)
+        assert time.perf_counter() - start < 5
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_against_border_strip_removal(self, m):
         for lam in partitions_up_to(7, max_parts=m):
             core, sign = border_strip_core(lam, m)
@@ -610,7 +633,7 @@ class TestMCore:
             assert got.sign == (sign if core == () else None)
 
     def test_too_many_rows(self):
-        with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 runners"):
+        with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 letters"):
             m_core((1, 1, 1), 2)
 
     @pytest.mark.parametrize("m", [2, 3])
