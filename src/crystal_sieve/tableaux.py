@@ -8,10 +8,11 @@ The public type is the validated, immutable ``Tableau`` of row tuples with
 pattern, the rows G[0..m] with G[v][r] the number of entries <= v in row r;
 G[v] interlaces G[v+1], and |G[v]| - |G[v-1]| is the number of v's. One
 enumerator, ``_patterns``, lists the patterns of a shape depth first from
-G[m] = lam down, optionally only those of a given content, whose partial
-sums the row lister ``_rows_below`` applies. Enumeration and fixed points
-convert its patterns to ``Tableau``; the Kostka number counts the patterns
-of a content level by level and lists none.
+G[m] = lam down in one loop, optionally only those of a given content; the
+row lister ``_rows_below`` yields only rows that interlace and applies the
+content's partial sums. Enumeration and fixed points convert its patterns
+to ``Tableau``; the Kostka number counts the patterns of a content level by
+level and lists none.
 
 The reflection s_i, the raising and lowering operators e_i and f_i and the
 Bender-Knuth involution t_i change only G[i], and the new G[i] depends only
@@ -107,6 +108,7 @@ class Tableau:
                     raise ConditionViolated(f"row {r + 1} decreases at column {c + 1}")
                 if r and self.rows[r - 1][c] >= v:
                     raise ConditionViolated(f"column {c + 1} not strict at row {r + 1}")
+        _on_letters(self.shape, self.m)
 
     @property
     def shape(self) -> Partition:
@@ -168,10 +170,13 @@ def _check_count(lam: Partition, m: int) -> int:
 
 def _rows_below(upper: Row, v: int, total: int | None = None) -> Iterator[Row]:
     """The rows G[v] under G[v+1] = upper: those that interlace it,
-    upper[r+1] <= G[v][r] <= upper[r], and vanish from index v on. With a
-    total, only the rows that sum to it: the last free entry is solved from
-    the total and kept when it lies in its range."""
+    upper[r+1] <= G[v][r] <= upper[r], and vanish from index v on, so none
+    when upper has a part at index v + 1. With a total, only the rows that
+    sum to it: the last free entry is solved from the total and kept when
+    it lies in its range."""
     n = len(upper)
+    if v + 1 < n and upper[v + 1]:
+        return iter(())
     k = min(v, n)
     tail = (0,) * (n - k)
     ranges = [range(upper[r + 1] if r + 1 < n else 0, upper[r] + 1) for r in range(k)]
@@ -191,17 +196,11 @@ def _patterns(
     With a content mu (summing to |lam|), only the patterns of that content:
     those with |G[v]| = mu_1 + ... + mu_v at every level.
 
-    Depth first from G[m] = lam down, each G[v] over _rows_below(G[v+1], v),
-    with the content's sum at v. The rows below each row are listed once.
-    G[1] is some (x, 0, ..., 0), so those rows are interned up front and each
-    list of them is a slice, with x between (least, most): (0, lam_1), or
-    (mu_1, mu_1) with a content."""
-    if len(lam) > m:
-        return
-    if not lam:
-        yield (ids.setdefault((), len(ids)),) * (m + 1)
-        return
-    n = len(lam)
+    One loop, depth first from G[m] = lam down: each G[v] runs over
+    _rows_below(G[v+1], v) with the content's sum at v, listed once per row
+    above. Only interlacing rows are listed, so a shape with more than m
+    rows has no pattern. Every G[1] is some (x, 0, ..., 0) above the zero
+    row G[0], so the loop yields at v = 1 (at v = 0 on one letter)."""
     sums = [None] * m if mu is None else list(accumulate(mu, initial=0))
     listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
 
@@ -212,22 +211,8 @@ def _patterns(
             out = listed[top, v] = [(ids.setdefault(x, len(ids)), x) for x in rows]
         return out
 
-    tail = (0,) * (n - 1)
-    firsts = [ids.setdefault((x,) + tail, len(ids)) for x in range(lam[0] + 1)]
-    least, most = (0, lam[0]) if mu is None else (mu[0], mu[0])
-
-    def leaves(upper: Row) -> list[int]:
-        return firsts[max(least, upper[1] if n > 1 else 0):min(most, upper[0]) + 1]
-
-    g = [firsts[0]] + [0] * m
+    g = [ids.setdefault((0,) * len(lam), len(ids))] + [0] * m
     g[m] = ids.setdefault(lam, len(ids))
-    if m == 1:
-        yield tuple(g)
-        return
-    if m == 2:
-        for g[1] in leaves(lam):
-            yield tuple(g)
-        return
     stack = [iter(below(g[m], lam, m - 1))]
     while stack:
         nxt = next(stack[-1], None)
@@ -236,11 +221,10 @@ def _patterns(
             continue
         v = m - len(stack)
         g[v], row = nxt
-        if v > 2:
+        if v > 1:
             stack.append(iter(below(g[v], row, v - 1)))
         else:
-            for g[1] in leaves(row):
-                yield tuple(g)
+            yield tuple(g)
 
 
 def _tableaux(lam: Partition, m: int, mu: tuple[int, ...] | None = None) -> list[Tableau]:
@@ -269,8 +253,6 @@ def _content_count(lam: Partition, mu: tuple[int, ...]) -> int:
     """Number of GT patterns of shape lam and content mu (summing to
     |lam|), level by level from G[m] = lam down: a dict maps each row G[v]
     with |G[v]| = mu_1 + ... + mu_v to its number of ways down from lam."""
-    if len(lam) > len(mu):
-        return 0
     sums = list(accumulate(mu, initial=0))
     ways = {lam: 1}
     for v in range(len(mu) - 1, -1, -1):
@@ -393,32 +375,28 @@ def _bender_knuth_row(lo: Row, row: Row, hi: Row) -> Row:
     return tuple(out)
 
 
-def _check_index(i: int, m: int) -> None:
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"index {i} outside 1..{m - 1}")
-
-
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
     """Lowering operator: turns the rightmost unmatched i into i+1,
     or None when there is none."""
-    _check_index(i, t.m)
-    return _rewrite(functools.partial(_reflect_row, k=1), (i,), t)
+    return _rewrite(functools.partial(_reflect_row, k=1), t, i)
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
     """Raising operator: turns the leftmost unmatched i+1 into i,
     or None when there is none."""
-    _check_index(i, t.m)
-    return _rewrite(functools.partial(_reflect_row, k=-1), (i,), t)
+    return _rewrite(functools.partial(_reflect_row, k=-1), t, i)
 
 
-def _rewrite(rule: RowRule, indices, t: Tableau) -> Tableau | None:
-    """Apply the row rule to G[i] for each i in turn; None as soon as the
-    rule returns None."""
+def _rewrite(rule: RowRule, t: Tableau, i: int | None = None) -> Tableau | None:
+    """Apply the row rule to G[i], or to G[m-1], ..., G[1] in turn when i
+    is None; None as soon as the rule returns None. ValueError when i is
+    outside 1..m-1."""
+    if i is not None and not 1 <= i < t.m:
+        raise ValueError(f"index {i} outside 1..{t.m - 1}")
     g = _gt(t)
-    for i in indices:
-        g[i] = rule(g[i - 1], g[i], g[i + 1])
-        if g[i] is None:
+    for j in range(t.m - 1, 0, -1) if i is None else (i,):
+        g[j] = rule(g[j - 1], g[j], g[j + 1])
+        if g[j] is None:
             return None
     return _from_gt(g, t.m)
 
@@ -427,8 +405,7 @@ def weyl_s(i: int, t: Tableau) -> Tableau:
     """Simple reflection on the crystal: the lowering operator applied
     <h_i, wt> times when that pairing is nonnegative, else the raising
     operator as many times. An involution swapping the i and i+1 counts."""
-    _check_index(i, t.m)
-    return _rewrite(_reflect_row, (i,), t)
+    return _rewrite(_reflect_row, t, i)
 
 
 def c_action(t: Tableau) -> Tableau:
@@ -437,21 +414,20 @@ def c_action(t: Tableau) -> Tableau:
     whole crystal."""
     if t.m < 2:
         raise ValueError("the cycle operator needs at least two letters")
-    return _rewrite(_reflect_row, range(t.m - 1, 0, -1), t)
+    return _rewrite(_reflect_row, t)
 
 
 def bender_knuth(i: int, t: Tableau) -> Tableau:
     """Involution swapping the counts of i and i+1 row by row (see
     _bender_knuth_row)."""
-    _check_index(i, t.m)
-    return _rewrite(_bender_knuth_row, (i,), t)
+    return _rewrite(_bender_knuth_row, t, i)
 
 
 def promotion(t: Tableau) -> Tableau:
     """Product of the Bender-Knuth involutions, rightmost factor first."""
     if t.m < 2:
         raise ValueError("promotion needs at least two letters")
-    return _rewrite(_bender_knuth_row, range(t.m - 1, 0, -1), t)
+    return _rewrite(_bender_knuth_row, t)
 
 
 def superstandard(lam: Partition, m: int) -> Tableau:
@@ -462,10 +438,10 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     regime; that surfaces as ConditionViolated rather than being patched.
     """
     lam = _on_letters(lam, m)
+    _beta_numbers(lam, m)  # refuses more than m rows
     size = sum(lam)
     if size % m:
         raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
-    _beta_numbers(lam, m)  # refuses more than m rows
     k = size // m
     entries = [v for v in range(1, m + 1) for _ in range(k)]
     rows = []

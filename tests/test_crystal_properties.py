@@ -3,8 +3,9 @@ seven letters, against the row-based reference in ``reference_crystal`` and
 against the crystal's own relations."""
 
 from collections import Counter
+from itertools import product
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_crystal as ref
@@ -101,6 +102,16 @@ def test_reflections_satisfy_the_coxeter_relations(case):
 
 @SETTINGS
 @given(shapes())
+# one letter, the empty shape and shapes with more rows than letters go
+# through the enumerator's one loop like every other shape
+@example(((), 1))
+@example(((), 2))
+@example(((), 3))
+@example(((3,), 1))
+@example(((2, 1), 1))
+@example(((3, 1), 2))
+@example(((2, 1, 1), 2))
+@example(((1, 1, 1, 1), 3))
 def test_enumeration_is_canonical(case):
     lam, m = case
     tabs = enumerate_ssyt(lam, m)
@@ -110,8 +121,26 @@ def test_enumeration_is_canonical(case):
     by_content = Counter(t.content() for t in tabs)
     for mu, count in by_content.items():
         assert kostka(lam, mu) == count
+        assert tableaux._tableaux(lam, m, mu) == [t for t in tabs if t.content() == mu]
     uniform = [t for t in tabs if len(set(t.content())) == 1]
     assert fixed_points(lam, m) == (uniform if sum(lam) % m == 0 else [])
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 5), max_size=5), st.integers(0, 5), st.none() | st.integers(-1, 16))
+@example([2, 1, 1], 1, None)
+def test_rows_below_are_the_interlacing_rows(parts, v, total):
+    # every row in the box under upper that interlaces it, upper[r+1] <=
+    # x[r], and vanishes from index v on, with the total when there is one
+    upper = tuple(sorted(parts, reverse=True))
+    want = [
+        x
+        for x in product(*(range(p + 1) for p in upper))
+        if all(upper[r + 1] <= x[r] for r in range(len(upper) - 1))
+        and not any(x[v:])
+        and total in (None, sum(x))
+    ]
+    assert list(tableaux._rows_below(upper, v, total)) == want
 
 
 def reference_census(tabs, step):

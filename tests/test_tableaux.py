@@ -52,6 +52,8 @@ TYPE_A_ENTRIES = [
     pytest.param(lambda lam, m: predicted_orbit_counts(lam, m, 2), id="predicted_orbit_counts"),
     pytest.param(lambda lam, m: prime_specialization_criterion(lam, m, 3), id="prime_specialization_criterion"),
     pytest.param(lambda lam, m: orbit_formula(sum(lam), m), id="orbit_formula"),
+    # row r filled with r + 1: a tableau of the shape whenever it fits
+    pytest.param(lambda lam, m: Tableau(tuple((r + 1,) * p for r, p in enumerate(lam)), m), id="Tableau"),
 ]
 
 
@@ -223,12 +225,9 @@ class TestCrystalOperators:
     def test_index_range(self):
         t = tab("1,2", 3)
         for bad in (0, 3, -1):
-            with pytest.raises(ValueError):
-                crystal_f(bad, t)
-            with pytest.raises(ValueError):
-                crystal_e(bad, t)
-            with pytest.raises(ValueError):
-                weyl_s(bad, t)
+            for op in (crystal_f, crystal_e, weyl_s, bender_knuth):
+                with pytest.raises(ValueError, match=rf"index {bad} outside 1\.\.2"):
+                    op(bad, t)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_axioms_small_sweep(self, m):
