@@ -18,7 +18,7 @@ import sys
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
 from .csp import aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
-from .errors import CrystalSieveError, InternalError
+from .errors import CrystalSieveError, InternalError, ResourceLimit
 from .partitions import as_partition, partitions_up_to
 from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import fixed_points, orbit_census
@@ -227,7 +227,15 @@ def cmd_aa_check(args) -> int:
 
 def cmd_orbit_formula(args) -> int:
     value = orbit_formula(args.a, args.d)
-    _emit(args, {"a": args.a, "d": args.d, "orbits": str(value)}, str(value))
+    try:
+        text = str(value)
+    except ValueError:
+        # only interpreters with sys.get_int_max_str_digits refuse the conversion
+        raise ResourceLimit(
+            f"orbit count for a = {args.a}, d = {args.d} has more decimal digits than "
+            f"the integer string limit {sys.get_int_max_str_digits()}"
+        ) from None
+    _emit(args, {"a": args.a, "d": args.d, "orbits": text}, text)
     return 0
 
 

@@ -21,7 +21,8 @@ class ConditionViolated(CrystalSieveError):
 
 class ResourceLimit(CrystalSieveError):
     """Enumeration would exceed the configured element cap, a product the
-    polynomial degree cap, or an order the order cap."""
+    polynomial degree cap, an order the order cap, a Cartan type the rank
+    cap, or a printed count the interpreter's integer string limit."""
     exit_code = 4
 
 

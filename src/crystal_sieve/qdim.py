@@ -7,7 +7,11 @@ Every such product, and its value at q = 1, goes through the one exact
 routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q]:
 it checks that the quotient is a polynomial by counting cyclotomic factors,
 computes the lower half of its coefficients and mirrors them, since every
-such product is palindromic up to sign.
+such product is palindromic up to sign. The numerator of that lower half is
+one packed integer with a slot of w >= F + 2 bits per coefficient for F
+factors, which is exact because a product of F factors 1 - q^a has
+coefficient L1 norm at most 2^F; the denominators divide it out as running
+sums.
 The output degree is known from the exponents before any product work, and
 a degree above ``qpoly.MAX_DEGREE`` raises ResourceLimit.
 """

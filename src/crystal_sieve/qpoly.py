@@ -269,10 +269,19 @@ def q_ratio(nums, dens) -> IntPoly:
     multiples of e; otherwise InternalError names an e that fails, before
     any coefficient is computed. The quotient P of degree D satisfies
     P(q) = (-1)^(#nums - #dens) q^D P(1/q), so only its power series mod
-    q^(D//2 + 1) is computed: each numerator factor multiplies in place,
-    each denominator factor divides as a running sum with stride b, and an
-    exponent above D/2 is skipped. The upper coefficients are the mirror
-    image of the lower ones, negated when #nums - #dens is odd.
+    q^(h + 1), h = D//2, is computed, and an exponent above h is skipped.
+
+    The F numerator factors multiply as one packed integer with a w-bit slot
+    per coefficient (Kronecker substitution): times (1 - q^a) is one shift
+    and one subtraction, x - (x << a*w), cut back to h + 1 slots. q -> 2^w
+    maps Z[q]/(q^(h+1)) onto Z/2^((h+1)w) as rings, one-to-one on
+    coefficients below 2^(w-1) in absolute value, and the whole product of
+    F factors 1 - q^a has coefficient L1 norm at most 2^F, so every
+    truncated coefficient decodes exactly once w >= F + 2; w is that rounded
+    up to whole bytes. Each denominator exponent b then divides all
+    its copies in one pass per residue class mod b, as chained running sums.
+    The upper coefficients are the mirror image of the lower ones, negated
+    when #nums - #dens is odd.
     """
     count = Counter(nums)
     count.subtract(dens)
@@ -296,16 +305,27 @@ def q_ratio(nums, dens) -> IntPoly:
             )
     degree = sum(a * k for a, k in count.items())
     half = degree // 2
-    out = [1] + [0] * half
+    size = (sum(k for a, k in count.items() if k > 0 and a <= half) + 9) // 8
+    width = 8 * size
+    mask = (1 << (half + 1) * width) - 1
+    packed = 1
     for a, k in count.items():
         if a <= half:
             for _ in range(k):
-                out[a:] = list(map(operator.sub, out[a:], out))
+                packed = (packed - (packed << a * width)) & mask
+    # balanced decode: 2^(w-1) added to every slot makes each slot
+    # nonnegative, so no slot borrows from the next, and the xor leaves each
+    # coefficient in w-bit two's complement, read back one slot at a time
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * (half + 1), "little")
+    raw = (((packed + bias) & mask) ^ bias).to_bytes((half + 1) * size, "little")
+    out = [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
     for b, k in count.items():
-        if b <= half:
-            for _ in range(-k):
-                for r in range(b):
-                    out[r::b] = itertools.accumulate(out[r::b])
+        if k < 0 and b <= half:
+            for r in range(b):
+                chain = out[r::b]
+                for _ in range(-k):
+                    chain = itertools.accumulate(chain)
+                out[r::b] = chain
     mirror = out[:degree - half][::-1]
     if sum(count.values()) % 2:
         mirror = [-c for c in mirror]

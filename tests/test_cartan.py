@@ -5,9 +5,12 @@ Root counts are the classical ones (n(n+1)/2, n^2, n(n-1), 36, 63, 120, 24,
 of the simple reflection straight from the Cartan matrix.
 """
 
+import time
+
 import pytest
 
 from crystal_sieve.cartan import (
+    MAX_RANK,
     CartanType,
     build_cartan_datum,
     cartan_matrix,
@@ -20,7 +23,7 @@ from crystal_sieve.cartan import (
     root_norm,
     symmetrizers,
 )
-from crystal_sieve.errors import ConditionViolated, InvalidRank
+from crystal_sieve.errors import ConditionViolated, InvalidRank, ResourceLimit
 
 ALL_SMALL_TYPES = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
@@ -47,6 +50,16 @@ class TestCartanType:
         with pytest.raises(InvalidRank):
             CartanType("D", 3)
         assert CartanType("D", 4).rank == 4
+
+    def test_rank_cap(self):
+        # checked in the constructor, so no root of a refused type is built
+        assert CartanType("A", MAX_RANK).rank == MAX_RANK == 64
+        with pytest.raises(ResourceLimit, match=r"^A65: rank 65 is above the rank cap 64$"):
+            CartanType("A", MAX_RANK + 1)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimit, match="D1000000"):
+            build_cartan_datum("D1000000")
+        assert time.perf_counter() - start < 1
 
 
 class TestCartanMatrix:

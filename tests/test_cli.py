@@ -260,6 +260,32 @@ class TestOrbitFormula:
         code, _, err = run_cli("orbit-formula", "-1", "2")
         assert code == 2 and err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts integers of any length to text",
+    )
+    @pytest.mark.parametrize("d", ["7200", "20160"])
+    def test_count_past_the_digit_limit_exits_4(self, d):
+        # the count at d = 7,200 has 4,329 decimal digits, at 7,100 4,269
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("orbit-formula", "1", d)
+        assert code == 4 and not out
+        assert err == (
+            f"error: orbit count for a = 1, d = {d} has more decimal digits than "
+            f"the integer string limit {limit}\n"
+        )
+        assert run_cli("orbit-formula", "1", "7100")[0] == 0
+
+
+class TestRankCap:
+    @pytest.mark.parametrize("argv", [["qdim", "A100", "1,1"], ["roots", "C80"], ["congruence", "B65", "1", "-n", "2"]])
+    def test_rank_above_the_cap_exits_4_at_once(self, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1
+        assert code == 4 and not out
+        assert f"error: {argv[1]}: rank {argv[1][1:]} is above the rank cap 64" in err
+
 
 class TestSweep:
     def test_header_and_verdicts(self):

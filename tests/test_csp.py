@@ -230,6 +230,14 @@ class TestOrbitFormula:
         assert orbit_formula(0, 1) == 1
         assert orbit_formula(0, 3) == 0
 
+    def test_exact_past_the_digit_limit(self):
+        # the CLI refuses to print this count, the library returns it exactly:
+        # the fixed count of c^e on (a*d) on d letters is C(ae + e - 1, e - 1)
+        d = 7200
+        expected = sum(mobius(d // e) * math.comb(2 * e - 1, e - 1) for e in divisors(d)) // d
+        value = orbit_formula(1, d)
+        assert value == expected and value > 10**4300
+
     def test_validation(self):
         with pytest.raises(ValueError):
             orbit_formula(-1, 2)

@@ -7,6 +7,7 @@ checked by identities that tie independently computed quantities together
 values vs the b coefficients).
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -439,3 +440,39 @@ class TestDegreeCap:
     def test_degree_at_the_cap_is_allowed(self):
         f = qdim(build_cartan_datum("A1"), (MAX_DEGREE,))
         assert f.degree == MAX_DEGREE
+
+
+class TestGoldenProducts:
+    """SHA-256 digests of repr(coeffs) of large products, frozen from the
+    list-based product routine that preceded the packed numerator. F counts
+    the numerator factors below half the degree, so a slot of the packed
+    product takes 1 + (F + 1) // 64 words of 64 bits."""
+
+    @pytest.mark.parametrize(
+        "fn, args, digest",
+        [
+            # F = 110, degree 1,540: two words
+            (qdim, ("A20", (1,) * 20), "6c5eb46b93864aecee23cc58015ec3199edb66c7b7e321d2e7930d582f2e6203"),
+            # F = 157, degree 8,050: three words
+            (
+                qdim,
+                ("A20", (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4)),
+                "57a0872d4fbc219073365bfb26248d83a68cccc4a6b90cd304ab7d4ba5b4c000",
+            ),
+            # F = 240, degree 4,960: four words
+            (qdim, ("A30", (1,) * 30), "cae5ec011280cb3a4a4bdf17167075faa162f0658551d500629c108cccfa7fc4"),
+            # F = 64, degree 1,240: right past one word
+            (qdim, ("E8", (1,) * 8), "dc3085f758491a0998fab059cee2222fbbed485fa96236a70bbb5f9f64c7ff41"),
+            (qdim_dual, ("F4", (5, 2, 3, 7)), "cced889435b74d337c8301fcdb0794271e5780ae28fdc3b9fd74cf7b601b3246"),
+        ],
+    )
+    def test_qdim_digests(self, fn, args, digest):
+        ty, lam = args
+        f = fn(build_cartan_datum(ty), lam)
+        assert hashlib.sha256(repr(f.coeffs).encode()).hexdigest() == digest
+
+    def test_principal_specialization_digest(self):
+        # 11 parts on 12 letters, F = 66, degree 3,432: two words
+        f = principal_specialization(tuple(range(132, 0, -12)), 12)
+        digest = "429aeb4804970f53737f550f1226db15787f1063a4cfc452243494bac62b028f"
+        assert hashlib.sha256(repr(f.coeffs).encode()).hexdigest() == digest

@@ -158,6 +158,19 @@ def exponent_lists(draw):
     return draw(st.permutations(nums)), dens
 
 
+@st.composite
+def many_factor_lists(draw):
+    """Up to 150 numerator exponents in 1..4 and up to 20 denominator
+    exponents, each denominator dividing a numerator of its own, so that the
+    number F of numerator factors below half the degree crosses many slot
+    widths of the packed product, which grows by a byte at F = 7, 15, 23, ..."""
+    dens = draw(st.lists(st.integers(1, 4), max_size=20))
+    nums = [b * draw(st.integers(1, 4 // b)) for b in dens]
+    size = draw(st.integers(0, 150 - len(nums)))
+    nums += draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    return draw(st.permutations(nums)), dens
+
+
 class TestQRatio:
     def test_geometric(self):
         assert q_ratio([6], [2]) == IntPoly([1, 0, 1, 0, 1])
@@ -202,6 +215,31 @@ class TestQRatio:
                 q_ratio(nums, dens)
         else:
             assert q_ratio(nums, dens) == expected
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(many_factor_lists())
+    def test_matches_full_division_across_slot_widths(self, lists):
+        nums, dens = lists
+        assert q_ratio(nums, dens) == full_division_ratio(nums, dens)
+
+    def test_binomial_rows_at_the_width_bound(self):
+        # (1 - q)^k has coefficients up to C(k, k/2), the widest that the
+        # bound 2^F on k factors admits
+        for k in range(1, 301):
+            expected = [(-1) ** j * math.comb(k, j) for j in range(k + 1)]
+            assert q_ratio([1] * k, []).coeffs == tuple(expected)
+
+    def test_chained_running_sums(self):
+        # (1 - q^2)^k / (1 - q)^k = (1 + q)^k divides by k copies of 1 - q
+        for k in range(1, 151):
+            assert q_ratio([2] * k, [1] * k).coeffs == tuple(math.comb(k, j) for j in range(k + 1))
+
+    def test_numerator_at_and_past_half_the_degree(self):
+        # degree 8: the factor at a = 4 = D/2 enters the packed product; at
+        # a = 5 = D/2 + 1 it is skipped and the mirror carries it
+        assert q_ratio([4, 2, 2], []) == one_minus_q(4) * one_minus_q(2) * one_minus_q(2)
+        assert q_ratio([5, 3], []) == one_minus_q(5) * one_minus_q(3)
+        assert q_ratio([4, 4], [2]) == one_minus_q(4) * IntPoly([1, 0, 1])
 
     def test_rejects_nonpositive_exponents(self):
         with pytest.raises(ValueError):
