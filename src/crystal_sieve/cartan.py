@@ -8,6 +8,8 @@ Conventions, fixed once here and relied on everywhere else:
   making diag(d) * A symmetric; the bilinear form is (a_i, a_j) = d_i * A[i][j].
 * Roots and weights are plain integer tuples: a root holds its simple-root
   coordinates, a weight its fundamental-weight coordinates.
+* Positive roots are built height by height from the simple roots, by the
+  root-string test; no negative root is ever formed.
 * Numbering within each family follows the standard Bourbaki tables.
 """
 
@@ -36,7 +38,7 @@ _RANK_RANGE = {
 _TYPE_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 # Largest rank of a Cartan type, checked before any root is built; the
-# positive roots of A60 take about 1.7 s and those of A100 about 9 s.
+# Cartan datum of A60 takes about 0.45 s and that of A100 would take 2.5 s.
 MAX_RANK = 64
 
 
@@ -119,35 +121,33 @@ def symmetrizers(ct: CartanType) -> tuple[int, ...]:
     return (1, 3)  # G2
 
 
-def _reflect(matrix, i: int, beta: Root) -> Root:
-    """Simple reflection s_i in simple-root coordinates."""
-    out = list(beta)
-    out[i] -= sum(matrix[i][j] * beta[j] for j in range(len(beta)))
-    return tuple(out)
-
-
 def _positive_roots(matrix) -> tuple[Root, ...]:
-    """Closure of the simple roots under all simple reflections, positive half.
+    """The positive roots, height by height from the simple roots.
 
-    Every root of a finite type is a reflection image of a simple root, so a
-    plain orbit walk enumerates the whole root system; we keep the vectors
-    with nonnegative coordinates.
+    The alpha_i-string through a root beta runs from beta - p alpha_i to
+    beta + q alpha_i with p - q = <alpha_i^vee, beta>, so beta + alpha_i is
+    a root exactly when p > <alpha_i^vee, beta>. The roots beta - k alpha_i
+    are lower, so p is read off the roots already listed, and the pairing
+    touches only i and its neighbours in the Dynkin diagram.
     """
     n = len(matrix)
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
-        for i in range(n):
-            img = _reflect(matrix, i, beta)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    positive = [b for b in seen if all(c >= 0 for c in b)]
-    # simple roots first, then by height, ties broken toward lower indices
-    positive.sort(key=lambda b: (sum(b), tuple(-c for c in b)))
-    return tuple(positive)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+    level = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    roots, seen = [], set()
+    while level:
+        roots += level
+        seen.update(level)
+        up = set()
+        for beta in level:
+            for i, row in enumerate(rows):
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in seen:
+                    p += 1
+                if p > sum(a * beta[j] for j, a in row):
+                    up.add(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+        # descending within a height: ties go toward lower indices
+        level = sorted(up, reverse=True)
+    return tuple(roots)
 
 
 @dataclass(frozen=True, eq=False)

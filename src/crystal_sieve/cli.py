@@ -275,6 +275,8 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
 def cmd_sweep(args) -> int:
     ms = _parse_int_list(args.m, "letter count")
     ns = _parse_int_list(args.n, "order") if args.n else None
+    if args.max_size < 0:
+        raise ValueError(f"sweep needs --max-size >= 0, got {args.max_size}")
     cells = []
     for m in ms:
         if m < 2:

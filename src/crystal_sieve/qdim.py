@@ -48,28 +48,23 @@ def _require_dominant(lam: Weight) -> None:
 def _exponents(datum: CartanDatum, lam: Weight, dual: bool):
     """Numerator and denominator exponents of the Weyl-type product, in one
     pass over the positive roots: (beta, lam + rho) over (beta, rho), or
-    <beta^vee, lam + rho> over <beta^vee, rho> when dual. Root data come
-    from the datum's caches; only the weight is checked, with the errors of
+    <beta^vee, lam + rho> over <beta^vee, rho> when dual. Both pairings
+    divide (beta, .) by half, which is 1, or (beta, beta)/2 when dual (an
+    integer, since (beta, beta) is 2, 4 or 6). Root data come from the
+    datum's caches; only the weight is checked, with the errors of
     ``pairing`` and ``copairing`` (a coroot height is always an integer)."""
     _check_len(datum, lam, "weight")
     w = [di * c for di, c in zip(datum.symmetrizers, lam)]
-    rho = datum.rho_pairings
+    rho, norms = datum.rho_pairings, datum.root_norms
     nums, dens = [], []
-    if dual:
-        norms = datum.root_norms
-        for beta in datum.positive_roots:
-            norm = norms[beta]
-            pair, rem = divmod(2 * sum(map(operator.mul, beta, w)), norm)
-            if rem:
-                raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
-            den = 2 * rho[beta] // norm
-            dens.append(den)
-            nums.append(pair + den)
-    else:
-        for beta in datum.positive_roots:
-            den = rho[beta]
-            dens.append(den)
-            nums.append(sum(map(operator.mul, beta, w)) + den)
+    for beta in datum.positive_roots:
+        half = norms[beta] // 2 if dual else 1
+        pair, rem = divmod(sum(map(operator.mul, beta, w)), half)
+        if rem:
+            raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
+        den = rho[beta] // half
+        dens.append(den)
+        nums.append(pair + den)
     return nums, dens
 
 
@@ -83,10 +78,6 @@ def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
     return nums, dens
 
 
-def _qdim(datum: CartanDatum, lam: Weight, dual: bool) -> IntPoly:
-    return q_ratio(*_qdim_exponents(datum, lam, dual))
-
-
 def qdim(datum: CartanDatum, lam: Weight) -> IntPoly:
     """q-dimension of the highest-weight crystal B(lam).
 
@@ -94,13 +85,13 @@ def qdim(datum: CartanDatum, lam: Weight) -> IntPoly:
     the classical Weyl dimension. A degree above MAX_DEGREE raises
     ResourceLimit.
     """
-    return _qdim(datum, lam, dual=False)
+    return q_ratio(*_qdim_exponents(datum, lam, dual=False))
 
 
 def qdim_dual(datum: CartanDatum, lam: Weight) -> IntPoly:
     """Coroot-side variant using <beta^vee, .> exponents; agrees with qdim
     whenever all roots share one length."""
-    return _qdim(datum, lam, dual=True)
+    return q_ratio(*_qdim_exponents(datum, lam, dual=True))
 
 
 def weyl_dim(datum: CartanDatum, lam: Weight) -> int:

@@ -288,15 +288,9 @@ def q_ratio(nums, dens) -> IntPoly:
     if min(count, default=1) <= 0:
         raise ValueError("exponents must be positive")
     excess = {}
-    for b, k in count.items():
-        if k < 0:
-            for e in divisors(b):
-                excess[e] = excess.get(e, 0) - k
     for a, k in count.items():
-        if k > 0:
-            for e in divisors(a):
-                if e in excess:
-                    excess[e] -= k
+        for e in divisors(a):
+            excess[e] = excess.get(e, 0) - k
     for e, k in excess.items():
         if k > 0:
             raise InternalError(

@@ -137,7 +137,46 @@ def independent_reflection(a, i, beta):
     return tuple(out)
 
 
+def reflection_closure(a):
+    """The positive roots as the closure of the simple roots under every
+    simple reflection, negative half dropped: every root of a finite type is
+    a reflection image of a simple root. Simple roots come first, then the
+    roots by height, ties broken toward lower indices."""
+    n = len(a)
+    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        beta = frontier.pop()
+        for i in range(n):
+            img = independent_reflection(a, i, beta)
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    positive = [b for b in seen if min(b) >= 0]
+    positive.sort(key=lambda b: (sum(b), tuple(-c for c in b)))
+    return tuple(positive)
+
+
+CLOSURE_TYPES = (
+    [f"A{r}" for r in range(1, 13)] + [f"{f}{r}" for f in "BC" for r in range(2, 13)]
+    + [f"D{r}" for r in range(4, 13)] + ["E6", "E7", "E8", "F4", "G2", "A20", "B20", "C20", "D20"]
+)
+
+
 class TestPositiveRoots:
+    @pytest.mark.parametrize("name", CLOSURE_TYPES)
+    def test_roots_by_height_match_the_reflection_closure(self, name):
+        datum = build_cartan_datum(name)
+        a, d = datum.cartan_matrix, datum.symmetrizers
+        roots = reflection_closure(a)
+        assert datum.positive_roots == roots
+        n = datum.rank
+        rho = [sum(c * di for c, di in zip(b, d)) for b in roots]
+        norms = [sum(b[i] * d[i] * a[i][j] * b[j] for i in range(n) for j in range(n)) for b in roots]
+        assert list(datum.rho_pairings.items()) == list(zip(roots, rho))
+        assert list(datum.root_norms.items()) == list(zip(roots, norms))
+
     @pytest.mark.parametrize(
         "name,count",
         [("A1", 1), ("A2", 3), ("A3", 6), ("A4", 10), ("A5", 15), ("A6", 21),

@@ -15,6 +15,7 @@ import pytest
 import crystal_sieve
 from crystal_sieve.cli import build_parser, main
 from crystal_sieve.errors import ConditionViolated, InternalError, InvalidRank, ResourceLimit
+from crystal_sieve.qpoly import ONE
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -313,6 +314,15 @@ class TestSweep:
             if r["n"] == "4":
                 assert r["csp_c"] == ""
 
+    def test_max_size(self):
+        # 0 lists the empty shape only; a negative size is malformed input
+        code, out, _ = run_cli("sweep", "--max-size", "0", "--m", "2")
+        assert code == 0
+        assert [r["partition"] for r in csv.DictReader(io.StringIO(out))] == ["0"]
+        assert run_cli("sweep", "--max-size", "-1", "--m", "2") == (
+            2, "", "error: sweep needs --max-size >= 0, got -1\n"
+        )
+
     def test_parallel_jobs_match_serial(self):
         _, serial, _ = run_cli("sweep", "--max-size", "4", "--m", "2,3")
         _, parallel, _ = run_cli("sweep", "--max-size", "4", "--m", "2,3", "--jobs", "2")
@@ -579,6 +589,7 @@ class TestExitCodes:
             (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "abc"}),
             (["sweep", "--jobs", "0"], {}),
             (["sweep", "--jobs", "-1"], {}),
+            (["sweep", "--max-size", "-1"], {}),
             (["aa-check", "[1.5,1]", "-n", "2"], {}),
             (["aa-check", "[[1]]", "-n", "2"], {}),
             (["aa-check", "[1e400]", "-n", "2"], {}),
@@ -640,3 +651,14 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "build_cartan_datum", raises)
         assert run_cli("roots", "A2") == (code, "", f"{prefix}: made to fail\n")
+
+    def test_failed_identity_check_exits_5(self, monkeypatch):
+        # a residue one off its orbit reconstruction trips the check
+        import importlib
+
+        qdim = importlib.import_module("crystal_sieve.qdim")
+        residue = qdim._residue
+        monkeypatch.setattr(qdim, "_residue", lambda coeffs, n: residue(coeffs, n) + ONE)
+        code, out, err = run_cli("congruence", "B2", "2,0", "-n", "2")
+        assert (code, out) == (5, "")
+        assert err.startswith("internal error: residue 11 + 4*q differs from orbit reconstruction")

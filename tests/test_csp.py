@@ -18,7 +18,7 @@ from crystal_sieve.csp import (
     rect_characterization,
 )
 from crystal_sieve.cartan import build_cartan_datum, gl_weight
-from crystal_sieve.errors import ConditionViolated, ResourceLimit
+from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import congruence, kappa, predicted_orbit_counts, principal_specialization
 from crystal_sieve import qpoly
@@ -216,6 +216,16 @@ class TestCensusVsA:
         with pytest.raises(ConditionViolated):
             census_vs_a((2,), 1)
 
+    def test_census_is_checked_against_the_verdict(self, monkeypatch):
+        import dataclasses
+
+        from crystal_sieve import csp
+
+        check = csp.csp_check
+        monkeypatch.setattr(csp, "csp_check", lambda *a, **k: dataclasses.replace(check(*a, **k), verdict=False))
+        with pytest.raises(InternalError, match=r"census comparison \(True\) disagrees with the sieving verdict \(False\)"):
+            census_vs_a((3,), 3)
+
     def test_cycle_length_off_the_order(self):
         # promotion on (6, 3) with 3 letters has cycles longer than 3
         with pytest.raises(ConditionViolated, match="a cycle length does not divide the order 3"):
@@ -313,6 +323,15 @@ class TestPrimeCriterion:
         # 10^18 + 3 is prime; the order cap refuses it before any trial division
         with pytest.raises(ResourceLimit, match="above the order cap 1000000"):
             prime_specialization_criterion((2,), 2, 10**18 + 3)
+
+    def test_collision_is_checked_against_divisibility(self, monkeypatch):
+        from crystal_sieve import csp
+
+        # a value table whose first entry is 1: Phi_3 would not divide
+        aa = csp.aa_criterion
+        monkeypatch.setattr(csp, "aa_criterion", lambda f, n: aa(f, n)._replace(values=(1,)))
+        with pytest.raises(InternalError, match=r"residue collision \(True\) disagrees with cyclotomic divisibility \(False\)"):
+            prime_specialization_criterion((2, 2), 3, 3)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_divisibility_equals_collision_everywhere(self, p):

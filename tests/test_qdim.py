@@ -20,7 +20,7 @@ from crystal_sieve.cartan import (
     pairing,
     rho_pairing,
 )
-from crystal_sieve.errors import ConditionViolated, ResourceLimit
+from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
 from crystal_sieve.partitions import partitions_up_to
 from crystal_sieve.qdim import (
     MAX_DEGREE,
@@ -307,6 +307,15 @@ class TestCongruence:
         for d, a in r.a.items():
             rebuilt = rebuilt + a * orbit_basis_element(2, d)
         assert rebuilt == r.residue
+
+    def test_residue_is_checked_against_its_orbit_reconstruction(self, monkeypatch):
+        import importlib
+
+        qdim_module = importlib.import_module("crystal_sieve.qdim")
+        residue = qdim_module._residue
+        monkeypatch.setattr(qdim_module, "_residue", lambda coeffs, n: residue(coeffs, n) + ONE)
+        with pytest.raises(InternalError, match=r"^residue 11 \+ 4\*q differs from orbit reconstruction 10 \+ 4\*q$"):
+            congruence(build_cartan_datum("B2"), (2, 0), 2)
 
     def test_requires_divisibility(self):
         datum = build_cartan_datum("A2")

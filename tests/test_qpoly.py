@@ -336,6 +336,13 @@ class TestNumberTheory:
         for n in range(1, 300):
             assert sum(mobius(d) for d in divisors(n)) == (1 if n == 1 else 0)
 
+    def test_orbit_counts_need_exact_nonnegative_mobius_sums(self):
+        # a_2 = (b_2 - b_1) / 2, which is 1/2 and then -1
+        with pytest.raises(InternalError, match="^Mobius sum 1 for d=2 is not divisible by 2$"):
+            qpoly._orbits_from_fixed({1: 1, 2: 2})
+        with pytest.raises(InternalError, match="^orbit count a_2 = -1 is negative$"):
+            qpoly._orbits_from_fixed({1: 3, 2: 1})
+
 
 class TestCyclotomic:
     def test_small_cases(self):
