@@ -19,7 +19,6 @@ from .csp import (
     PrimeCriterion,
     RectVerdict,
     aa_criterion,
-    aa_verdict,
     census_vs_a,
     csp_check,
     orbit_formula,

@@ -16,7 +16,7 @@ import re
 import sys
 
 from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
-from .csp import aa_criterion, aa_verdict, csp_check, orbit_formula, predicted_orbit_counts
+from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
 from .partitions import as_partition, partitions_up_to
@@ -240,32 +240,27 @@ def cmd_orbit_formula(args) -> int:
 
 
 def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
-    """One CSV row per order n for the shape lam on m letters; the census and
-    the specialization are taken once for all of them. At n = m the orbit
-    counts and the existence verdict read the csp_check report; at other n
-    they come from ``predicted_orbit_counts`` and a new value table. A row
-    is stretched when it has orbit counts."""
+    """One CSV row per order n for the shape lam on m letters. The census
+    and the specialization are taken once for all of them, and each n takes
+    one ``aa_criterion`` value table: its verdict fills ``aa_exists``, and
+    at n = m its values against the census give the ``csp_c`` verdict. A
+    row is stretched when ``predicted_orbit_counts`` gives orbit counts."""
     lam, m, ns = cell
     spoly = principal_specialization(lam, m)
-    verdict = ""
-    if m in ns:
-        report = csp_check(lam, m, "c", f=spoly)
-        census, verdict = report.census, str(report.verdict)
-        exists_at_m = aa_verdict(tuple(e.evaluation for e in report.per_exponent)).exists
-    else:
-        census = orbit_census(lam, m, "c")
+    census = orbit_census(lam, m, "c")
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:
-        a = report.predicted_a if n == m else predicted_orbit_counts(lam, m, n)
+        a = predicted_orbit_counts(lam, m, n)
+        aa = aa_criterion(spoly, n)
         rows.append([
             ",".join(map(str, lam)) if lam else "0",
             m,
             n,
             census.total,
             a is not None,
-            exists_at_m if n == m else aa_criterion(spoly, n).exists,
-            verdict if n == m else "",
+            aa.exists,
+            str(all(e.match for e in _exponent_checks(aa.values, census))) if n == m else "",
             sizes,
             "" if a is None else ";".join(f"{d}:{v}" for d, v in a.items()),
         ])

@@ -94,23 +94,30 @@ def csp_check(
         if action == "c":
             n = m
         else:
-            n = math.lcm(*census.by_size) if census.by_size else 1
+            n = math.lcm(*census.by_size)
     if f is None:
         f = principal_specialization(lam, m)
-    checks = []
-    for j, value in enumerate(root_values(f, n), 1):
-        fixed = census.fixed_by_power(j)
-        checks.append(ExponentCheck(j, fixed, value, value is not None and value == fixed))
+    checks = _exponent_checks(root_values(f, n), census)
     return CspReport(
         lam=lam,
         m=m,
         action=action,
         n=n,
-        per_exponent=tuple(checks),
+        per_exponent=checks,
         verdict=all(c.match for c in checks),
         census=census,
         predicted_a=predicted_orbit_counts(lam, m, n),
     )
+
+
+def _exponent_checks(values: tuple[int | None, ...], census: OrbitCensus) -> tuple[ExponentCheck, ...]:
+    """One check per power j = 1..len(values) of the generator: the value at
+    w^j against the count fixed by the j-th power, a match only when equal."""
+    checks = []
+    for j, value in enumerate(values, 1):
+        fixed = census.fixed_by_power(j)
+        checks.append(ExponentCheck(j, fixed, value, value is not None and value == fixed))
+    return tuple(checks)
 
 
 class AaResult(NamedTuple):
@@ -132,14 +139,8 @@ def aa_criterion(f: IntPoly, n: int) -> AaResult:
     every divisor k of n, the Mobius sum over divisors j of k of
     mobius(k/j) * f(at exponent j) must be nonnegative (it equals k times
     the number of size-k orbits). The values are one ``root_values`` table,
-    computed once per divisor of n, and the verdict is ``aa_verdict``."""
-    return aa_verdict(root_values(f, n))
-
-
-def aa_verdict(values: tuple[int | None, ...]) -> AaResult:
-    """``aa_criterion`` over a value table that the caller already holds:
-    values[j-1] is the value at the j-th power of a primitive n-th root of
-    unity, n = len(values), as ``root_values`` returns them."""
+    computed once per divisor of n."""
+    values = root_values(f, n)
     if any(v is None or v < 0 for v in values):
         return AaResult(False, (), values)
     sums = _mobius_sums({k: values[k - 1] for k in divisors(len(values))})

@@ -205,8 +205,10 @@ def parse_poly(text: str) -> IntPoly:
 
     JSON coefficients must be integers or decimal strings (big values survive
     a round trip through text that way); a float, bool, list or other string
-    is junk. Raises ValueError on junk, and ResourceLimit for a degree above
-    MAX_DEGREE, in the text form before the coefficient list is allocated.
+    is junk. The text form ignores spaces, except that whitespace between
+    two digits is junk. Raises ValueError on junk, and ResourceLimit for a
+    degree above MAX_DEGREE, in the text form before the coefficient list is
+    allocated.
     """
     text = text.strip()
     if text.startswith("["):
@@ -217,6 +219,8 @@ def parse_poly(text: str) -> IntPoly:
         f = IntPoly([int(c) for c in coeffs])
         _check_degree(f.degree, f"polynomial {text!r}")
         return f
+    if re.search(r"\d\s+\d", text):
+        raise ValueError(f"whitespace between two digits in {text!r}")
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")

@@ -594,6 +594,8 @@ class TestExitCodes:
             (["aa-check", "[[1]]", "-n", "2"], {}),
             (["aa-check", "[1e400]", "-n", "2"], {}),
             (["aa-check", "[true,1]", "-n", "2"], {}),
+            (["aa-check", "1 2", "-n", "2"], {}),
+            (["sweep", "--m", "1"], {}),
         ],
     )
     def test_malformed_input(self, args, env):
@@ -601,6 +603,7 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr
+        assert proc.stdout == ""
         for name in env:
             assert name in proc.stderr
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from crystal_sieve.csp import (
     aa_criterion,
-    aa_verdict,
     census_vs_a,
     csp_check,
     orbit_formula,
@@ -152,7 +151,17 @@ class TestAaCriterion:
         ],
     )
     def test_verdict_over_a_held_table(self, f, n):
-        assert aa_verdict(qpoly.root_values(f, n)) == aa_criterion(f, n)
+        # the verdict worked out here from the value table: every value a
+        # nonnegative integer and every Mobius sum nonnegative
+        values = qpoly.root_values(f, n)
+        result = aa_criterion(f, n)
+        assert result.values == values
+        if any(v is None or v < 0 for v in values):
+            assert (result.exists, result.failures) == (False, ())
+            return
+        sums = {k: sum(mobius(k // j) * values[j - 1] for j in divisors(k)) for k in divisors(n)}
+        assert result.failures == tuple(k for k, total in sums.items() if total < 0)
+        assert result.exists == all(total >= 0 for total in sums.values())
 
     def test_one_reduction_per_divisor(self, monkeypatch):
         calls = []

@@ -598,7 +598,7 @@ class TestTextFormats:
         assert coeff in str(exc.value) and text in str(exc.value)
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5"):
+        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
 
