@@ -35,7 +35,7 @@ _RANK_RANGE = {
     "G": (2, 2),
 }
 
-_TYPE_RE = re.compile(r"^([A-G])\s*(\d+)$")
+_TYPE_RE = re.compile(r"^([A-G])\s*([0-9]+)$")
 
 # Largest rank of a Cartan type, checked before any root is built; the
 # Cartan datum of A60 takes about 0.25 s and that of A100 would take 1.5 s.

@@ -24,20 +24,29 @@ from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import fixed_points, orbit_census
 
 
+def _integer(text: str) -> int:
+    """An ASCII decimal with an optional sign, spaces around it allowed; a
+    bad value is a usage error. int() alone also reads 1_0 and non-ASCII
+    digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         if text in ("", "-", "0"):
             return ()
-        return as_partition(int(x) for x in text.split(","))
-    except ValueError as exc:
+        return as_partition(_integer(x) for x in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"bad partition {text!r}: {exc}") from None
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.strip().split(","))
-    except ValueError:
+        coords = tuple(_integer(x) for x in text.strip().split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(f"bad weight {text!r}") from None
     if len(coords) != rank:
         raise ValueError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
@@ -47,8 +56,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 def _positive_int(text: str) -> int:
     """argparse type for counts and orders; a bad value is a usage error."""
     try:
-        value = int(text)
-    except ValueError:
+        value = _integer(text)
+    except (ValueError, argparse.ArgumentTypeError):
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
@@ -370,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aa_check)
 
     p = sub.add_parser("orbit-formula", help="predicted count of size-d orbits on one-row shapes")
-    p.add_argument("a", type=int)
-    p.add_argument("d", type=int)
+    p.add_argument("a", type=_integer)
+    p.add_argument("d", type=_integer)
     add_format(p)
     p.set_defaults(func=cmd_orbit_formula)
 
     p = sub.add_parser("sweep", help="CSV sweep over shapes, letter counts, and orders")
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--max-size", type=_integer, default=8)
     p.add_argument("--m", default="2,3,4", help="comma list of letter counts")
     p.add_argument("--n", help="comma list of orders (default: n = m)")
     p.add_argument("--jobs", type=_positive_int, default=1)

@@ -33,6 +33,10 @@ MAX_ORDER = 1_000_000
 # 18,480.
 MAX_DEGREE = 100_000
 
+# The host's byte order, in which q_ratio writes the bytes that
+# memoryview.cast reads back natively.
+_NATIVE_ORDER = "little" if memoryview(b"\x01\x00").cast("H")[0] == 1 else "big"
+
 
 class IntPoly:
     """Dense integer polynomial; ``coeffs[k]`` is the coefficient of q^k.
@@ -196,7 +200,7 @@ def format_poly(f: IntPoly) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<coeff>\d+)?(?P<star>\*)?(?P<var>q(?:\^(?P<exp>\d+))?)?$"
+    r"^(?P<sign>[+-])?(?P<coeff>[0-9]+)?(?P<star>\*)?(?P<var>q(?:\^(?P<exp>[0-9]+))?)?$"
 )
 
 
@@ -274,6 +278,10 @@ def q_ratio(nums, dens) -> IntPoly:
     any coefficient is computed. The quotient P of degree D satisfies
     P(q) = (-1)^(#nums - #dens) q^D P(1/q), so only its power series mod
     q^(h + 1), h = D//2, is computed, and an exponent above h is skipped.
+    When every exponent shares a factor g > 1 (after that check, which reads
+    them as given), the quotient is P(q^g) for P the quotient on the
+    exponents divided by g: P is computed and its coefficients spread g
+    apart.
 
     The F numerator factors multiply as one packed integer with a w-bit slot
     per coefficient (Kronecker substitution): times (1 - q^a) is one shift
@@ -281,11 +289,14 @@ def q_ratio(nums, dens) -> IntPoly:
     maps Z[q]/(q^(h+1)) onto Z/2^((h+1)w) as rings, one-to-one on
     coefficients below 2^(w-1) in absolute value, and the whole product of
     F factors 1 - q^a has coefficient L1 norm at most 2^F, so every
-    truncated coefficient decodes exactly once w >= F + 2; w is that rounded
-    up to whole bytes. Each denominator exponent b then divides all
-    its copies in one pass per residue class mod b, as chained running sums.
-    The upper coefficients are the mirror image of the lower ones, negated
-    when #nums - #dens is odd.
+    truncated coefficient decodes exactly once w >= F + 2. A slot is the
+    smallest of 1, 2, 4 or 8 bytes that holds F + 2 bits, or above 64 bits
+    a whole number of 64-bit words, so that one memoryview cast reads every
+    slot as a signed machine integer (the top word signed and each lower
+    word unsigned, for a slot of several words). Each denominator exponent
+    b then divides all its copies in one pass per residue class mod b, as
+    chained running sums. The upper coefficients are the mirror image of
+    the lower ones, negated when #nums - #dens is odd.
     """
     count = Counter(nums)
     count.subtract(dens)
@@ -301,9 +312,15 @@ def q_ratio(nums, dens) -> IntPoly:
                 f"Phi_{e} divides {k} more denominator than numerator "
                 "factors: the quotient is not a polynomial"
             )
+    g = math.gcd(*count)
+    if g > 1:
+        count = {a // g: k for a, k in count.items()}
     degree = sum(a * k for a, k in count.items())
     half = degree // 2
-    size = (sum(k for a, k in count.items() if k > 0 and a <= half) + 9) // 8
+    bits = sum(k for a, k in count.items() if k > 0 and a <= half) + 2
+    # slot bytes: whole 64-bit words above 64 bits, else 1, 2, 4 or 8
+    words = -(-bits // 64)
+    size = 8 * words if words > 1 else 1 << max(0, (bits - 1).bit_length() - 3)
     width = 8 * size
     mask = (1 << (half + 1) * width) - 1
     packed = 1
@@ -313,10 +330,20 @@ def q_ratio(nums, dens) -> IntPoly:
                 packed = (packed - (packed << a * width)) & mask
     # balanced decode: 2^(w-1) added to every slot makes each slot
     # nonnegative, so no slot borrows from the next, and the xor leaves each
-    # coefficient in w-bit two's complement, read back one slot at a time
+    # coefficient in w-bit two's complement. memoryview.cast reads the bytes
+    # in native order, so they are written in it, and on a big-endian host
+    # the slots (or words) come out top first and are read backwards.
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * (half + 1), "little")
-    raw = (((packed + bias) & mask) ^ bias).to_bytes((half + 1) * size, "little")
-    out = [int.from_bytes(raw[i:i + size], "little", signed=True) for i in range(0, len(raw), size)]
+    raw = memoryview((((packed + bias) & mask) ^ bias).to_bytes((half + 1) * size, _NATIVE_ORDER))
+    step = 1 if _NATIVE_ORDER == "little" else -1
+    if words == 1:
+        out = raw.cast("bhiq"[size.bit_length() - 1])[::step].tolist()
+    else:
+        # the top word of each slot is signed, the lower ones unsigned
+        out = raw.cast("q")[::step][words - 1::words].tolist()
+        low = raw.cast("Q")[::step]
+        for i in range(words - 2, -1, -1):
+            out = [(c << 64) | w for c, w in zip(out, low[i::words])]
     for b, k in count.items():
         if k < 0 and b <= half:
             for r in range(b):
@@ -327,7 +354,12 @@ def q_ratio(nums, dens) -> IntPoly:
     mirror = out[:degree - half][::-1]
     if sum(count.values()) % 2:
         mirror = [-c for c in mirror]
-    return _from_ints(out + mirror)
+    out += mirror
+    if g > 1:
+        spread = [0] * (g * degree + 1)
+        spread[::g] = out
+        out = spread
+    return _from_ints(out)
 
 
 def q_ratio_at_one(nums, dens) -> int:

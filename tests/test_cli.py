@@ -596,6 +596,17 @@ class TestExitCodes:
             (["aa-check", "[true,1]", "-n", "2"], {}),
             (["aa-check", "1 2", "-n", "2"], {}),
             (["sweep", "--m", "1"], {}),
+            # an integer is [+-]?[0-9]+: no underscore, no non-ASCII digit
+            (["specialize", "1_0", "-m", "2"], {}),
+            (["qdim", "A2", "1_0,1"], {}),
+            (["crystal", "1_0", "orbits", "-m", "2"], {}),
+            (["aa-check", "1+q", "-n", "1_0"], {}),
+            (["orbit-formula", "1_0", "2"], {}),
+            (["sweep", "--max-size", "1_0", "--m", "2"], {}),
+            (["sweep", "--max-size", "2", "--m", "2_0", "--n", "2"], {}),
+            (["specialize", "\uff13", "-m", "2"], {}),
+            (["aa-check", "\uff13", "-n", "2"], {}),
+            (["roots", "A\uff13"], {}),
         ],
     )
     def test_malformed_input(self, args, env):
@@ -635,6 +646,20 @@ class TestExitCodes:
         proc, want = run_process(args, {}), run_process(as_json, {})
         assert proc.returncode == 0, proc.stderr
         assert (proc.stdout, proc.stderr) == (want.stdout, want.stderr)
+
+    @pytest.mark.parametrize(
+        "args, plain",
+        [
+            (["qdim", "A2", " 1, 1"], ["qdim", "A2", "1,1"]),
+            (["specialize", "+2, 1", "-m", "+3"], ["specialize", "2,1", "-m", "3"]),
+            (["orbit-formula", "+2", " 3 "], ["orbit-formula", "2", "3"]),
+            (["sweep", "--max-size", "+2", "--m", " 2"], ["sweep", "--max-size", "2", "--m", "2"]),
+        ],
+    )
+    def test_integer_spellings_that_still_read(self, args, plain):
+        got, want = run_cli(*args), run_cli(*plain)
+        assert got[0] == 0, got[2]
+        assert got == want
 
     @pytest.mark.parametrize(
         "error, code, prefix",

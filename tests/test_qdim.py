@@ -455,7 +455,8 @@ class TestGoldenProducts:
     """SHA-256 digests of repr(coeffs) of large products, frozen from the
     list-based product routine that preceded the packed numerator. F counts
     the numerator factors below half the degree, so a slot of the packed
-    product takes 1 + (F + 1) // 64 words of 64 bits."""
+    product takes 1 + (F + 1) // 64 words of 64 bits from F = 63 on, and 1,
+    2, 4 or 8 bytes below that."""
 
     @pytest.mark.parametrize(
         "fn, args, digest",
@@ -472,6 +473,7 @@ class TestGoldenProducts:
             (qdim, ("A30", (1,) * 30), "cae5ec011280cb3a4a4bdf17167075faa162f0658551d500629c108cccfa7fc4"),
             # F = 64, degree 1,240: right past one word
             (qdim, ("E8", (1,) * 8), "dc3085f758491a0998fab059cee2222fbbed485fa96236a70bbb5f9f64c7ff41"),
+            # F = 17, degree 396: four bytes
             (qdim_dual, ("F4", (5, 2, 3, 7)), "cced889435b74d337c8301fcdb0794271e5780ae28fdc3b9fd74cf7b601b3246"),
         ],
     )

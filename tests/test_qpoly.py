@@ -7,11 +7,13 @@ are asserted exactly.
 """
 
 import cmath
+import collections
 import itertools
 import json
 import math
 import operator
 import random
+import struct
 
 import pytest
 import sympy
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 from crystal_sieve.cartan import build_cartan_datum
 from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
-from crystal_sieve.qdim import congruence
+from crystal_sieve.qdim import _gl_exponents, _qdim_exponents, congruence
 from crystal_sieve.qpoly import (
     ONE,
     Q,
@@ -162,8 +164,9 @@ def exponent_lists(draw):
 def many_factor_lists(draw):
     """Up to 150 numerator exponents in 1..4 and up to 20 denominator
     exponents, each denominator dividing a numerator of its own, so that the
-    number F of numerator factors below half the degree crosses many slot
-    widths of the packed product, which grows by a byte at F = 7, 15, 23, ..."""
+    number F of numerator factors below half the degree crosses the slot
+    layouts of the packed product, which change at F = 7, 15, 31, 63 and
+    127: 1, 2, 4 and 8 bytes, then 2 and 3 words of 64 bits."""
     dens = draw(st.lists(st.integers(1, 4), max_size=20))
     nums = [b * draw(st.integers(1, 4 // b)) for b in dens]
     size = draw(st.integers(0, 150 - len(nums)))
@@ -221,6 +224,62 @@ class TestQRatio:
     def test_matches_full_division_across_slot_widths(self, lists):
         nums, dens = lists
         assert q_ratio(nums, dens) == full_division_ratio(nums, dens)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(exponent_lists(), st.integers(2, 5))
+    def test_shared_factor_spreads_the_quotient(self, lists, g):
+        # prod (1 - q^(g a)) / prod (1 - q^(g b)) is the quotient on a and b
+        # at q^g, and a polynomial exactly when that quotient is one
+        nums, dens = lists
+        scaled = [g * a for a in nums], [g * b for b in dens]
+        try:
+            expected = full_division_ratio(nums, dens).coeffs
+        except InternalError:
+            with pytest.raises(InternalError):
+                q_ratio(*scaled)
+        else:
+            spread = [0] * (g * (len(expected) - 1) + 1)
+            spread[::g] = expected
+            assert q_ratio(*scaled).coeffs == tuple(spread)
+
+    def test_shared_factor_of_a_wide_row(self):
+        # every exponent is 100: the packed product is that of (1 - q)^1000,
+        # whose middle coefficient C(1000, 500) needs 995 bits
+        expected = [0] * 100_001
+        expected[::100] = [(-1) ** j * math.comb(1000, j) for j in range(1001)]
+        assert q_ratio([100] * 1000, []).coeffs == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "layout, product",
+        [
+            # the F that take the slot, and a real product with such an F
+            (range(0, 7), ("qdim", "A4", (1,) * 4)),  # F = 6
+            (range(7, 15), ("spec", (5, 4, 3, 2, 1), 6)),  # F = 9
+            (range(15, 31), ("qdim", "E6", (1,) * 6)),  # F = 20
+            (range(31, 63), ("spec", tuple(range(24, 0, -2)), 13)),  # F = 56
+            (range(63, 127), ("qdim", "E8", (2,) * 8)),  # F = 84
+            (range(127, 191), ("qdim", "A24", (1,) * 24)),  # F = 156
+        ],
+        ids=["1 byte", "2 bytes", "4 bytes", "8 bytes", "2 words", "3 words"],
+    )
+    def test_every_slot_layout_on_a_real_product(self, layout, product):
+        kind, *args = product
+        if kind == "qdim":
+            nums, dens = _qdim_exponents(build_cartan_datum(args[0]), args[1], dual=False)
+        else:
+            nums, dens = _gl_exponents(*args)
+        count = collections.Counter(nums)
+        count.subtract(dens)
+        g = math.gcd(*count)
+        half = sum(a * k for a, k in count.items()) // g // 2
+        assert sum(k for a, k in count.items() if k > 0 and a // g <= half) in layout
+        f = q_ratio(nums, dens)
+        assert f == full_division_ratio(nums, dens)
+        assert all(type(c) is int for c in f.coeffs)
+
+    def test_cast_formats_have_the_slot_sizes(self):
+        # q_ratio reads its slots with memoryview.cast in these formats
+        assert [struct.calcsize(fmt) for fmt in "bhiqQ"] == [1, 2, 4, 8, 8]
 
     def test_binomial_rows_at_the_width_bound(self):
         # (1 - q)^k has coefficients up to C(k, k/2), the widest that the
