@@ -72,10 +72,10 @@ def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
     n = ct.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def bond(i, j, down=-1, up=-1):
+    def bond(i, j):
         # a[i][j] is the coroot-i against root-j pairing
-        a[i][j] = down
-        a[j][i] = up
+        a[i][j] = -1
+        a[j][i] = -1
 
     fam = ct.family
     if fam in ("A", "B", "C"):
@@ -208,27 +208,23 @@ def pairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
 
 
 def rho_pairing(datum: CartanDatum, beta: Root) -> int:
-    """(beta, rho) = sum_i c_i * d_i."""
+    """(beta, rho) = sum_i c_i * d_i: the cached value for a positive root,
+    else the pairing at rho, whose fundamental coordinates are (1, ..., 1)."""
     cached = datum.rho_pairings.get(beta)
     if cached is not None:
         return cached
+    return pairing(datum, beta, (1,) * datum.rank)
+
+
+def root_norm(datum: CartanDatum, beta: Root) -> int:
+    """(beta, beta) = sum_(i,j) c_i * d_i * A[i][j] * c_j by the symmetrized Cartan matrix."""
     _check_len(datum, beta, "root")
-    return sum(c * datum.symmetrizers[i] for i, c in enumerate(beta))
-
-
-def _norm(a, d, beta: Root) -> int:
-    """(beta, beta) for the Cartan matrix a with symmetrizers d."""
+    a, d = datum.cartan_matrix, datum.symmetrizers
     return sum(
         ci * d[i] * a[i][j] * cj
         for i, ci in enumerate(beta) if ci
         for j, cj in enumerate(beta) if cj
     )
-
-
-def root_norm(datum: CartanDatum, beta: Root) -> int:
-    """(beta, beta) via the symmetrized Cartan matrix."""
-    _check_len(datum, beta, "root")
-    return _norm(datum.cartan_matrix, datum.symmetrizers, beta)
 
 
 def copairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:

@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .cartan import CartanType, build_cartan_datum, corho_pairing, rho_pairing
+from .cartan import build_cartan_datum, corho_pairing, rho_pairing
 from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula, predicted_orbit_counts
 from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
@@ -124,12 +124,11 @@ def _congruence_lines(result) -> list[str]:
 
 
 def cmd_qdim(args) -> int:
-    ct = CartanType.parse(args.type)
-    datum = build_cartan_datum(ct)
+    datum = build_cartan_datum(args.type)
     weight = _parse_weight(args.weight, datum.rank)
     poly = qdim_dual(datum, weight) if args.dual else qdim(datum, weight)
     payload: dict = {
-        "type": str(ct),
+        "type": str(datum.cartan_type),
         "weight": list(weight),
         "dual": args.dual,
         "qdim": poly_to_json_coeffs(poly),
@@ -161,8 +160,7 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    ct = CartanType.parse(args.type)
-    datum = build_cartan_datum(ct)
+    datum = build_cartan_datum(args.type)
     weight = _parse_weight(args.weight, datum.rank)
     result = congruence(datum, weight, args.n, dual=args.dual)
     _emit(args, result.to_json_dict(), "\n".join(_congruence_lines(result)))

@@ -202,7 +202,9 @@ class RectVerdict(NamedTuple):
 def rect_characterization(lam: Partition, m: int) -> RectVerdict:
     """For a nonempty shape with fewer than m rows and size divisible by m:
     sieving under the cycle operator holds exactly for the one-row shape
-    (a*m) and the near-rectangle ((a*m)^(m-1)).
+    (a*m) and the near-rectangle ((a*m)^(m-1)). Under those hypotheses these
+    are the rectangles of 1 or m - 1 rows: a rectangle of part c has size c
+    or (m - 1) c, and m divides it, so m divides c.
 
     Returns the brute-force verdict, the shape-based prediction, and their
     agreement (a disagreement would falsify the characterization).
@@ -214,13 +216,7 @@ def rect_characterization(lam: Partition, m: int) -> RectVerdict:
         raise ConditionViolated(f"need fewer than {m} rows, got {len(lam)}")
     if sum(lam) % m:
         raise ConditionViolated(f"{m} must divide |{lam}| = {sum(lam)}")
-    one_row = len(lam) == 1 and lam[0] % m == 0
-    near_rect = (
-        len(lam) == m - 1
-        and len(set(lam)) == 1
-        and lam[0] % m == 0
-    )
-    predicted = one_row or near_rect
+    predicted = len(lam) in (1, m - 1) and len(set(lam)) == 1
     verdict = csp_check(lam, m, "c").verdict
     return RectVerdict(verdict, predicted, verdict == predicted)
 
@@ -246,7 +242,7 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     """
     lam = _on_letters(lam, m)
     check_order(p, lambda: f"prime criterion of shape {lam} on {m} letters")
-    if p < 2 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+    if len(divisors(p)) != 2:
         raise ConditionViolated(f"{p} is not prime")
     if p < m:
         raise ConditionViolated(f"prime {p} is below the letter count {m}")

@@ -272,16 +272,21 @@ def q_ratio(nums, dens) -> IntPoly:
     """prod of (1 - q^a) over a in nums divided by prod of (1 - q^b) over b
     in dens, for positive exponents, when the quotient is a polynomial.
 
-    Since 1 - q^a = -prod of Phi_e over the divisors e of a, the quotient is
-    a polynomial exactly when, for every e, at least as many a as b are
+    An exponent with as many copies in nums as in dens cancels and is
+    dropped, after the positivity check, which reads them as given. Since
+    1 - q^a = -prod of Phi_e over the divisors e of a, the quotient is a
+    polynomial exactly when, for every e, at least as many a as b are
     multiples of e; otherwise InternalError names an e that fails, before
-    any coefficient is computed. The quotient P of degree D satisfies
-    P(q) = (-1)^(#nums - #dens) q^D P(1/q), so only its power series mod
-    q^(h + 1), h = D//2, is computed, and an exponent above h is skipped.
-    When every exponent shares a factor g > 1 (after that check, which reads
-    them as given), the quotient is P(q^g) for P the quotient on the
-    exponents divided by g: P is computed and its coefficients spread g
-    apart.
+    any coefficient is computed. Only the largest exponent left, A, is a
+    multiple of A, so a polynomial quotient of degree D needs k_A > 0 and
+    phi(A) k_A <= D; as phi(A) >= sqrt(A/2), D < 0 or A > 2 D^2 names Phi_A
+    before any divisor is listed, and each divisor list then takes at most
+    sqrt(2) D trial divisions. The quotient P satisfies P(q) =
+    (-1)^(#nums - #dens) q^D P(1/q), so only its power series mod q^(h + 1),
+    h = D//2, is computed, and an exponent above h is skipped. When every
+    exponent left shares a factor g > 1, the quotient is P(q^g) for P the
+    quotient on the exponents divided by g: P is computed and its
+    coefficients spread g apart.
 
     The F numerator factors multiply as one packed integer with a w-bit slot
     per coefficient (Kronecker substitution): times (1 - q^a) is one shift
@@ -289,11 +294,11 @@ def q_ratio(nums, dens) -> IntPoly:
     maps Z[q]/(q^(h+1)) onto Z/2^((h+1)w) as rings, one-to-one on
     coefficients below 2^(w-1) in absolute value, and the whole product of
     F factors 1 - q^a has coefficient L1 norm at most 2^F, so every
-    truncated coefficient decodes exactly once w >= F + 2. A slot is the
-    smallest of 1, 2, 4 or 8 bytes that holds F + 2 bits, or above 64 bits
-    a whole number of 64-bit words, so that one memoryview cast reads every
-    slot as a signed machine integer (the top word signed and each lower
-    word unsigned, for a slot of several words). Each denominator exponent
+    truncated coefficient decodes exactly once w >= F + 2. A slot is k
+    units of 1, 2, 4 or 8 bytes, k > 1 only for 8: the smallest unit that
+    holds F + 2 bits, or above 64 bits whole 64-bit words. One read path
+    casts the bytes with a memoryview, the top unit of each slot signed and
+    each lower one unsigned and folded in. Each denominator exponent
     b then divides all its copies in one pass per residue class mod b, as
     chained running sums. The upper coefficients are the mirror image of
     the lower ones, negated when #nums - #dens is odd.
@@ -302,6 +307,14 @@ def q_ratio(nums, dens) -> IntPoly:
     count.subtract(dens)
     if min(count, default=1) <= 0:
         raise ValueError("exponents must be positive")
+    count = {a: k for a, k in count.items() if k}
+    degree = sum(a * k for a, k in count.items())
+    top = max(count, default=0)
+    if degree < 0 or top > 2 * degree * degree:
+        raise InternalError(
+            f"Phi_{top} has degree at least sqrt({top}/2), above the quotient's "
+            f"degree D = {degree}: the quotient is not a polynomial"
+        )
     excess = {}
     for a, k in count.items():
         for e in divisors(a):
@@ -315,12 +328,13 @@ def q_ratio(nums, dens) -> IntPoly:
     g = math.gcd(*count)
     if g > 1:
         count = {a // g: k for a, k in count.items()}
-    degree = sum(a * k for a, k in count.items())
+        degree //= g
     half = degree // 2
     bits = sum(k for a, k in count.items() if k > 0 and a <= half) + 2
-    # slot bytes: whole 64-bit words above 64 bits, else 1, 2, 4 or 8
+    # slot: one unit of 1, 2, 4 or 8 bytes up to 64 bits, else 64-bit words
     words = -(-bits // 64)
-    size = 8 * words if words > 1 else 1 << max(0, (bits - 1).bit_length() - 3)
+    unit = 8 if words > 1 else 1 << max(0, (bits - 1).bit_length() - 3)
+    size = unit * words
     width = 8 * size
     mask = (1 << (half + 1) * width) - 1
     packed = 1
@@ -332,18 +346,16 @@ def q_ratio(nums, dens) -> IntPoly:
     # nonnegative, so no slot borrows from the next, and the xor leaves each
     # coefficient in w-bit two's complement. memoryview.cast reads the bytes
     # in native order, so they are written in it, and on a big-endian host
-    # the slots (or words) come out top first and are read backwards.
+    # the units come out top first and are read backwards.
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * (half + 1), "little")
     raw = memoryview((((packed + bias) & mask) ^ bias).to_bytes((half + 1) * size, _NATIVE_ORDER))
     step = 1 if _NATIVE_ORDER == "little" else -1
-    if words == 1:
-        out = raw.cast("bhiq"[size.bit_length() - 1])[::step].tolist()
-    else:
-        # the top word of each slot is signed, the lower ones unsigned
-        out = raw.cast("q")[::step][words - 1::words].tolist()
-        low = raw.cast("Q")[::step]
-        for i in range(words - 2, -1, -1):
-            out = [(c << 64) | w for c, w in zip(out, low[i::words])]
+    # the top unit of each slot is signed, the lower ones unsigned
+    fmt = "bhiq"[unit.bit_length() - 1]
+    out = raw.cast(fmt)[::step][words - 1::words].tolist()
+    for i in range(words - 2, -1, -1):
+        low = raw.cast(fmt.upper())[::step]
+        out = [(c << 64) | w for c, w in zip(out, low[i::words])]
     for b, k in count.items():
         if k < 0 and b <= half:
             for r in range(b):

@@ -49,6 +49,8 @@ class TestCartanType:
     def test_constructor_validates(self):
         with pytest.raises(InvalidRank):
             CartanType("D", 3)
+        with pytest.raises(InvalidRank, match="unknown family 'H'"):
+            CartanType("H", 2)
         assert CartanType("D", 4).rank == 4
 
     def test_rank_cap(self):

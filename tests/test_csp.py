@@ -282,6 +282,8 @@ class TestOrbitFormula:
         for a in range(0, 5):
             for d in range(2, 13):
                 assert orbit_formula(a, d) == predicted_orbit_counts((a * d,), d, d)[d]
+        # one letter has no A_(m-1) datum, so nothing is predicted
+        assert predicted_orbit_counts((1,), 1, 1) is None
 
     def test_order_is_capped_first(self):
         with pytest.raises(ResourceLimit, match="order n = 1000001: above the order cap 1000000"):
@@ -307,6 +309,22 @@ class TestRectCharacterization:
             assert verdict.predicted is False
             assert verdict.agree is True
 
+    def test_prediction_is_the_papers_form(self):
+        # within the hypotheses, sieving is predicted exactly for
+        # lam = ((a*m)^b) with a >= 1 and b = 1 or m - 1
+        shapes = 0
+        for m in range(2, 6):
+            for lam in partitions_up_to(15, max_parts=m - 1):
+                size = sum(lam)
+                if not lam or size % m:
+                    continue
+                shapes += 1
+                papers = any(lam == (a * m,) * b for b in (1, m - 1) for a in range(1, size // m + 1))
+                verdict = rect_characterization(lam, m)
+                assert verdict.predicted == papers
+                assert verdict.agree
+        assert shapes == 149
+
     def test_hypotheses(self):
         with pytest.raises(ConditionViolated, match="the empty shape is outside"):
             rect_characterization((), 3)
@@ -325,6 +343,8 @@ class TestPrimeCriterion:
     def test_validation(self):
         with pytest.raises(ConditionViolated, match="4 is not prime"):
             prime_specialization_criterion((2,), 2, 4)
+        with pytest.raises(ConditionViolated, match="^1 is not prime$"):
+            prime_specialization_criterion((), 1, 1)
         with pytest.raises(ConditionViolated, match="prime 2 is below the letter count 3"):
             prime_specialization_criterion((2, 2), 3, 2)
         with pytest.raises(ConditionViolated, match="3 parts will not fit into 2 letters"):

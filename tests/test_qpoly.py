@@ -14,6 +14,7 @@ import math
 import operator
 import random
 import struct
+import time
 
 import pytest
 import sympy
@@ -79,6 +80,7 @@ class TestIntPoly:
         assert IntPoly([5]) == 5
         assert IntPoly([]) == 0
         assert IntPoly([0, 1]) != 1
+        assert (IntPoly([1]) == "1") is False
         assert hash(IntPoly([1, 2])) == hash(IntPoly([1, 2, 0]))
 
     def test_getitem_out_of_range_is_zero(self):
@@ -101,6 +103,8 @@ class TestIntPoly:
         # (1+q+q^2)(1+q^3) expands to the full geometric series of length 6
         assert IntPoly([1, 1, 1]) * IntPoly([1, 0, 0, 1]) == IntPoly([1] * 6)
         assert 3 * Q == IntPoly([0, 3])
+        with pytest.raises(TypeError):
+            IntPoly([1]) * "x"
 
     def test_pow(self):
         assert (ONE + Q) ** 2 == IntPoly([1, 2, 1])
@@ -174,6 +178,40 @@ def many_factor_lists(draw):
     return draw(st.permutations(nums)), dens
 
 
+class _BigEndianItems(tuple):
+    """The items of a cast, with slices of the same type and tolist()."""
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        return _BigEndianItems(item) if isinstance(index, slice) else item
+
+    def tolist(self):
+        return list(self)
+
+
+class _BigEndianView:
+    """Stand-in for memoryview whose casts read big-endian, as on a
+    big-endian host."""
+
+    def __init__(self, data):
+        self.data = bytes(data)
+
+    def cast(self, fmt):
+        n = len(self.data) // struct.calcsize(fmt)
+        return _BigEndianItems(struct.unpack(f">{n}{fmt}", self.data))
+
+
+# one input per slot layout: 1, 2, 4 and 8 bytes, 2 and 3 words
+SLOT_LAYOUT_INPUTS = [
+    ([2] * 3, []),
+    ([3] * 10, [1] * 2),
+    ([2] * 20, [1]),
+    ([1] * 40, []),
+    ([2] * 70, [1] * 3),
+    ([1] * 150, [1] * 5),
+]
+
+
 class TestQRatio:
     def test_geometric(self):
         assert q_ratio([6], [2]) == IntPoly([1, 0, 1, 0, 1])
@@ -200,6 +238,22 @@ class TestQRatio:
         # Phi_1 divides both factors below and only the one above
         with pytest.raises(InternalError, match="Phi_1 "):
             q_ratio([12], [2, 3])
+
+    def test_cancelled_exponents_list_no_divisors(self):
+        # 10^30 cancels before its divisors, which trial division would take
+        # about 10^15 steps to list, are asked for
+        for nums, dens, expected in [([10**30], [10**30], ONE), ([10**30, 2], [10**30, 1], 1 + Q)]:
+            start = time.perf_counter()
+            assert q_ratio(nums, dens) == expected
+            assert time.perf_counter() - start < 1
+
+    def test_degree_bound_refuses_before_the_divisor_pass(self):
+        # a quotient of degree 1 has no room for Phi_(10^30), whose degree
+        # is at least sqrt(10^30 / 2)
+        start = time.perf_counter()
+        with pytest.raises(InternalError, match=r"Phi_1000000000000000000000000000000 .* D = 1\b"):
+            q_ratio([10**30], [10**30 - 1])
+        assert time.perf_counter() - start < 1
 
     def test_mirror_sign_and_high_exponents(self):
         # odd #nums - #dens: the mirrored upper half is negated
@@ -276,6 +330,16 @@ class TestQRatio:
         f = q_ratio(nums, dens)
         assert f == full_division_ratio(nums, dens)
         assert all(type(c) is int for c in f.coeffs)
+
+    def test_big_endian_read(self, monkeypatch):
+        expected = [q_ratio(*case) for case in SLOT_LAYOUT_INPUTS]
+        monkeypatch.setattr(qpoly, "memoryview", _BigEndianView, raising=False)
+        # negative control: bytes written little-endian but read big-endian
+        # decode wrongly once a unit has more than one byte
+        garbled = [q_ratio(*case) for case in SLOT_LAYOUT_INPUTS]
+        assert [f == g for f, g in zip(expected, garbled)] == [True] + [False] * 5
+        monkeypatch.setattr(qpoly, "_NATIVE_ORDER", "big")
+        assert [q_ratio(*case) for case in SLOT_LAYOUT_INPUTS] == expected
 
     def test_cast_formats_have_the_slot_sizes(self):
         # q_ratio reads its slots with memoryview.cast in these formats
@@ -631,6 +695,7 @@ class TestTextFormats:
         assert format_poly(IntPoly([1, 0, -1, 0, 1])) == "1 - q^2 + q^4"
         assert format_poly(IntPoly([0, -1])) == "-q"
         assert format_poly(IntPoly([0, 0, 3])) == "3*q^2"
+        assert repr(IntPoly([1, 2])) == "IntPoly('1 + 2*q')"
 
     def test_parse_examples(self):
         assert parse_poly("1 + q + q^2 + q^3") == IntPoly([1, 1, 1, 1])
@@ -657,7 +722,7 @@ class TestTextFormats:
         assert coeff in str(exc.value) and text in str(exc.value)
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0"):
+        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0", "2*", "*q"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
 

@@ -13,7 +13,7 @@ import pytest
 from crystal_sieve.cartan import gl_weight
 from crystal_sieve.csp import orbit_formula, predicted_orbit_counts, prime_specialization_criterion
 from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
-from crystal_sieve.partitions import MAX_LETTERS, partitions_of, partitions_up_to
+from crystal_sieve.partitions import MAX_LETTERS, as_partition, partitions_of, partitions_up_to
 from crystal_sieve.qdim import kappa, principal_specialization
 from crystal_sieve.qpoly import eval_root_of_unity
 from crystal_sieve.tableaux import (
@@ -157,6 +157,14 @@ class TestEnumeration:
         tabs = enumerate_ssyt((), 2)
         assert len(tabs) == 1 and tabs[0].size == 0
 
+    def test_shape_parts(self):
+        # trailing zeros are stripped, a zero inside the shape is refused,
+        # and a negative size has no partition
+        assert as_partition((3, 1, 0)) == (3, 1)
+        with pytest.raises(ValueError, match=r"part 0 is not positive in \(3, 0, 1\)"):
+            as_partition((3, 0, 1))
+        assert list(partitions_of(-1)) == []
+
 
 class TestKostka:
     def test_small_value(self):
@@ -182,6 +190,8 @@ class TestKostka:
             for lam in shapes:
                 for mu in shapes:
                     assert (kostka(lam, mu) > 0) == dominates(lam, mu)
+        # shapes of different sizes are incomparable
+        assert not dominates((2,), (1,))
 
     def test_size_mismatch(self):
         with pytest.raises(ConditionViolated, match="content sums to 1"):
