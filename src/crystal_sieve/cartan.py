@@ -217,7 +217,11 @@ def rho_pairing(datum: CartanDatum, beta: Root) -> int:
 
 
 def root_norm(datum: CartanDatum, beta: Root) -> int:
-    """(beta, beta) = sum_(i,j) c_i * d_i * A[i][j] * c_j by the symmetrized Cartan matrix."""
+    """(beta, beta): the cached value for a positive root, else
+    sum_(i,j) c_i * d_i * A[i][j] * c_j by the symmetrized Cartan matrix."""
+    cached = datum.root_norms.get(beta)
+    if cached is not None:
+        return cached
     _check_len(datum, beta, "root")
     a, d = datum.cartan_matrix, datum.symmetrizers
     return sum(

@@ -24,18 +24,30 @@ t_i. The public operators convert a ``Tableau`` to GT rows and back; the
 way back builds the result without validating it again, since it comes
 from a valid pattern. A census never builds a ``Tableau``: it interns each
 row of the enumerated patterns as a small int for the length of the call,
-and memoizes each move of G[i] under its triple, so one step of the cycle
-operator or of promotion is m - 1 lookups.
+and memoizes each move of G[i] under its triple.
 
-The census under the cycle operator c walks only the patterns of periodic
-content. c has order m and shifts a content's coordinates cyclically, so it
-keeps a content's period, and a tableau of aperiodic content, whose
-stabiliser under the shift is trivial, lies in an orbit of size m. The
-census checks that each walk returns within m steps with a length that
-divides m, that it walked as many patterns as their contents' Kostka
-numbers add up to, that no cycle leaves those patterns, and that the rest
-of ssyt_count is a nonnegative multiple of m. Only contents with a tableau
-are listed, so the work stays within ssyt_count, which the cap bounds.
+The census under promotion pr = t_1 ... t_(m-1) is one permutation of
+enumeration ranks. t_(m-1) acts first, so new G[i] = t_i(G[i-1], G[i],
+new G[i+1]), and once the depth-first enumeration from G[m] = lam fixes
+G[v] it knows new G[v+1]: every pattern under that prefix shares the
+lookup, where a walk pays m - 1 lookups per pattern. The last two levels
+depend only on G[2] and new G[3] and are computed once per such pair. Rank
+tables, built top down and bottom up over the tree of rows, turn the
+image's rows into its index in the enumeration order; the images' ranks
+fill an array and the cycles are read off it. The census checks that the
+tables count ssyt_count patterns, that every image lies in the crystal,
+and that the images form a permutation.
+
+The census under the cycle operator c walks cycles, one step being m - 1
+lookups, and only on the patterns of periodic content. c has order m and
+shifts a content's coordinates cyclically, so it keeps a content's period,
+and a tableau of aperiodic content, whose stabiliser under the shift is
+trivial, lies in an orbit of size m. The census checks that each walk
+returns within m steps with a length that divides m, that it walked as
+many patterns as their contents' Kostka numbers add up to, that no cycle
+leaves those patterns, and that the rest of ssyt_count is a nonnegative
+multiple of m. Only contents with a tableau are listed, so the work stays
+within ssyt_count, which the cap bounds.
 
 The canonical order of enumeration and fixed points is lexicographic on the
 reading word (rows left to right, bottom row first). GT order is not that
@@ -46,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, product
 from typing import Callable, Iterator, NamedTuple
@@ -606,42 +619,47 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
     cycles by length.
 
-    Walks cycles on GT patterns whose rows are interned as small ints.
-    One step rewrites G[m-1], ..., G[1] in turn, each by one lookup in a
-    table of moves (G[i-1], G[i], G[i+1]) -> new G[i], which the action's
-    row rule fills on first use; the table lives for this call. The
-    enumeration order is free, so the first pattern met of each cycle
-    starts its walk and the rest wait in a set until the enumeration
-    reaches them.
+    Both censuses run on GT patterns whose rows are interned as small ints,
+    and apply a factor by one lookup in a table of moves (G[i-1], G[i],
+    G[i+1]) -> new G[i], which the action's row rule fills on first use;
+    the table lives for this call.
 
-    Promotion walks the whole crystal, and the total walked must equal
-    ssyt_count. Under c, whose orbits of size below m lie among the
-    periodic contents (see the module docstring), only the patterns of
-    _periodic_contents are walked and the rest count as orbits of size m.
-    Each of four checks raises InternalError: a walk that does not return
-    within m steps or whose length does not divide m; a walked count other
-    than the sum of the contents' Kostka numbers; cycles that leave the
-    patterns enumerated, seen as a pattern left waiting in the set or as
-    cycle lengths that add up to more than were enumerated; and a
-    remainder ssyt_count - walked that is negative or not a multiple of m.
+    Promotion enumerates the whole crystal once and reads its cycles off
+    the array of the images' ranks (see _promotion_cycles). Under c, whose
+    orbits of size below m lie among the periodic contents (see the module
+    docstring), only the patterns of _periodic_contents are walked and the
+    rest count as orbits of size m; see _c_cycles for its checks.
     """
-    rule = _ROW_RULES.get(action)
-    if rule is None:
+    if action not in _ROW_RULES:
         raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
     lam = as_partition(lam)
     if m < 2:
         raise ValueError("the cycle operator and promotion need at least two letters")
     count = _check_count(lam, m)
+    by_size = (_promotion_cycles if action == "pr" else _c_cycles)(lam, m, count)
+    return OrbitCensus(dict(sorted(by_size.items())), count)
+
+
+def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
+    """The cycle lengths of c on the crystal of count tableaux, by walking
+    the patterns of periodic content.
+
+    One step rewrites G[m-1], ..., G[1] in turn. The enumeration order is
+    free, so the first pattern met of each cycle starts its walk and the
+    rest wait in a set until the enumeration reaches them. Each of four
+    checks raises InternalError: a walk that does not return within m steps
+    or whose length does not divide m; a walked count other than the sum of
+    the contents' Kostka numbers; cycles that leave the patterns
+    enumerated, seen as a pattern left waiting in the set or as cycle
+    lengths that add up to more than were enumerated; and a remainder
+    count - walked that is negative or not a multiple of m."""
+    rule = _ROW_RULES["c"]
     ids: dict[Row, int] = {}
-    if action == "c":
-        contents = _periodic_contents(lam, m)
-        starts = chain.from_iterable(_patterns(lam, m, ids, mu) for mu in contents)
-        # a Kostka number keeps its value when the content is rearranged
-        count_of = functools.cache(lambda sorted_mu: _content_count(lam, sorted_mu))
-        expected = sum(count_of(tuple(sorted(mu, reverse=True))) for mu in contents)
-        longest = m
-    else:
-        starts, expected, longest = _patterns(lam, m, ids), count, count
+    contents = _periodic_contents(lam, m)
+    starts = chain.from_iterable(_patterns(lam, m, ids, mu) for mu in contents)
+    # a Kostka number keeps its value when the content is rearranged
+    count_of = functools.cache(lambda sorted_mu: _content_count(lam, sorted_mu))
+    expected = sum(count_of(tuple(sorted(mu, reverse=True))) for mu in contents)
     rows: list[Row] = []  # the rows of ids, in id order, refreshed when ids grew
     moves: dict[tuple[int, int, int], int] = {}
     factors = range(m - 1, 0, -1)
@@ -673,18 +691,16 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
             cur = tuple(g)
             if cur == start:
                 break
-            if length >= longest:
-                raise InternalError(
-                    f"action {action} does not return to {tableau(start)} within {longest} steps on shape {lam}"
-                )
+            if length >= m:
+                raise InternalError(f"action c does not return to {tableau(start)} within {m} steps on shape {lam}")
             ahead.add(cur)
-        if action == "c" and m % length:
+        if m % length:
             raise InternalError(f"c returns to {tableau(start)} after {length} steps, not a divisor of {m}")
         by_size[length] = by_size.get(length, 0) + 1
     if total != expected:
         raise InternalError(f"walked {total} tableaux of shape {lam} on {m} letters, expected {expected}")
     if ahead or sum(d * k for d, k in by_size.items()) != total:
-        raise InternalError(f"cycles of {action} on shape {lam} on {m} letters leave the {total} patterns enumerated")
+        raise InternalError(f"cycles of c on shape {lam} on {m} letters leave the {total} patterns enumerated")
     rest, stray = divmod(count - total, m)
     if rest < 0 or stray:
         raise InternalError(
@@ -693,7 +709,147 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
         )
     if rest:
         by_size[m] = by_size.get(m, 0) + rest
-    return OrbitCensus(dict(sorted(by_size.items())), count)
+    return by_size
+
+
+def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
+    """The cycle lengths of promotion on the crystal of count tableaux, as
+    one permutation of enumeration ranks.
+
+    The patterns are taken depth first from G[m] = lam, as _patterns takes
+    them, and a pattern's rank is its index in that order. Two passes over
+    the tree of rows build the rank tables: top down, place[v][p] lists the
+    children of row p at level v, the rows G[v-1] under G[v] = p; bottom up,
+    it maps each child to the number of patterns under the children before
+    it, so that a pattern's rank is the sum of its rows' offsets.
+
+    pr = t_1 ... t_(m-1) applies t_(m-1) first, so new G[i] =
+    t_i(G[i-1], G[i], new G[i+1]): once the enumeration fixes G[v] it knows
+    new G[v+1], and every pattern under that prefix shares the lookup and
+    the offset summed so far. The last level runs as a plain loop under each
+    G[2], taking new G[2] and new G[1] per pattern; its offsets depend on
+    G[2] and new G[3] alone, so each such block is computed once and
+    shifted by the offset above it. The images' ranks fill an array, and
+    the cycles are read off it with a mark per rank.
+
+    Each of three checks raises InternalError: tables that count other than
+    count patterns; an image row not listed under its image parent, so the
+    image leaves the crystal; and a cycle that reaches a marked rank other
+    than its start, so the images are not a permutation."""
+    rule = _ROW_RULES["pr"]
+    ids: dict[Row, int] = {}
+    rows: list[Row] = []
+    moves: dict[tuple[int, int, int], int] = {}
+
+    def intern(row: Row) -> int:
+        k = ids.get(row)
+        if k is None:
+            k = ids[row] = len(rows)
+            rows.append(row)
+        return k
+
+    def move(key: tuple[int, int, int]) -> int:
+        """The move of the triple key, which the table does not hold yet."""
+        lo, row, hi = key
+        new = moves[key] = intern(rule(rows[lo], rows[row], rows[hi]))
+        return new
+
+    def outside() -> InternalError:
+        return InternalError(f"promotion takes a tableau of shape {lam} on {m} letters out of its crystal")
+
+    zero, top = intern((0,) * len(lam)), intern(lam)
+    place: list[dict[int, dict[int, int]]] = [{} for _ in range(m + 1)]
+    place[m][top] = {}
+    for v in range(m, 1, -1):
+        for p, kids in place[v].items():
+            for c in map(intern, _rows_below(rows[p], v - 1)):
+                kids[c] = 0
+                place[v - 1].setdefault(c, {})
+    size = dict.fromkeys(place[1], 1)
+    for v in range(2, m + 1):
+        up = {}
+        for p, kids in place[v].items():
+            at = 0
+            for c in kids:
+                kids[c] = at
+                at += size[c]
+            up[p] = at
+        size = up
+    if size[top] != count:
+        raise InternalError(f"the rank tables count {size[top]} tableaux of shape {lam} on {m} letters, not {count}")
+
+    def block(g2: int, n3: int) -> list[int]:
+        """The offsets at levels 2 and 1 of the images of the patterns under
+        G[2] = g2 whose image has n3 at level 3, in enumeration order. On two
+        letters G[2] = lam is the top, which no factor moves, and n3 is unused."""
+        out = []
+        at2, at3 = place[2], place[3][n3] if m > 2 else {top: 0}
+        for g1 in at2[g2]:
+            n2 = top
+            if m > 2:
+                key = (g1, g2, n3)
+                n2 = moves.get(key)
+                if n2 is None:
+                    n2 = move(key)
+            key = (zero, g1, n2)
+            n1 = moves.get(key)
+            if n1 is None:
+                n1 = move(key)
+            o2 = at3.get(n2)
+            o1 = None if o2 is None else at2[n2].get(n1)
+            if o1 is None:
+                raise outside()
+            out.append(o2 + o1)
+        return out
+
+    # a block depends on G[2] and new G[3] alone, so each is computed once
+    blocks: dict[tuple[int, int], list[int]] = {}
+    image = array("q")
+    # depth first from G[m] = lam to each G[2]: g[v] is G[v], new[v] the
+    # image's row at level v, base[v] the offsets of new[v], ..., new[m-1],
+    # and todo[v] the rows left to take at level v; new[m+1] and base[m+1]
+    # are read only on two letters, where the block's G[2] is lam
+    g, new, base = [zero] * (m + 1), [top] * (m + 2), [0] * (m + 2)
+    todo: list[Iterator[int]] = [iter(())] * m + [iter((top,))]
+    v = m
+    while v <= m:
+        c = next(todo[v], None)
+        if c is None:
+            v += 1
+            continue
+        g[v] = c
+        if v < m - 1:
+            key = (c, g[v + 1], new[v + 2])
+            n = moves.get(key)
+            if n is None:
+                n = move(key)
+            o = place[v + 2][new[v + 2]].get(n)
+            if o is None:
+                raise outside()
+            new[v + 1], base[v + 1] = n, base[v + 2] + o
+        if v > 2:
+            v -= 1
+            todo[v] = iter(place[v + 1][c])
+            continue
+        offsets = blocks.get((c, new[3]))
+        if offsets is None:
+            offsets = blocks[c, new[3]] = block(c, new[3])
+        image.extend(map(base[3].__add__, offsets))
+
+    marks = bytearray(count)
+    by_size: dict[int, int] = {}
+    for start in range(count):
+        if marks[start]:
+            continue
+        marks[start] = 1
+        k, length = image[start], 1
+        while k != start:
+            if marks[k]:
+                raise InternalError(f"promotion on shape {lam} on {m} letters is not a permutation of the crystal")
+            marks[k] = 1
+            k, length = image[k], length + 1
+        by_size[length] = by_size.get(length, 0) + 1
+    return by_size
 
 
 __all__ = [

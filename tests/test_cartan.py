@@ -5,6 +5,7 @@ Root counts are the classical ones (n(n+1)/2, n^2, n(n-1), 36, 63, 120, 24,
 of the simple reflection straight from the Cartan matrix.
 """
 
+import dataclasses
 import time
 
 import pytest
@@ -271,6 +272,22 @@ class TestPairings:
         datum = build_cartan_datum("B2")
         norms = [root_norm(datum, b) for b in datum.positive_roots]
         assert norms == [4, 2, 2, 4]
+
+    def test_root_norm_reads_the_cache(self):
+        for name in ("B5", "C4", "F4", "G2"):
+            datum = build_cartan_datum(name)
+            for beta in datum.positive_roots:
+                assert root_norm(datum, beta) == datum.root_norms[beta]
+        # a cached value is read, not recomputed
+        beta = datum.positive_roots[-1]
+        assert root_norm(dataclasses.replace(datum, root_norms={beta: -1}), beta) == -1
+        # beyond the positive roots the norm is computed, length checked
+        datum = build_cartan_datum("B2")
+        assert (2, 1) not in datum.root_norms
+        assert root_norm(datum, (2, 1)) == 10
+        assert root_norm(datum, (0, 0)) == 0
+        with pytest.raises(ConditionViolated, match="root has length 3, rank is 2"):
+            root_norm(datum, (1, 0, 0))
 
     def test_rho_pairing_is_weighted_height(self):
         for name in ALL_SMALL_TYPES:

@@ -170,7 +170,16 @@ def test_census_accounts_for_every_tableau(case):
 
 @pytest.mark.parametrize(
     "lam, m, action, step",
-    [((3, 2, 1), 7, "c", ref.c_action), ((5, 4, 2), 5, "pr", ref.promotion)],
+    [
+        ((3, 2, 1), 7, "c", ref.c_action),
+        ((5, 4, 2), 5, "pr", ref.promotion),
+        # two letters, with no level between lam and G[1]; the empty shape;
+        # and five and six levels of promotion's depth-first enumeration
+        ((2,), 2, "pr", ref.promotion),
+        ((), 3, "pr", ref.promotion),
+        ((4, 3, 1), 5, "pr", ref.promotion),
+        ((3, 2, 1, 1), 6, "pr", ref.promotion),
+    ],
 )
 def test_census_of_multi_row_shapes_equals_reference(lam, m, action, step):
     census = orbit_census(lam, m, action)

@@ -7,6 +7,7 @@ test; signs are accumulated as (-1)^(rows spanned - 1) per removal.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -516,6 +517,44 @@ class TestPromotion:
     def test_requires_two_letters(self):
         with pytest.raises(ValueError):
             promotion(tab("1,1", 1))
+
+    def test_promotion_census_checks_that_images_stay_in_the_crystal(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # copying the row above makes new G[1] = (2, 1), which has a part at
+        # index 1 and so is no row at level 1
+        monkeypatch.setitem(tableaux._ROW_RULES, "pr", lambda lo, row, hi: hi)
+        with pytest.raises(InternalError, match=r"takes a tableau of shape \(2, 1\) on 3 letters out of its crystal"):
+            orbit_census((2, 1), 3, "pr")
+
+    def test_promotion_census_checks_that_images_are_a_permutation(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # on (2,) on 2 letters the level-1 rows (0,) and (1,) both go to
+        # (1,): every image lies in the crystal, but two patterns share one
+        merge = {(0,): (1,)}
+        monkeypatch.setitem(tableaux._ROW_RULES, "pr", lambda lo, row, hi: merge.get(row, row))
+        with pytest.raises(InternalError, match=r"shape \(2,\) on 2 letters is not a permutation"):
+            orbit_census((2,), 2, "pr")
+
+    def test_promotion_census_checks_the_rank_tables(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        count = tableaux.ssyt_count
+        monkeypatch.setattr(tableaux, "ssyt_count", lambda lam, m: count(lam, m) + 1)
+        with pytest.raises(InternalError, match=r"rank tables count 8 tableaux of shape \(2, 1\) on 3 letters, not 9"):
+            orbit_census((2, 1), 3, "pr")
+
+    def test_promotion_census_memory(self):
+        # the census keeps one rank per tableau and the rank tables, not a
+        # set of row tuples per pattern: 28,875 tableaux here
+        tracemalloc.start()
+        try:
+            orbit_census((6, 3, 3), 6, "pr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestSuperstandard:
