@@ -4,6 +4,7 @@ needs of it off one list, ``_beta_numbers``."""
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 
 from .errors import ConditionViolated, ResourceLimit
@@ -15,13 +16,21 @@ Partition = tuple[int, ...]
 MAX_LETTERS = 100_000
 
 
+def _integer(x, what: str) -> int:
+    """x through operator.index, so that no float or string passes as an int."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def as_partition(parts: Iterable[int]) -> Partition:
     """Normalize to a tuple of weakly decreasing positive parts.
 
-    Trailing zeros are stripped; anything else out of order or nonpositive
-    raises ValueError.
+    Trailing zeros are stripped; a part that is not an integer, or anything
+    else out of order or nonpositive, raises ValueError.
     """
-    p = list(map(int, parts))
+    p = [_integer(x, "part") for x in parts]
     while p and p[-1] == 0:
         p.pop()
     p = tuple(p)
@@ -35,9 +44,9 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def _on_letters(parts: Iterable[int], m: int) -> Partition:
     """The shape parts as a partition on m letters: ValueError unless m is
-    positive, ResourceLimit when m is above MAX_LETTERS."""
+    a positive integer, ResourceLimit when m is above MAX_LETTERS."""
     lam = as_partition(parts)
-    if m < 1:
+    if _integer(m, "letter count m") < 1:
         raise ValueError("m must be positive")
     if m > MAX_LETTERS:
         raise ResourceLimit(f"shape {lam} on {m} letters: above the letter cap {MAX_LETTERS}")

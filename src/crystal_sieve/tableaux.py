@@ -22,32 +22,32 @@ the unmatched letters and turns k of them (all for s_i, one for f_i or
 e_i) taking the rows in the other, and the piecewise-linear reflection for
 t_i. The public operators convert a ``Tableau`` to GT rows and back; the
 way back builds the result without validating it again, since it comes
-from a valid pattern. A census never builds a ``Tableau``: it interns each
-row of the enumerated patterns as a small int for the length of the call,
-and memoizes each move of G[i] under its triple.
+from a valid pattern. A census never builds a ``Tableau``: one row table
+interns each row of the enumerated patterns as a small int for the length
+of the call and memoizes each move of G[i] under its triple. Each census is
+a permutation of ranks, a pattern's rank being its index in the order of
+enumeration: the images' ranks fill an array, and one reader,
+``_cycle_lengths``, reads the cycles off it and checks that the images
+form a permutation.
 
-The census under promotion pr = t_1 ... t_(m-1) is one permutation of
-enumeration ranks. t_(m-1) acts first, so new G[i] = t_i(G[i-1], G[i],
-new G[i+1]), and once the depth-first enumeration from G[m] = lam fixes
-G[v] it knows new G[v+1]: every pattern under that prefix shares the
-lookup, where a walk pays m - 1 lookups per pattern. The last two levels
-depend only on G[2] and new G[3] and are computed once per such pair. Rank
-tables, built top down and bottom up over the tree of rows, turn the
-image's rows into its index in the enumeration order; the images' ranks
-fill an array and the cycles are read off it. The census checks that the
-tables count ssyt_count patterns, that every image lies in the crystal,
-and that the images form a permutation.
+The census under promotion pr = t_1 ... t_(m-1) ranks the whole crystal.
+t_(m-1) acts first, so new G[i] = t_i(G[i-1], G[i], new G[i+1]), and once
+the depth-first enumeration from G[m] = lam fixes G[v] it knows new
+G[v+1]: every pattern under that prefix shares the lookup. The last two
+levels depend only on G[2] and new G[3] and are computed once per such
+pair. Rank tables, built top down and bottom up over the tree of rows, turn
+the image's rows into its rank. The census checks that the tables count
+ssyt_count patterns and that every image lies in the crystal.
 
-The census under the cycle operator c walks cycles, one step being m - 1
-lookups, and only on the patterns of periodic content. c has order m and
-shifts a content's coordinates cyclically, so it keeps a content's period,
-and a tableau of aperiodic content, whose stabiliser under the shift is
-trivial, lies in an orbit of size m. The census checks that each walk
-returns within m steps with a length that divides m, that it walked as
-many patterns as their contents' Kostka numbers add up to, that no cycle
-leaves those patterns, and that the rest of ssyt_count is a nonnegative
-multiple of m. Only contents with a tableau are listed, so the work stays
-within ssyt_count, which the cap bounds.
+The census under the cycle operator c ranks only the patterns of periodic
+content, each moved by one step of m - 1 lookups. c has order m and shifts
+a content's coordinates cyclically, so it keeps a content's period, and a
+tableau of aperiodic content, whose stabiliser under the shift is trivial,
+lies in an orbit of size m. The census checks that it ranked as many
+patterns as their contents' Kostka numbers add up to, that every image is
+among them, that every cycle length divides m, and that the rest of
+ssyt_count is a nonnegative multiple of m. Only contents with a tableau are
+listed, so the work stays within ssyt_count, which the cap bounds.
 
 The canonical order of enumeration and fixed points is lexicographic on the
 reading word (rows left to right, bottom row first). GT order is not that
@@ -58,13 +58,14 @@ from __future__ import annotations
 
 import functools
 import os
+import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, _beta_numbers, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _integer, _on_letters, as_partition
 from .qdim import _gl_exponents
 from .qpoly import divisors, q_ratio_at_one
 
@@ -105,7 +106,7 @@ class Tableau:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
+        if _integer(self.m, "entry bound m") < 1:
             raise ValueError("entry bound m must be positive")
         prev_len = None
         for r, row in enumerate(self.rows):
@@ -115,7 +116,7 @@ class Tableau:
                 raise ConditionViolated(f"row {r + 1} longer than the row above")
             prev_len = len(row)
             for c, v in enumerate(row):
-                if not 1 <= v <= self.m:
+                if not 1 <= _integer(v, "entry") <= self.m:
                     raise ConditionViolated(f"entry {v} outside 1..{self.m}")
                 if c and row[c - 1] > v:
                     raise ConditionViolated(f"row {r + 1} decreases at column {c + 1}")
@@ -152,14 +153,15 @@ class Tableau:
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "Tableau":
+        """Entries are ASCII [+-]?[0-9]+: int() also reads 1_0 and other digits."""
         text = text.strip()
         if text in ("", "-"):
             return cls((), m)
-        rows = tuple(
-            tuple(int(v) for v in row.split(","))
-            for row in text.split("/")
-        )
-        return cls(rows, m)
+        rows = [row.split(",") for row in text.split("/")]
+        for v in chain.from_iterable(rows):
+            if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", v):
+                raise ValueError(f"entry {v!r} is not an integer")
+        return cls(tuple(tuple(map(int, row)) for row in rows), m)
 
     def __str__(self):
         return self.to_text()
@@ -201,13 +203,39 @@ def _rows_below(upper: Row, v: int, total: int | None = None) -> Iterator[Row]:
     return (y + (x,) + tail for y in product(*ranges) if (x := total - sum(y)) in last)
 
 
+@dataclass
+class _RowTable:
+    """The GT rows met in one call as small ints, rows[k] the row of id k and
+    ids its inverse, and moves from a triple of ids (G[i-1], G[i], G[i+1]) to
+    the new G[i] under rule: look one up with moves.get, call move on a miss."""
+
+    rule: RowRule | None = None
+    rows: list[Row] = field(default_factory=list)
+    ids: dict[Row, int] = field(default_factory=dict)
+    moves: dict[tuple[int, int, int], int] = field(default_factory=dict)
+
+    def intern(self, row: Row) -> int:
+        """The id of row, the next free one when row is new."""
+        k = self.ids.get(row)
+        if k is None:
+            k = self.ids[row] = len(self.rows)
+            self.rows.append(row)
+        return k
+
+    def move(self, key: tuple[int, int, int]) -> int:
+        """The move of the triple key, which moves does not hold yet."""
+        rows = self.rows
+        new = self.moves[key] = self.intern(self.rule(rows[key[0]], rows[key[1]], rows[key[2]]))
+        return new
+
+
 def _patterns(
-    lam: Partition, m: int, ids: dict[Row, int], mu: tuple[int, ...] | None = None
+    lam: Partition, m: int, table: _RowTable, mu: tuple[int, ...] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Every GT pattern of shape lam on m letters, as the tuple of the ids
-    of its rows G[0..m]; ids interns each new row under the next free id.
-    With a content mu (summing to |lam|), only the patterns of that content:
-    those with |G[v]| = mu_1 + ... + mu_v at every level.
+    of its rows G[0..m] in table. With a content mu (summing to |lam|), only
+    the patterns of that content: those with |G[v]| = mu_1 + ... + mu_v at
+    every level.
 
     One loop, depth first from G[m] = lam down: each G[v] runs over
     _rows_below(G[v+1], v) with the content's sum at v, listed once per row
@@ -216,16 +244,16 @@ def _patterns(
     row G[0], so the loop yields at v = 1 (at v = 0 on one letter)."""
     sums = [None] * m if mu is None else list(accumulate(mu, initial=0))
     listed: dict[tuple[int, int], list[tuple[int, Row]]] = {}
+    intern = table.intern
 
     def below(top: int, upper: Row, v: int) -> list[tuple[int, Row]]:
         out = listed.get((top, v))
         if out is None:
-            rows = _rows_below(upper, v, sums[v])
-            out = listed[top, v] = [(ids.setdefault(x, len(ids)), x) for x in rows]
+            out = listed[top, v] = [(intern(x), x) for x in _rows_below(upper, v, sums[v])]
         return out
 
-    g = [ids.setdefault((0,) * len(lam), len(ids))] + [0] * m
-    g[m] = ids.setdefault(lam, len(ids))
+    g = [intern((0,) * len(lam))] + [0] * m
+    g[m] = intern(lam)
     stack = [iter(below(g[m], lam, m - 1))]
     while stack:
         nxt = next(stack[-1], None)
@@ -243,10 +271,9 @@ def _patterns(
 def _tableaux(lam: Partition, m: int, mu: tuple[int, ...] | None = None) -> list[Tableau]:
     """The patterns of _patterns as tableaux, in canonical order. GT order
     is not canonical order, so they are sorted by reading word."""
-    ids: dict[Row, int] = {}
-    patterns = list(_patterns(lam, m, ids, mu))
-    rows = list(ids)
-    out = [_from_gt([rows[k] for k in p], m) for p in patterns]
+    table = _RowTable()
+    rows = table.rows
+    out = [_from_gt([rows[k] for k in p], m) for p in _patterns(lam, m, table, mu)]
     out.sort(key=Tableau.reading_word)
     return out
 
@@ -284,7 +311,7 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
     exactly dominance of lam over mu.
     """
     lam = as_partition(lam)
-    mu = tuple(int(x) for x in mu)
+    mu = tuple(_integer(x, "multiplicity") for x in mu)
     if any(x < 0 for x in mu):
         raise ValueError(f"negative multiplicity in {mu}")
     if sum(lam) != sum(mu):
@@ -619,20 +646,17 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     """Decompose the crystal into cycles of the chosen action and count
     cycles by length.
 
-    Both censuses run on GT patterns whose rows are interned as small ints,
-    and apply a factor by one lookup in a table of moves (G[i-1], G[i],
-    G[i+1]) -> new G[i], which the action's row rule fills on first use;
-    the table lives for this call.
-
-    Promotion enumerates the whole crystal once and reads its cycles off
-    the array of the images' ranks (see _promotion_cycles). Under c, whose
-    orbits of size below m lie among the periodic contents (see the module
-    docstring), only the patterns of _periodic_contents are walked and the
-    rest count as orbits of size m; see _c_cycles for its checks.
+    Each census is a permutation of ranks of GT patterns, whose cycles
+    _cycle_lengths reads; a factor is one lookup in a _RowTable of moves,
+    which the action's row rule fills on first use and which lives for this
+    call. Promotion ranks the whole crystal (see _promotion_cycles). Under
+    c, whose orbits of size below m lie among the periodic contents (see the
+    module docstring), only the patterns of _periodic_contents are ranked
+    and the rest count as orbits of size m; see _c_cycles for its checks.
     """
     if action not in _ROW_RULES:
         raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
-    lam = as_partition(lam)
+    lam = _on_letters(lam, m)
     if m < 2:
         raise ValueError("the cycle operator and promotion need at least two letters")
     count = _check_count(lam, m)
@@ -641,74 +665,69 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
 
 
 def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
-    """The cycle lengths of c on the crystal of count tableaux, by walking
-    the patterns of periodic content.
-
-    One step rewrites G[m-1], ..., G[1] in turn. The enumeration order is
-    free, so the first pattern met of each cycle starts its walk and the
-    rest wait in a set until the enumeration reaches them. Each of four
-    checks raises InternalError: a walk that does not return within m steps
-    or whose length does not divide m; a walked count other than the sum of
-    the contents' Kostka numbers; cycles that leave the patterns
-    enumerated, seen as a pattern left waiting in the set or as cycle
-    lengths that add up to more than were enumerated; and a remainder
-    count - walked that is negative or not a multiple of m."""
-    rule = _ROW_RULES["c"]
-    ids: dict[Row, int] = {}
+    """The cycle lengths of c on the crystal of count tableaux: the patterns
+    of _periodic_contents, ranked in enumeration order, each moved by one
+    step of c (G[m-1], ..., G[1] in turn) to its image's rank. Each check
+    raises InternalError: a count of patterns other than the sum of the
+    contents' Kostka numbers; an image outside them; images that are not a
+    permutation (from _cycle_lengths); a cycle length that does not divide
+    m; and a remainder count - ranked that is negative or not a multiple of m."""
+    table = _RowTable(_ROW_RULES["c"])
     contents = _periodic_contents(lam, m)
-    starts = chain.from_iterable(_patterns(lam, m, ids, mu) for mu in contents)
+    patterns = chain.from_iterable(_patterns(lam, m, table, mu) for mu in contents)
+    rank = {p: k for k, p in enumerate(patterns)}
     # a Kostka number keeps its value when the content is rearranged
     count_of = functools.cache(lambda sorted_mu: _content_count(lam, sorted_mu))
     expected = sum(count_of(tuple(sorted(mu, reverse=True))) for mu in contents)
-    rows: list[Row] = []  # the rows of ids, in id order, refreshed when ids grew
-    moves: dict[tuple[int, int, int], int] = {}
+    if len(rank) != expected:
+        raise InternalError(f"walked {len(rank)} tableaux of shape {lam} on {m} letters, expected {expected}")
+    moves, move = table.moves, table.move
     factors = range(m - 1, 0, -1)
-    ahead: set[tuple[int, ...]] = set()
-    by_size: dict[int, int] = {}
-    total = 0
-
-    def tableau(pattern: tuple[int, ...]) -> Tableau:
-        return _from_gt([list(ids)[k] for k in pattern], m)
-
-    for start in starts:
-        total += 1
-        if start in ahead:
-            ahead.remove(start)
-            continue
-        g = list(start)
-        length = 0
-        while True:
-            for i in factors:
-                key = (g[i - 1], g[i], g[i + 1])
-                new = moves.get(key)
-                if new is None:
-                    if len(rows) < len(ids):
-                        rows = list(ids)
-                    new = rule(rows[key[0]], rows[key[1]], rows[key[2]])
-                    new = moves[key] = ids.setdefault(new, len(ids))
-                g[i] = new
-            length += 1
-            cur = tuple(g)
-            if cur == start:
-                break
-            if length >= m:
-                raise InternalError(f"action c does not return to {tableau(start)} within {m} steps on shape {lam}")
-            ahead.add(cur)
+    image = array("q")
+    for pattern in rank:
+        g = list(pattern)
+        for i in factors:
+            key = (g[i - 1], g[i], g[i + 1])
+            new = moves.get(key)
+            if new is None:
+                new = move(key)
+            g[i] = new
+        k = rank.get(tuple(g))
+        if k is None:
+            raise InternalError(f"cycles of c on shape {lam} on {m} letters leave the {len(rank)} patterns enumerated")
+        image.append(k)
+    by_size = _cycle_lengths(image, f"c on shape {lam} on {m} letters")
+    for length in by_size:
         if m % length:
-            raise InternalError(f"c returns to {tableau(start)} after {length} steps, not a divisor of {m}")
-        by_size[length] = by_size.get(length, 0) + 1
-    if total != expected:
-        raise InternalError(f"walked {total} tableaux of shape {lam} on {m} letters, expected {expected}")
-    if ahead or sum(d * k for d, k in by_size.items()) != total:
-        raise InternalError(f"cycles of c on shape {lam} on {m} letters leave the {total} patterns enumerated")
-    rest, stray = divmod(count - total, m)
+            raise InternalError(f"c on shape {lam} on {m} letters returns after {length} steps, not a divisor of {m}")
+    rest, stray = divmod(count - len(rank), m)
     if rest < 0 or stray:
         raise InternalError(
-            f"{count - total} tableaux of shape {lam} on {m} letters have aperiodic content, "
+            f"{count - len(rank)} tableaux of shape {lam} on {m} letters have aperiodic content, "
             f"not a multiple of {m}"
         )
     if rest:
         by_size[m] = by_size.get(m, 0) + rest
+    return by_size
+
+
+def _cycle_lengths(image: array, what: str) -> dict[int, int]:
+    """The cycle lengths of k -> image[k] on range(len(image)), as {length:
+    count}, read with one mark per rank; InternalError naming what when a
+    cycle reaches a marked rank other than its start, so no permutation."""
+    marks = bytearray(len(image))
+    by_size: dict[int, int] = {}
+    for start in range(len(image)):
+        if marks[start]:
+            continue
+        marks[start] = 1
+        k, length = image[start], 1
+        while k != start:
+            if marks[k]:
+                raise InternalError(f"{what} is not a permutation of the {len(image)} patterns enumerated")
+            marks[k] = 1
+            k, length = image[k], length + 1
+        by_size[length] = by_size.get(length, 0) + 1
     return by_size
 
 
@@ -729,30 +748,15 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     the offset summed so far. The last level runs as a plain loop under each
     G[2], taking new G[2] and new G[1] per pattern; its offsets depend on
     G[2] and new G[3] alone, so each such block is computed once and
-    shifted by the offset above it. The images' ranks fill an array, and
-    the cycles are read off it with a mark per rank.
+    shifted by the offset above it. The images' ranks fill an array, whose
+    cycles _cycle_lengths reads.
 
     Each of three checks raises InternalError: tables that count other than
     count patterns; an image row not listed under its image parent, so the
-    image leaves the crystal; and a cycle that reaches a marked rank other
-    than its start, so the images are not a permutation."""
-    rule = _ROW_RULES["pr"]
-    ids: dict[Row, int] = {}
-    rows: list[Row] = []
-    moves: dict[tuple[int, int, int], int] = {}
-
-    def intern(row: Row) -> int:
-        k = ids.get(row)
-        if k is None:
-            k = ids[row] = len(rows)
-            rows.append(row)
-        return k
-
-    def move(key: tuple[int, int, int]) -> int:
-        """The move of the triple key, which the table does not hold yet."""
-        lo, row, hi = key
-        new = moves[key] = intern(rule(rows[lo], rows[row], rows[hi]))
-        return new
+    image leaves the crystal; and images that are not a permutation (from
+    _cycle_lengths)."""
+    table = _RowTable(_ROW_RULES["pr"])
+    rows, moves, intern, move = table.rows, table.moves, table.intern, table.move
 
     def outside() -> InternalError:
         return InternalError(f"promotion takes a tableau of shape {lam} on {m} letters out of its crystal")
@@ -835,21 +839,7 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
         if offsets is None:
             offsets = blocks[c, new[3]] = block(c, new[3])
         image.extend(map(base[3].__add__, offsets))
-
-    marks = bytearray(count)
-    by_size: dict[int, int] = {}
-    for start in range(count):
-        if marks[start]:
-            continue
-        marks[start] = 1
-        k, length = image[start], 1
-        while k != start:
-            if marks[k]:
-                raise InternalError(f"promotion on shape {lam} on {m} letters is not a permutation of the crystal")
-            marks[k] = 1
-            k, length = image[k], length + 1
-        by_size[length] = by_size.get(length, 0) + 1
-    return by_size
+    return _cycle_lengths(image, f"promotion on shape {lam} on {m} letters")
 
 
 __all__ = [

@@ -8,6 +8,7 @@ test; signs are accumulated as (-1)^(rows spanned - 1) per removal.
 
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -56,6 +57,27 @@ TYPE_A_ENTRIES = [
     # row r filled with r + 1: a tableau of the shape whenever it fits
     pytest.param(lambda lam, m: Tableau(tuple((r + 1,) * p for r, p in enumerate(lam)), m), id="Tableau"),
 ]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(lambda: orbit_census((2.5,), 3), "part 2.5", id="orbit_census-part"),
+        pytest.param(lambda: orbit_census((2,), 3.0), "letter count m 3.0", id="orbit_census-m"),
+        pytest.param(lambda: ssyt_count((2,), 3.0), "letter count m 3.0", id="ssyt_count-m"),
+        pytest.param(lambda: kostka((2,), (1.9, 1.2)), "multiplicity 1.9", id="kostka-content"),
+        pytest.param(lambda: as_partition(["3"]), "part '3'", id="as_partition-str"),
+        pytest.param(lambda: Tableau(((1.0,),), 2), "entry 1.0", id="Tableau-entry"),
+        pytest.param(lambda: Tableau(((1,),), 2.0), "entry bound m 2.0", id="Tableau-m"),
+        pytest.param(lambda: Tableau.from_text("1,\u0662", 2), "entry '\u0662'", id="from_text-arabic-indic"),
+        pytest.param(lambda: Tableau.from_text("1_0", 10), "entry '1_0'", id="from_text-underscore"),
+    ],
+)
+def test_type_a_inputs_are_integers(call, value):
+    # int() would read each of these values as an integer, or a float would
+    # pass the comparisons of validation and fail later on as an index
+    with pytest.raises(ValueError, match=f"^{value} is not an integer$"):
+        call()
 
 
 class TestTableauType:
@@ -364,11 +386,39 @@ class TestCycleOperator:
     def test_census_stops_on_a_step_that_never_returns(self, monkeypatch):
         from crystal_sieve import tableaux
 
-        # a move that copies the row above is idempotent after one step, so
-        # a walk never comes back to a pattern whose rows differ
+        # a move that copies the row above sends every pattern to one whose
+        # G[1] = (2, 1) is no row at level 1, so no step comes back
         monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: hi)
-        with pytest.raises(InternalError, match="within 3 steps"):
+        with pytest.raises(InternalError, match="leave the 2 patterns enumerated"):
             orbit_census((2, 1), 3)
+
+    def test_census_checks_that_c_is_a_permutation(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # (2,1) on 3 letters has two patterns of uniform content, with
+        # G[2] = (2, 0) and (1, 1); sending (1, 1) to (2, 0) maps both to
+        # the first, a pattern of periodic content, so the images stay
+        # among the ranked patterns but are not a permutation
+        merge = {(1, 1): (2, 0)}
+        monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: merge.get(row, row))
+        with pytest.raises(InternalError, match=r"c on shape \(2, 1\) on 3 letters is not a permutation"):
+            orbit_census((2, 1), 3)
+
+    @pytest.mark.parametrize(
+        "image, by_size",
+        [([], {}), ([0, 1, 2], {1: 3}), ([1, 2, 0, 3], {3: 1, 1: 1}), ([2, 3, 0, 1], {2: 2})],
+    )
+    def test_cycle_lengths_of_a_permutation(self, image, by_size):
+        from crystal_sieve import tableaux
+
+        assert tableaux._cycle_lengths(array("q", image), "a map") == by_size
+
+    @pytest.mark.parametrize("image", [[0, 0], [1, 1, 2], [1, 2, 1], [2, 0, 0]])
+    def test_cycle_lengths_refuse_a_map_that_is_not_injective(self, image):
+        from crystal_sieve import tableaux
+
+        with pytest.raises(InternalError, match=f"a map is not a permutation of the {len(image)} patterns"):
+            tableaux._cycle_lengths(array("q", image), "a map")
 
 
     @staticmethod
@@ -446,6 +496,18 @@ class TestCycleOperator:
         monkeypatch.setitem(tableaux._ROW_RULES, "c", lambda lo, row, hi: swap.get(row, row))
         with pytest.raises(InternalError, match="leave the 1 patterns enumerated"):
             orbit_census((2,), 2)
+
+    def test_census_memory(self):
+        # the census ranks the 14,476 patterns of periodic content among
+        # 9,343,620 tableaux and keeps each in its rank dict, one rank per
+        # pattern in its image array
+        tracemalloc.start()
+        try:
+            orbit_census((6, 6, 6, 6), 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
 
     @pytest.mark.parametrize("k, m, by_size", [(24, 24, {1: 1}), (30, 30, {1: 1}), (40, 30, {})])
     def test_periodic_contents_without_a_tableau_are_not_listed(self, k, m, by_size):
