@@ -4,8 +4,10 @@ Conventions, fixed once here and relied on everywhere else:
 
 * The Cartan matrix entry at (i, j) is the pairing of the i-th simple
   coroot with the j-th simple root, so rows index coroots.
-* Symmetrizers d_i are the unique positive integers with min d_i = 1
-  making diag(d) * A symmetric; the bilinear form is (a_i, a_j) = d_i * A[i][j].
+* Each family is one Dynkin diagram: its edges, and for each simple root
+  d_i = (a_i, a_i)/2, the shortest at 1. These d_i are the symmetrizers; A_ii = 2
+  and on an edge A_ij = 2 (a_i, a_j)/(a_i, a_i) = -max(d_i, d_j)/d_i, so the
+  bilinear form (a_i, a_j) = d_i * A[i][j] is symmetric by construction.
 * Roots and weights are plain integer tuples: a root holds its simple-root
   coordinates, a weight its fundamental-weight coordinates.
 * Positive roots are built height by height from the simple roots, by the
@@ -20,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConditionViolated, InvalidRank, ResourceLimit
-from .partitions import Partition, _beta_numbers, _on_letters
+from .partitions import Partition, _beta_numbers, _integer, _on_letters
 
 Root = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -50,6 +52,7 @@ class CartanType:
     def __post_init__(self):
         if self.family not in _RANK_RANGE:
             raise InvalidRank(f"unknown family {self.family!r}")
+        object.__setattr__(self, "rank", _integer(self.rank, "rank", InvalidRank))
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise InvalidRank(f"{self.family}{self.rank} is not a finite type here")
@@ -67,58 +70,33 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix with rows indexed by coroots."""
-    n = ct.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j):
-        # a[i][j] is the coroot-i against root-j pairing
-        a[i][j] = -1
-        a[j][i] = -1
-
-    fam = ct.family
-    if fam in ("A", "B", "C"):
-        for i in range(n - 1):
-            bond(i, i + 1)
-        if fam == "B" and n >= 2:
-            a[n - 1][n - 2] = -2  # short coroot sees the long root doubled
-        if fam == "C" and n >= 2:
-            a[n - 2][n - 1] = -2
-    elif fam == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
+def _dynkin(ct: CartanType) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+    """Edges, zero-indexed, and half root lengths d_i of ct's Dynkin diagram: the
+    chain 0-1-...-(n-1), except that D's last node is on node n-3 and E is
+    Bourbaki's 1-3-4-...-n with node 2 on node 4."""
+    n, fam = ct.rank, ct.family
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if fam == "D":
+        edges[-1] = (n - 3, n - 1)
     elif fam == "E":
-        # chain 1-3-4-5-...-n with node 2 hanging off node 4
-        chain = [0] + list(range(2, n))
-        for i, j in zip(chain, chain[1:]):
-            bond(i, j)
-        bond(1, 3)
-    elif fam == "F":
-        bond(0, 1)
-        bond(1, 2)
-        bond(2, 3)
-        a[2][1] = -2  # arrow from node 2 to node 3
-    elif fam == "G":
-        a[0][1] = -3
-        a[1][0] = -1
-    return tuple(tuple(row) for row in a)
+        edges[:2] = [(0, 2), (1, 3)]
+    half = {"B": (2,) * (n - 1) + (1,), "C": (1,) * (n - 1) + (2,), "F": (2, 2, 1, 1), "G": (1, 3)}
+    return edges, half.get(fam, (1,) * n)
+
+
+def cartan_matrix(ct: CartanType) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix with rows indexed by coroots, read off the Dynkin diagram."""
+    edges, d = _dynkin(ct)
+    a = [[2 if i == j else 0 for j in range(ct.rank)] for i in range(ct.rank)]
+    for i, j in edges:
+        a[i][j] = -max(d[i], d[j]) // d[i]
+        a[j][i] = -max(d[i], d[j]) // d[j]
+    return tuple(map(tuple, a))
 
 
 def symmetrizers(ct: CartanType) -> tuple[int, ...]:
     """Positive integers d_i with min 1 making diag(d) * A symmetric."""
-    n = ct.rank
-    fam = ct.family
-    if fam in ("A", "D", "E"):
-        return (1,) * n
-    if fam == "B":
-        return (2,) * (n - 1) + (1,)
-    if fam == "C":
-        return (1,) * (n - 1) + (2,)
-    if fam == "F":
-        return (2, 2, 1, 1)
-    return (1, 3)  # G2
+    return _dynkin(ct)[1]
 
 
 def _positive_roots(matrix, d) -> dict[Root, tuple[int, int]]:
@@ -190,9 +168,12 @@ def build_cartan_datum(ct: CartanType | str) -> CartanDatum:
     return _build(ct)
 
 
-def _check_len(datum: CartanDatum, v: tuple[int, ...], what: str) -> None:
+def _check_len(datum: CartanDatum, v: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """v's coordinates as integers; ConditionViolated on any other or a wrong length."""
+    v = tuple([_integer(c, f"{what} coordinate", ConditionViolated) for c in v])
     if len(v) != datum.rank:
         raise ConditionViolated(f"{what} has length {len(v)}, rank is {datum.rank}")
+    return v
 
 
 def pairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
@@ -201,8 +182,7 @@ def pairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
     Bilinearity gives (beta, lam) = sum_i c_i * d_i * <h_i, lam> and
     <h_i, lam> is just the i-th weight coordinate.
     """
-    _check_len(datum, beta, "root")
-    _check_len(datum, lam, "weight")
+    beta, lam = _check_len(datum, beta, "root"), _check_len(datum, lam, "weight")
     d = datum.symmetrizers
     return sum(c * d[i] * lam[i] for i, c in enumerate(beta))
 
@@ -222,7 +202,7 @@ def root_norm(datum: CartanDatum, beta: Root) -> int:
     cached = datum.root_norms.get(beta)
     if cached is not None:
         return cached
-    _check_len(datum, beta, "root")
+    beta = _check_len(datum, beta, "root")
     a, d = datum.cartan_matrix, datum.symmetrizers
     return sum(
         ci * d[i] * a[i][j] * cj

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _on_letters, as_partition
+from .partitions import Partition, _integer, _on_letters, as_partition
 from .qdim import _fixed_and_orbit_counts, _gl_exponents, kappa, predicted_orbit_counts, principal_specialization
 from .qpoly import IntPoly, _mobius_sums, check_order, divisors, root_values
 from .tableaux import OrbitCensus, orbit_census
@@ -156,7 +156,7 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
     that the match coincides with the csp_check verdict, which is the same
     statement read through the sieving polynomial.
     """
-    lam = as_partition(lam)
+    lam = _on_letters(lam, m)
     if m < 2:
         raise ConditionViolated("need at least two letters for a cyclic action")
     n = m
@@ -187,9 +187,10 @@ def orbit_formula(a: int, d: int) -> int:
     """Number of size-d orbits of the cycle operator on the one-row shape (a*d),
     letters d: ``predicted_orbit_counts`` at order d without its degree cap.
     An order d above MAX_ORDER or above MAX_LETTERS raises ResourceLimit."""
+    a = _integer(a, "multiple a")
     if a < 0 or d <= 0:
         raise ValueError("need a >= 0 and d > 0")
-    check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
+    d = check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
     return _fixed_and_orbit_counts(*_gl_exponents(_on_letters((a * d,), d), d), d)[1][d]
 
 
@@ -209,7 +210,7 @@ def rect_characterization(lam: Partition, m: int) -> RectVerdict:
     Returns the brute-force verdict, the shape-based prediction, and their
     agreement (a disagreement would falsify the characterization).
     """
-    lam = as_partition(lam)
+    lam = _on_letters(lam, m)
     if not lam:
         raise ConditionViolated("the empty shape is outside this characterization")
     if len(lam) >= m:
@@ -241,7 +242,7 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     ResourceLimit before the primality test.
     """
     lam = _on_letters(lam, m)
-    check_order(p, lambda: f"prime criterion of shape {lam} on {m} letters")
+    p = check_order(p, lambda: f"prime criterion of shape {lam} on {m} letters")
     if len(divisors(p)) != 2:
         raise ConditionViolated(f"{p} is not prime")
     if p < m:

@@ -16,12 +16,13 @@ Partition = tuple[int, ...]
 MAX_LETTERS = 100_000
 
 
-def _integer(x, what: str) -> int:
-    """x through operator.index, so that no float or string passes as an int."""
+def _integer(x, what: str, error: type[Exception] = ValueError) -> int:
+    """x through operator.index, so that no float or string passes as an int;
+    anything else raises error, a ValueError unless given, naming x."""
     try:
         return operator.index(x)
     except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
+        raise error(f"{what} {x!r} is not an integer") from None
 
 
 def as_partition(parts: Iterable[int]) -> Partition:

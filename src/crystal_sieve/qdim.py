@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _beta_numbers, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _integer, _on_letters, as_partition
 from .qpoly import (
     MAX_DEGREE,
     ZERO,
@@ -53,7 +53,7 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool):
     integer, since (beta, beta) is 2, 4 or 6). Root data come from the
     datum's caches; only the weight is checked, with the errors of
     ``pairing`` and ``copairing`` (a coroot height is always an integer)."""
-    _check_len(datum, lam, "weight")
+    lam = _check_len(datum, lam, "weight")
     w = [di * c for di, c in zip(datum.symmetrizers, lam)]
     rho, norms = datum.rho_pairings, datum.root_norms
     nums, dens = [], []
@@ -102,7 +102,8 @@ def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
 
 
 def _divisible(nums, dens, n: int) -> bool:
-    """Whether n divides every num - den; ValueError unless n is positive."""
+    """Whether n divides every num - den; ValueError unless n is a positive integer."""
+    n = _integer(n, "order")
     if n <= 0:
         raise ValueError("n must be positive")
     return all((x - y) % n == 0 for x, y in zip(nums, dens))
@@ -173,7 +174,7 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     makes before its product: the order cap, dominance, the degree cap,
     the divisibility condition, and exact, nonnegative Mobius sums."""
     kind = "dual q-dimension" if dual else "q-dimension"
-    check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
+    n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
     if not _divisible(nums, dens, n):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
@@ -257,6 +258,6 @@ def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | N
     if not _divisible(nums, dens, n):
         return None
     what = f"orbit counts of shape {lam} on {m} letters"
-    check_order(n, lambda: what)
+    n = check_order(n, lambda: what)
     _check_degree(sum(nums) - sum(dens), what)
     return _fixed_and_orbit_counts(nums, dens, n)[1]

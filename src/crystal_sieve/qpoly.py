@@ -22,6 +22,7 @@ from collections import Counter
 from typing import Callable
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
+from .partitions import _integer
 
 # Largest order n of a root-of-unity value table or a residue mod q^n - 1.
 # Above 720,720 (240 divisors) and above 156,240, the order of promotion on
@@ -404,6 +405,7 @@ def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
 @functools.cache
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n in increasing order."""
+    n = _integer(n, "argument n")
     if n <= 0:
         raise ValueError("n must be positive")
     small, large = [], []
@@ -420,6 +422,7 @@ def divisors(n: int) -> tuple[int, ...]:
 @functools.cache
 def mobius(k: int) -> int:
     """Mobius function: 0 on non-squarefree k, else (-1)^(number of prime factors)."""
+    k = _integer(k, "argument k")
     if k <= 0:
         raise ValueError("k must be positive")
     out = 1
@@ -480,13 +483,16 @@ def cyclotomic(d: int) -> IntPoly:
     return q_ratio(nums, dens)
 
 
-def check_order(n: int, what: Callable[[], str]) -> None:
-    """ValueError unless n is positive; ResourceLimit when n is above
-    MAX_ORDER, with a message that names the input by calling what."""
+def check_order(n: int, what: Callable[[], str]) -> int:
+    """n read through operator.index: ValueError unless it is a positive
+    integer; ResourceLimit when it is above MAX_ORDER, with a message that
+    names the input by calling what."""
+    n = _integer(n, "order")
     if n <= 0:
         raise ValueError("n must be positive")
     if n > MAX_ORDER:
         raise ResourceLimit(f"{what()} at order n = {n}: above the order cap {MAX_ORDER}")
+    return n
 
 
 def _values_of(f: IntPoly) -> str:
@@ -530,8 +536,8 @@ def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
     when it is irrational (j = 0 mod n gives d = 1 and plain evaluation
     at 1).
     """
-    check_order(n, lambda: _values_of(f))
-    return _value_at_order(f.coeffs, n // math.gcd(n, j % n))
+    n = check_order(n, lambda: _values_of(f))
+    return _value_at_order(f.coeffs, n // math.gcd(n, _integer(j, "exponent j") % n))
 
 
 def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
@@ -544,7 +550,7 @@ def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
     mod q^d - 1 and at most one reduction by Phi_d. An order above MAX_ORDER raises
     ResourceLimit, here and in ``eval_root_of_unity``.
     """
-    check_order(n, lambda: _values_of(f))
+    n = check_order(n, lambda: _values_of(f))
     coeffs = _fold(f.coeffs, n)
     by_order = {d: _value_at_order(coeffs, d) for d in divisors(n)}
     return tuple(by_order[n // math.gcd(n, j)] for j in range(1, n + 1))

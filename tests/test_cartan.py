@@ -6,6 +6,7 @@ of the simple reflection straight from the Cartan matrix.
 """
 
 import dataclasses
+import hashlib
 import time
 
 import pytest
@@ -25,10 +26,26 @@ from crystal_sieve.cartan import (
     symmetrizers,
 )
 from crystal_sieve.errors import ConditionViolated, InvalidRank, ResourceLimit
+from crystal_sieve.qdim import qdim, weyl_dim
 
 ALL_SMALL_TYPES = [
     "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
 ]
+
+# every type up to the rank cap, family by family, ranks ascending
+ALL_TYPES = (
+    [CartanType("A", n) for n in range(1, MAX_RANK + 1)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, MAX_RANK + 1)]
+    + [CartanType("D", n) for n in range(4, MAX_RANK + 1)]
+    + [CartanType("E", n) for n in (6, 7, 8)]
+    + [CartanType("F", 4), CartanType("G", 2)]
+)
+
+
+def bonds(a):
+    """The edges of the Dynkin diagram: the nonzero off-diagonal pairs."""
+    n = len(a)
+    return {frozenset((i, j)) for i in range(n) for j in range(n) if i != j and a[i][j] != 0}
 
 
 class TestCartanType:
@@ -53,6 +70,35 @@ class TestCartanType:
         with pytest.raises(InvalidRank, match="unknown family 'H'"):
             CartanType("H", 2)
         assert CartanType("D", 4).rank == 4
+
+    @pytest.mark.parametrize(
+        "call, error, value",
+        [
+            pytest.param(lambda: CartanType("A", 2.0), InvalidRank, "rank 2.0", id="rank-float"),
+            pytest.param(lambda: CartanType("A", "2"), InvalidRank, "rank '2'", id="rank-str"),
+            pytest.param(
+                lambda: pairing(build_cartan_datum("A2"), (1, 1), (0.5, 0)),
+                ConditionViolated, "weight coordinate 0.5", id="pairing",
+            ),
+            pytest.param(
+                lambda: root_norm(build_cartan_datum("B2"), (0.5, 1)),
+                ConditionViolated, "root coordinate 0.5", id="root_norm",
+            ),
+            pytest.param(
+                lambda: qdim(build_cartan_datum("A2"), (1.5, 0.5)),
+                ConditionViolated, "weight coordinate 1.5", id="qdim",
+            ),
+            pytest.param(
+                lambda: weyl_dim(build_cartan_datum("B2"), (0.5, 1)),
+                ConditionViolated, "weight coordinate 0.5", id="weyl_dim",
+            ),
+        ],
+    )
+    def test_ranks_and_coordinates_are_integers(self, call, error, value):
+        # a float would pass the comparisons and reach a pairing, a product
+        # or a printed type name
+        with pytest.raises(error, match=f"^{value} is not an integer$"):
+            call()
 
     def test_rank_cap(self):
         # checked in the constructor, so no root of a refused type is built
@@ -117,6 +163,49 @@ class TestCartanMatrix:
             frozenset((4, 5)),
             frozenset((1, 3)),
         }
+
+    @pytest.mark.parametrize(
+        "name, edges",
+        [
+            ("E7", [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]),
+            ("E8", [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]),
+            ("D4", [(0, 1), (1, 2), (1, 3)]),
+            ("D5", [(0, 1), (1, 2), (2, 3), (2, 4)]),
+            ("D6", [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]),
+            ("D7", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),
+            ("D8", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)]),
+        ],
+    )
+    def test_e_and_d_bonds(self, name, edges):
+        # E: chain 1-3-4-...-n plus node 2 on node 4; D: the last two nodes
+        # both on node n-2; zero-indexed
+        assert bonds(cartan_matrix(CartanType.parse(name))) == set(map(frozenset, edges))
+
+    def test_every_diagram_is_a_tree_with_a_symmetric_form(self):
+        for ct in ALL_TYPES:
+            a, d = cartan_matrix(ct), symmetrizers(ct)
+            n = ct.rank
+            for i in range(n):
+                assert a[i][i] == 2
+                for j in range(n):
+                    if i != j:
+                        assert a[i][j] in (0, -1, -2, -3)
+                        assert (a[i][j] == 0) == (a[j][i] == 0)
+                    assert d[i] * a[i][j] == d[j] * a[j][i]
+            assert min(d) == 1
+            edges = bonds(a)
+            reached = {0}
+            for _ in range(n):
+                reached |= {k for e in edges if e & reached for k in e}
+            assert len(edges) == n - 1 and reached == set(range(n)), ct
+
+    def test_all_types_digest(self):
+        # matrices and symmetrizers of the 256 types as first written, one
+        # hand-set table each, before both were read off one diagram
+        h = hashlib.sha256()
+        for ct in ALL_TYPES:
+            h.update(repr((str(ct), cartan_matrix(ct), symmetrizers(ct))).encode())
+        assert len(ALL_TYPES) == 256 and h.hexdigest()[:12] == "c5dbe4242552"
 
     @pytest.mark.parametrize("name", ALL_SMALL_TYPES + ["D5", "E6", "E7", "E8"])
     def test_symmetrized_matrix_is_symmetric(self, name):

@@ -19,7 +19,13 @@ from crystal_sieve.csp import (
 from crystal_sieve.cartan import build_cartan_datum, gl_weight
 from crystal_sieve.errors import ConditionViolated, InternalError, ResourceLimit
 from crystal_sieve.partitions import partitions_up_to
-from crystal_sieve.qdim import congruence, kappa, predicted_orbit_counts, principal_specialization
+from crystal_sieve.qdim import (
+    congruence,
+    divisibility_condition,
+    kappa,
+    predicted_orbit_counts,
+    principal_specialization,
+)
 from crystal_sieve import qpoly
 from crystal_sieve.qpoly import IntPoly, cyclotomic, divisors, eval_root_of_unity, mobius, rem_mod
 from crystal_sieve.tableaux import enumerate_ssyt, orbit_census
@@ -204,6 +210,31 @@ class TestOrderCap:
         with pytest.raises(ResourceLimit, match="order n = 6: above the order cap 5"):
             csp_check((2, 1), 3, "pr")
 
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            pytest.param(lambda: predicted_orbit_counts((4,), 2, 4.0), "order 4.0", id="predicted"),
+            pytest.param(
+                lambda: divisibility_condition(build_cartan_datum("A1"), (2,), 2.0), "order 2.0", id="condition"
+            ),
+            pytest.param(lambda: divisors(4.0), "argument n 4.0", id="divisors"),
+            pytest.param(lambda: mobius(2.0), "argument k 2.0", id="mobius"),
+            pytest.param(lambda: csp_check((3,), 3, n=3.0), "order 3.0", id="csp_check"),
+            pytest.param(lambda: aa_criterion(IntPoly([1, 1]), 2.0), "order 2.0", id="aa_criterion"),
+            pytest.param(lambda: congruence(build_cartan_datum("A1"), (2,), 2.0), "order 2.0", id="congruence"),
+            pytest.param(lambda: qpoly.root_values(IntPoly([1, 1]), 4.0), "order 4.0", id="root_values"),
+            pytest.param(lambda: eval_root_of_unity(IntPoly([1, 1]), 4, 1.0), "exponent j 1.0", id="eval-j"),
+            pytest.param(lambda: prime_specialization_criterion((2,), 2, 3.0), "order 3.0", id="prime"),
+            pytest.param(lambda: orbit_formula(1.5, 2), "multiple a 1.5", id="orbit_formula-a"),
+        ],
+    )
+    def test_orders_are_integers(self, call, value):
+        # a float order would pass the comparisons and reach a result as a
+        # key or a count, or fail later on as a range bound
+        divisors(4), mobius(2)  # an int in the cache does not let its float through
+        with pytest.raises(ValueError, match=f"^{value} is not an integer$"):
+            call()
+
 
 class TestCensusVsA:
     def test_agreement_on_one_row(self):
@@ -224,6 +255,12 @@ class TestCensusVsA:
     def test_needs_two_letters(self):
         with pytest.raises(ConditionViolated):
             census_vs_a((2,), 1)
+
+    @pytest.mark.parametrize("call", [census_vs_a, rect_characterization])
+    def test_letter_count_is_gated_first(self, call):
+        # m is read by the type-A gate before any comparison with it
+        with pytest.raises(ValueError, match="^letter count m '3' is not an integer$"):
+            call((3,), "3")
 
     def test_census_is_checked_against_the_verdict(self, monkeypatch):
         import dataclasses
