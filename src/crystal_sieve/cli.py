@@ -16,12 +16,13 @@ import re
 import sys
 
 from .cartan import build_cartan_datum, corho_pairing, rho_pairing
-from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula, predicted_orbit_counts
-from .qdim import congruence, kappa, principal_specialization, qdim, qdim_dual, weyl_dim
+from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula
+from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
+from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
-from .partitions import as_partition, partitions_up_to
-from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs
-from .tableaux import fixed_points, orbit_census
+from .partitions import _on_letters, as_partition, partitions_up_to
+from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs, q_ratio_at_one
+from .tableaux import _check_count, _orbit_census, fixed_points, orbit_census
 
 
 def _integer(text: str) -> int:
@@ -247,18 +248,20 @@ def cmd_orbit_formula(args) -> int:
 
 
 def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
-    """One CSV row per order n for the shape lam on m letters. The census
-    and the specialization are taken once for all of them, and each n takes
-    one ``aa_criterion`` value table: its verdict fills ``aa_exists``, and
-    at n = m its values against the census give the ``csp_c`` verdict. A
-    row is stretched when ``predicted_orbit_counts`` gives orbit counts."""
+    """One CSV row per order n for the shape lam on m letters, in one pass:
+    one gate and one exponent list give the specialization, the crystal size
+    and each n's ``predicted_orbit_counts`` (counts stretch a row), checked
+    in the public entry points' order. Each n takes one ``aa_criterion`` table:
+    its verdict is ``aa_exists``; at n = m its values against the census give ``csp_c``."""
     lam, m, ns = cell
-    spoly = principal_specialization(lam, m)
-    census = orbit_census(lam, m, "c")
+    lam = _on_letters(lam, m)
+    nums, dens = _gl_exponents(lam, m)
+    spoly = _specialization(lam, m, nums, dens)
+    census = _orbit_census(lam, m, "c", _check_count(lam, m, q_ratio_at_one(nums, dens)))
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:
-        a = predicted_orbit_counts(lam, m, n)
+        a = _predicted_orbit_counts(lam, m, n, nums, dens)
         aa = aa_criterion(spoly, n)
         rows.append([
             ",".join(map(str, lam)) if lam else "0",

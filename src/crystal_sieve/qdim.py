@@ -40,20 +40,18 @@ from .qpoly import (
 )
 
 
-def _require_dominant(lam: Weight) -> None:
-    if not is_dominant(lam):
-        raise ConditionViolated(f"{lam} has a negative coordinate")
-
-
-def _exponents(datum: CartanDatum, lam: Weight, dual: bool):
+def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = False):
     """Numerator and denominator exponents of the Weyl-type product, in one
     pass over the positive roots: (beta, lam + rho) over (beta, rho), or
     <beta^vee, lam + rho> over <beta^vee, rho> when dual. Both pairings
     divide (beta, .) by half, which is 1, or (beta, beta)/2 when dual (an
     integer, since (beta, beta) is 2, 4 or 6). Root data come from the
     datum's caches; only the weight is checked, with the errors of
-    ``pairing`` and ``copairing`` (a coroot height is always an integer)."""
+    ``pairing`` and ``copairing`` (a coroot height is always an integer),
+    and, when dominant is set, then checked to have no negative coordinate."""
     lam = _check_len(datum, lam, "weight")
+    if dominant and not is_dominant(lam):
+        raise ConditionViolated(f"{lam} has a negative coordinate")
     w = [di * c for di, c in zip(datum.symmetrizers, lam)]
     rho, norms = datum.rho_pairings, datum.root_norms
     nums, dens = [], []
@@ -71,8 +69,7 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool):
 def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
     """Exponents of the whole (dual) q-dimension product, after the
     dominance and degree checks."""
-    _require_dominant(lam)
-    nums, dens = _exponents(datum, lam, dual)
+    nums, dens = _exponents(datum, lam, dual, dominant=True)
     kind = "dual q-dimension" if dual else "q-dimension"
     _check_degree(sum(nums) - sum(dens), f"{kind} of {datum.cartan_type} at weight {lam}")
     return nums, dens
@@ -97,8 +94,7 @@ def qdim_dual(datum: CartanDatum, lam: Weight) -> IntPoly:
 def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
     """Classical dimension: product over positive roots of
     (beta, lam + rho) / (beta, rho)."""
-    _require_dominant(lam)
-    return q_ratio_at_one(*_exponents(datum, lam, dual=False))
+    return q_ratio_at_one(*_exponents(datum, lam, dual=False, dominant=True))
 
 
 def _divisible(nums, dens, n: int) -> bool:
@@ -171,8 +167,8 @@ def _fixed_and_orbit_counts(nums, dens, n: int):
 def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     """Exponents of the whole (dual) q-dimension product, the fixed counts b
     and the orbit counts a at order n, after every check ``congruence``
-    makes before its product: the order cap, dominance, the degree cap,
-    the divisibility condition, and exact, nonnegative Mobius sums."""
+    makes before its product: the order cap, the weight gate, dominance, the
+    degree cap, the divisibility condition, exact, nonnegative Mobius sums."""
     kind = "dual q-dimension" if dual else "q-dimension"
     n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
@@ -227,7 +223,11 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
     raises ResourceLimit.
     """
     lam = _on_letters(lam, m)
-    nums, dens = _gl_exponents(lam, m)
+    return _specialization(lam, m, *_gl_exponents(lam, m))
+
+
+def _specialization(lam: Partition, m: int, nums, dens) -> IntPoly:
+    """``principal_specialization`` past its gate, from the shape's exponents."""
     _check_degree(sum(nums) - sum(dens), f"principal specialization of shape {lam} on {m} letters")
     return q_ratio(nums, dens)
 
@@ -252,9 +252,11 @@ def predicted_orbit_counts(lam: Partition, m: int, n: int) -> dict[int, int] | N
     with their order and degree caps, read off the shape's exponents; None
     when m < 2 or n fails to divide some difference of padded parts."""
     lam = _on_letters(lam, m)
-    if m < 2:
-        return None
-    nums, dens = _gl_exponents(lam, m)
+    return None if m < 2 else _predicted_orbit_counts(lam, m, n, *_gl_exponents(lam, m))
+
+
+def _predicted_orbit_counts(lam: Partition, m: int, n: int, nums, dens) -> dict[int, int] | None:
+    """``predicted_orbit_counts`` past its gate, from the shape's exponents."""
     if not _divisible(nums, dens, n):
         return None
     what = f"orbit counts of shape {lam} on {m} letters"

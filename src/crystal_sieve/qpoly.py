@@ -390,16 +390,20 @@ def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
         raise ConditionViolated("modulus must have positive degree")
     if g.coeffs[-1] != 1:
         raise ConditionViolated(f"modulus has leading coefficient {g.coeffs[-1]}")
-    rem = list(f.coeffs)
-    dg = g.degree
+    return _from_ints(_rem(list(f.coeffs), g.coeffs))
+
+
+def _rem(rem: list[int], g: tuple[int, ...]) -> list[int]:
+    """rem mod the monic g of degree >= 1, a new list of len(g) - 1; rem is reduced in place."""
+    dg = len(g) - 1
     # the leading 1 only cancels rem[k + dg], which the result drops
-    low = [(j, c) for j, c in enumerate(g.coeffs[:dg]) if c]
+    low = [(j, c) for j, c in enumerate(g[:dg]) if c]
     for k in range(len(rem) - dg - 1, -1, -1):
         top = rem[k + dg]
         if top:
             for j, c in low:
                 rem[k + j] -= top * c
-    return _from_ints(rem[:dg])
+    return rem[:dg]
 
 
 @functools.cache
@@ -519,13 +523,15 @@ def _value_at_order(coeffs, d: int) -> int | None:
     folded mod q^d - 1, which Phi_d divides, and the fold is reduced by
     Phi_d; the value is rational exactly when the remainder is constant.
     A fold of degree below phi(d) is its own remainder, so Phi_d is then
-    neither built nor divided by."""
-    r = _residue(coeffs, d)
-    if r.degree >= _totient(d):
-        r = rem_mod(r, cyclotomic(d))
-    if r.degree >= 1:
+    neither built nor divided by. All of it works on plain lists."""
+    r = _fold(coeffs, d)
+    while r and not r[-1]:
+        r.pop()
+    if len(r) > _totient(d):
+        r = _rem(r, cyclotomic(d).coeffs)
+    if any(r[1:]):
         return None
-    return r[0]
+    return r[0] if r else 0
 
 
 def eval_root_of_unity(f: IntPoly, n: int, j: int) -> int | None:
@@ -552,8 +558,11 @@ def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
     """
     n = check_order(n, lambda: _values_of(f))
     coeffs = _fold(f.coeffs, n)
-    by_order = {d: _value_at_order(coeffs, d) for d in divisors(n)}
-    return tuple(by_order[n // math.gcd(n, j)] for j in range(1, n + 1))
+    values = [_value_at_order(coeffs, n)] * n
+    # the divisors g > 1 ascending leave at j the value at order n / gcd(n, j)
+    for g in divisors(n)[1:]:
+        values[g - 1::g] = [_value_at_order(coeffs, n // g)] * (n // g)
+    return tuple(values)
 
 
 def orbit_basis_element(n: int, d: int) -> IntPoly:

@@ -176,9 +176,8 @@ def ssyt_count(lam: Partition, m: int) -> int:
     return q_ratio_at_one(*_gl_exponents(lam, m))
 
 
-def _check_count(lam: Partition, m: int) -> int:
-    """Size of the crystal, from the product formula, within the cap."""
-    count = ssyt_count(lam, m)
+def _check_count(lam: Partition, m: int, count: int) -> int:
+    """count, the size of the crystal of lam on m letters, within the cap."""
     _check_cap(count, f"shape {lam} on {m} letters")
     return count
 
@@ -285,7 +284,7 @@ def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
     CRYSTAL_SIEVE_MAX_ENUM environment variable, else 10^7).
     """
     lam = as_partition(lam)
-    _check_count(lam, m)
+    _check_count(lam, m, ssyt_count(lam, m))
     return _tableaux(lam, m)
 
 
@@ -659,7 +658,11 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     lam = _on_letters(lam, m)
     if m < 2:
         raise ValueError("the cycle operator and promotion need at least two letters")
-    count = _check_count(lam, m)
+    return _orbit_census(lam, m, action, _check_count(lam, m, ssyt_count(lam, m)))
+
+
+def _orbit_census(lam: Partition, m: int, action: str, count: int) -> OrbitCensus:
+    """``orbit_census`` past its checks, on the crystal of count tableaux."""
     by_size = (_promotion_cycles if action == "pr" else _c_cycles)(lam, m, count)
     return OrbitCensus(dict(sorted(by_size.items())), count)
 
@@ -677,8 +680,9 @@ def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     patterns = chain.from_iterable(_patterns(lam, m, table, mu) for mu in contents)
     rank = {p: k for k, p in enumerate(patterns)}
     # a Kostka number keeps its value when the content is rearranged
-    count_of = functools.cache(lambda sorted_mu: _content_count(lam, sorted_mu))
-    expected = sum(count_of(tuple(sorted(mu, reverse=True))) for mu in contents)
+    sorted_mus = [tuple(sorted(mu, reverse=True)) for mu in contents]
+    count_of = {mu: _content_count(lam, mu) for mu in set(sorted_mus)}
+    expected = sum(map(count_of.__getitem__, sorted_mus))
     if len(rank) != expected:
         raise InternalError(f"walked {len(rank)} tableaux of shape {lam} on {m} letters, expected {expected}")
     moves, move = table.moves, table.move

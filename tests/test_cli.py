@@ -390,9 +390,11 @@ class TestSweep:
         assert proc.stdout.strip() == "[]"
 
     def test_one_census_per_shape_and_letter_count(self, monkeypatch):
-        # 34 shapes (lam, m), each censused once whatever the number of orders
+        # 34 shapes (lam, m), each censused once whatever the number of
+        # orders; the sweep cell calls the census body past orbit_census's
+        # checks, so the body is counted wherever it is called from
         import crystal_sieve.cli as cli
-        import crystal_sieve.csp as csp
+        import crystal_sieve.tableaux as tableaux
 
         calls = []
 
@@ -403,8 +405,8 @@ class TestSweep:
 
             return census
 
-        monkeypatch.setattr(cli, "orbit_census", counted(cli.orbit_census))
-        monkeypatch.setattr(csp, "orbit_census", counted(csp.orbit_census))
+        monkeypatch.setattr(cli, "_orbit_census", counted(cli._orbit_census))
+        monkeypatch.setattr(tableaux, "_orbit_census", counted(tableaux._orbit_census))
         code, out, _ = run_cli("sweep", "--max-size", "5", "--m", "3,4", "--n", "3,4,6")
         assert code == 0
         assert len(calls) == len(set(calls)) == 34
@@ -444,6 +446,7 @@ class TestSweep:
         [
             ("sweep_5_m34_n346.csv", ["--max-size", "5", "--m", "3,4", "--n", "3,4,6"]),
             ("sweep_6_m2345.csv", ["--max-size", "6", "--m", "2,3,4,5"]),
+            ("sweep_8_m3456.csv", ["--max-size", "8", "--m", "3,4,5,6"]),
         ],
     )
     def test_matches_golden_csv(self, name, argv, jobs):
@@ -452,6 +455,14 @@ class TestSweep:
         code, out, _ = run_cli("sweep", *argv, "--jobs", jobs)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
+
+    def test_enumeration_cap_stops_the_sweep(self, monkeypatch):
+        # (1,) on 3 letters has 3 tableaux and (2,) has 6, the first above
+        # the cap; no row is written before every cell is computed
+        monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "5")
+        assert run_cli("sweep", "--max-size", "3", "--m", "3") == (
+            4, "", "error: 6 tableaux of shape (2,) on 3 letters exceed the cap 5 set by CRYSTAL_SIEVE_MAX_ENUM\n"
+        )
 
 
 class TestDegreeCap:

@@ -243,6 +243,30 @@ class TestExponents:
                 qdim_dual(datum, lam)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("weight", [("1", 0), (1, 0, 0), (-1, 0, 0)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            qdim,
+            qdim_dual,
+            weyl_dim,
+            lambda datum, weight: congruence(datum, weight, 2),
+            lambda datum, weight: orbit_counts(datum, weight, 2),
+            lambda datum, weight: divisibility_condition(datum, weight, 2),
+        ],
+        ids=["qdim", "qdim_dual", "weyl_dim", "congruence", "orbit_counts", "divisibility_condition"],
+    )
+    def test_coordinates_are_read_before_dominance(self, call, weight):
+        # a coordinate that is not an integer, or a weight of the wrong
+        # length, negative or not, raises the weight error of pairing, never
+        # a TypeError from the dominance test or the dominance error
+        datum = build_cartan_datum("A2")
+        with pytest.raises(ConditionViolated) as want:
+            pairing(datum, (1, 0), weight)
+        with pytest.raises(ConditionViolated) as got:
+            call(datum, weight)
+        assert str(got.value) == str(want.value)
+
 
 class TestCongruence:
     def test_one_row_of_four(self):

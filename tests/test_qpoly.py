@@ -565,6 +565,32 @@ def test_degree_short_cut_matches_the_reduction(rem, g, d, constant):
     assert qpoly._value_at_order(coeffs, d) == (None if r.degree >= 1 else r[0])
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data(), st.integers(1, 40), st.booleans())
+def test_value_at_order_matches_sympy(data, d, rational):
+    # the oracle is sympy's remainder of f itself, unfolded, by its own
+    # Phi_d: the value at a primitive d-th root of unity is rational exactly
+    # when that remainder is constant, and then equals it. Rational values
+    # come from f = c + Phi_d * h; the other inputs are at least d + 1
+    # coefficients long, so their folds mod q^d - 1 mostly reach degree
+    # phi(d) and need the reduction, and their values are mostly irrational
+    x = sympy.symbols("x")
+    phi = sympy.cyclotomic_poly(d, x)
+    if rational:
+        c = data.draw(st.integers(-9, 9))
+        h = data.draw(st.lists(st.integers(-9, 9), max_size=2 * d + 2))
+        f = sympy.Poly(c + phi * sum(a * x**k for k, a in enumerate(h)), x)
+        coeffs = [int(a) for a in reversed(f.all_coeffs())]
+    else:
+        coeffs = data.draw(st.lists(st.integers(-9, 9), min_size=d + 1, max_size=3 * d + 2))
+        f = sympy.Poly(sum(a * x**k for k, a in enumerate(coeffs)), x)
+    r = sympy.rem(f, sympy.Poly(phi, x))
+    want = None if r.degree() >= 1 else int(r.nth(0))
+    if rational:
+        assert want == c
+    assert qpoly._value_at_order(coeffs, d) == want
+
+
 def test_short_cut_builds_no_cyclotomic(monkeypatch):
     built = []
 
