@@ -15,6 +15,7 @@ import operator
 import random
 import struct
 import time
+import types
 
 import pytest
 import sympy
@@ -106,6 +107,23 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             IntPoly([1]) * "x"
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: IntPoly([1]) + 1.5,
+            lambda: 1.5 + IntPoly([1]),
+            lambda: IntPoly([1]) - "x",
+            lambda: "x" - IntPoly([1]),
+            lambda: IntPoly([1]) - 0.5,
+        ],
+        ids=["add", "radd", "sub", "rsub", "sub float"],
+    )
+    def test_add_sub_refuse_other_operands(self, op):
+        # NotImplemented from both sides: Python raises TypeError, not an
+        # AttributeError from reading .coeffs off the operand
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
     def test_pow(self):
         assert (ONE + Q) ** 2 == IntPoly([1, 2, 1])
         assert (ONE + Q) ** 0 == ONE
@@ -118,6 +136,15 @@ class TestIntPoly:
         assert GL3_POLY(2) == 651
         assert GL3_POLY(1) == 15
         assert ZERO(17) == 0
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda: IntPoly.monomial(2.0), lambda: Q.shift(2.0), lambda: Q**2.0, lambda: Q ** "2"],
+        ids=["monomial", "shift", "pow", "pow str"],
+    )
+    def test_exponents_must_be_integers(self, op):
+        with pytest.raises(ValueError, match="exponent .* is not an integer"):
+            op()
 
     def test_shift_and_monomial(self):
         assert Q.shift(2) == IntPoly.monomial(3)
@@ -176,6 +203,19 @@ def many_factor_lists(draw):
     size = draw(st.integers(0, 150 - len(nums)))
     nums += draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
     return draw(st.permutations(nums)), dens
+
+
+@st.composite
+def paired_lists(draw):
+    """Denominators in 1..12, each with a numerator multiple t b for t in
+    2..8, on both sides of q_ratio's pair cap, and up to 20 more numerators
+    in 1..40, many of them above half the degree; every exponent is scaled
+    by a shared g in 1..3."""
+    dens = draw(st.lists(st.integers(1, 12), max_size=12))
+    nums = [b * draw(st.integers(2, 8)) for b in dens]
+    nums += draw(st.lists(st.integers(1, 40), max_size=20))
+    g = draw(st.integers(1, 3))
+    return [g * a for a in draw(st.permutations(nums))], [g * b for b in dens]
 
 
 class _BigEndianItems(tuple):
@@ -280,6 +320,49 @@ class TestQRatio:
         assert q_ratio(nums, dens) == full_division_ratio(nums, dens)
 
     @settings(max_examples=200, deadline=None, database=None)
+    @given(paired_lists())
+    def test_pairs_match_full_division(self, lists):
+        nums, dens = lists
+        assert q_ratio(nums, dens) == full_division_ratio(nums, dens)
+
+    @pytest.mark.parametrize(
+        "nums, dens, runs",
+        [
+            # 65 factors take two 64-bit words, 61 bits to spare, room for
+            # 1 + q + ... + q^24; t = 25 is past the cap, so the copy of
+            # 1 - q is one running sum, not 24 shift-adds
+            ([25] * 64 + [26], [1], 1),
+            # t = 5 is within the cap: the copy is paired, with no running sum
+            ([5] * 64 + [6], [1], 0),
+            # (1 - q^3)^10 / (1 - q)^10: F = 10 takes 2 bytes, and after
+            # eight pairs the bound 2^F' 3^8 = 2^2 3^8 needs all 16 bits,
+            # so the last two copies are running sums
+            ([3] * 10, [1] * 10, 2),
+            # b = 4 > h = 3 enters neither a pair nor a running sum
+            ([8, 2], [4], 0),
+            # b = 2 pairs with a = 6 above h = 4, the only multiple of 2
+            ([6, 1, 1, 1, 1], [2], 0),
+        ],
+    )
+    def test_which_copies_take_running_sums(self, monkeypatch, nums, dens, runs):
+        calls = []
+
+        def accumulate(chain):
+            calls.append(1)
+            return itertools.accumulate(chain)
+
+        monkeypatch.setattr(qpoly, "itertools", types.SimpleNamespace(accumulate=accumulate))
+        f = q_ratio(nums, dens)
+        assert len(calls) == runs
+        monkeypatch.undo()
+        assert f == full_division_ratio(nums, dens)
+
+    def test_pairs_leave_the_mirror_sign(self):
+        # (1 - q^6)/(1 - q^2) pairs at t = 3; #nums - #dens = 1 still
+        # negates the mirrored half
+        assert q_ratio([6, 5], [2]) == IntPoly([1, 0, 1, 0, 1]) * one_minus_q(5)
+
+    @settings(max_examples=200, deadline=None, database=None)
     @given(exponent_lists(), st.integers(2, 5))
     def test_shared_factor_spreads_the_quotient(self, lists, g):
         # prod (1 - q^(g a)) / prod (1 - q^(g b)) is the quotient on a and b
@@ -316,7 +399,7 @@ class TestQRatio:
         ],
         ids=["1 byte", "2 bytes", "4 bytes", "8 bytes", "2 words", "3 words"],
     )
-    def test_every_slot_layout_on_a_real_product(self, layout, product):
+    def test_every_slot_layout_on_a_real_product(self, monkeypatch, layout, product):
         kind, *args = product
         if kind == "qdim":
             nums, dens = _qdim_exponents(build_cartan_datum(args[0]), args[1], dual=False)
@@ -326,8 +409,15 @@ class TestQRatio:
         count.subtract(dens)
         g = math.gcd(*count)
         half = sum(a * k for a, k in count.items()) // g // 2
-        assert sum(k for a, k in count.items() if k > 0 and a // g <= half) in layout
+        numerators = sum(k for a, k in count.items() if k > 0 and a // g <= half)
+        assert numerators in layout
+        picked = []
+        slot = qpoly._slot
+        monkeypatch.setattr(qpoly, "_slot", lambda bits: picked.append(slot(bits)) or picked[-1])
         f = q_ratio(nums, dens)
+        # the one slot asked for is that of the numerators before pairing:
+        # the pairs only fill its spare bits
+        assert picked == [slot(numerators + 2)]
         assert f == full_division_ratio(nums, dens)
         assert all(type(c) is int for c in f.coeffs)
 
@@ -363,6 +453,15 @@ class TestQRatio:
         assert q_ratio([4, 2, 2], []) == one_minus_q(4) * one_minus_q(2) * one_minus_q(2)
         assert q_ratio([5, 3], []) == one_minus_q(5) * one_minus_q(3)
         assert q_ratio([4, 4], [2]) == one_minus_q(4) * IntPoly([1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "nums, dens",
+        [([3.0], [3]), ([2.0], [1]), (["2"], [1]), ([2], [1.0])],
+        ids=["cancelling float", "float", "string", "float denominator"],
+    )
+    def test_rejects_non_integer_exponents(self, nums, dens):
+        with pytest.raises(ValueError, match="^exponent .* is not an integer$"):
+            q_ratio(nums, dens)
 
     def test_rejects_nonpositive_exponents(self):
         with pytest.raises(ValueError):
