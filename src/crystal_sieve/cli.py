@@ -20,18 +20,18 @@ from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula
 from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
-from .partitions import _on_letters, as_partition, partitions_up_to
-from .qpoly import IntPoly, format_poly, parse_poly, poly_to_json_coeffs, q_ratio_at_one
+from .partitions import _decimal, _on_letters, as_partition, partitions_up_to
+from .qpoly import IntPoly, _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import _check_count, _orbit_census, fixed_points, orbit_census
 
 
-def _integer(text: str) -> int:
-    """An ASCII decimal with an optional sign, spaces around it allowed; a
-    bad value is a usage error. int() alone also reads 1_0 and non-ASCII
-    digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    return int(text)
+def _integer(text: str, least: int | None = None) -> int:
+    """argparse type: text read by ``_decimal``, at least least when given;
+    a bad value is a usage error."""
+    try:
+        return _decimal(text, "argument", least=least)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if least is None else 'a positive'} integer") from None
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -54,15 +54,8 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and orders; a bad value is a usage error."""
-    try:
-        value = _integer(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+# argparse type for counts and orders
+_positive_int = functools.partial(_integer, least=1)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -257,7 +250,7 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
     lam = _on_letters(lam, m)
     nums, dens = _gl_exponents(lam, m)
     spoly = _specialization(lam, m, nums, dens)
-    census = _orbit_census(lam, m, "c", _check_count(lam, m, q_ratio_at_one(nums, dens)))
+    census = _orbit_census(lam, m, "c", _check_count(lam, m, _q_ratio_at_one(nums, dens)))
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:

@@ -86,7 +86,10 @@ def csp_check(
     The values come from one ``root_values`` table, computed once per
     divisor of n. The verdict is true only when every evaluation is an
     integer equal to the fixed-point count. The predicted orbit counts are
-    those of ``predicted_orbit_counts`` at the same n, whatever f is.
+    those of ``predicted_orbit_counts`` at the same n, whatever f is. When f
+    is the specialization, the counts exist and every cycle length divides
+    n, the paper's identity holds: the census equals the predicted counts
+    exactly when the verdict holds (InternalError otherwise).
     """
     lam = as_partition(lam)
     census = orbit_census(lam, m, action)
@@ -95,18 +98,25 @@ def csp_check(
             n = m
         else:
             n = math.lcm(*census.by_size)
-    if f is None:
+    specialized = f is None
+    if specialized:
         f = principal_specialization(lam, m)
     checks = _exponent_checks(root_values(f, n), census)
+    verdict = all(c.match for c in checks)
+    predicted = predicted_orbit_counts(lam, m, n)
+    if specialized and predicted is not None and not any(n % d for d in census.by_size):
+        matches = all(census.by_size.get(d, 0) == a for d, a in predicted.items())
+        if matches != verdict:
+            raise InternalError(f"census comparison ({matches}) disagrees with the sieving verdict ({verdict})")
     return CspReport(
         lam=lam,
         m=m,
         action=action,
         n=n,
         per_exponent=checks,
-        verdict=all(c.match for c in checks),
+        verdict=verdict,
         census=census,
-        predicted_a=predicted_orbit_counts(lam, m, n),
+        predicted_a=predicted,
     )
 
 
@@ -152,35 +162,25 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
     """Whether the actual orbit census of the action matches the orbit counts
     predicted by the q-dimension residue at order m.
 
-    Requires the divisibility condition for the shape's weight; also verifies
-    that the match coincides with the csp_check verdict, which is the same
-    statement read through the sieving polynomial.
+    Requires the divisibility condition for the shape's weight. The match
+    is the csp_check verdict, the same statement read through the sieving
+    polynomial; csp_check verifies that the two coincide.
     """
     lam = _on_letters(lam, m)
     if m < 2:
         raise ConditionViolated("need at least two letters for a cyclic action")
-    n = m
-    report = csp_check(lam, m, action, n=n)
-    verdict = report.verdict
-    predicted = report.predicted_a
-    if predicted is None:
+    report = csp_check(lam, m, action, n=m)
+    if report.predicted_a is None:
         # the divisibility condition fails, so no orbit-count prediction
         # exists at this order; a failing verdict settles the comparison, a
         # passing one leaves nothing to compare
-        if not verdict:
+        if not report.verdict:
             return False
-        raise ConditionViolated(
-            f"differences of padded parts of {lam} are not all divisible by {n}"
-        )
-    census = report.census
-    if any(n % d for d in census.by_size):
-        raise ConditionViolated(f"a cycle length does not divide the order {n}")
-    matches = all(census.by_size.get(d, 0) == predicted[d] for d in divisors(n))
-    if matches != verdict:
-        raise InternalError(
-            f"census comparison ({matches}) disagrees with the sieving verdict ({verdict})"
-        )
-    return matches
+        raise ConditionViolated(f"differences of padded parts of {lam} are not all divisible by {m}")
+    if any(m % d for d in report.census.by_size):
+        raise ConditionViolated(f"a cycle length does not divide the order {m}")
+    # csp_check has compared the census with the prediction
+    return report.verdict
 
 
 def orbit_formula(a: int, d: int) -> int:

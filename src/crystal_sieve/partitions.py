@@ -1,11 +1,17 @@
 """Integer partitions, and how a shape sits on m letters: every type-A entry
 point passes its shape through one gate, ``_on_letters``, and reads what it
-needs of it off one list, ``_beta_numbers``."""
+needs of it off one list, ``_beta_numbers``.
+
+Every count, order and exponent of the package is read here too: a value
+through ``_integer``, an integer written as text through ``_decimal``, each
+with its lower bound, if any."""
 
 from __future__ import annotations
 
 import operator
+import re
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .errors import ConditionViolated, ResourceLimit
 
@@ -16,13 +22,30 @@ Partition = tuple[int, ...]
 MAX_LETTERS = 100_000
 
 
-def _integer(x, what: str, error: type[Exception] = ValueError) -> int:
+def _integer(x, what: str, error: type[Exception] = ValueError, *, least: int | None = None) -> int:
     """x through operator.index, so that no float or string passes as an int;
-    anything else raises error, a ValueError unless given, naming x."""
+    anything else raises error, a ValueError unless given, naming x. A lower
+    bound least of 0 or 1 raises error "<what> must be nonnegative" or
+    "<what> must be positive" below it."""
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+    if least is not None and x < least:
+        raise error(f"{what} must be {('nonnegative', 'positive')[least]}")
+    return x
+
+
+def _decimal(text, what: str, *, least: int | None = None) -> int:
+    """An integer written as text, read as ``_integer`` reads a value: an
+    ASCII decimal with an optional sign and spaces around it, since int()
+    alone also reads 1_0 and non-ASCII digits. A JSON integer is such a
+    string or an int that is not a bool, which passes as it is."""
+    if type(text) is not int:
+        if not (isinstance(text, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", text)):
+            raise ValueError(f"{what} {text!r} is not an integer")
+        text = int(text)
+    return _integer(text, what, least=least)
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -47,9 +70,7 @@ def _on_letters(parts: Iterable[int], m: int) -> Partition:
     """The shape parts as a partition on m letters: ValueError unless m is
     a positive integer, ResourceLimit when m is above MAX_LETTERS."""
     lam = as_partition(parts)
-    if _integer(m, "letter count m") < 1:
-        raise ValueError("m must be positive")
-    if m > MAX_LETTERS:
+    if _integer(m, "letter count m", least=1) > MAX_LETTERS:
         raise ResourceLimit(f"shape {lam} on {m} letters: above the letter cap {MAX_LETTERS}")
     return lam
 
@@ -81,26 +102,28 @@ def dominates(lam: Partition, mu: Iterable[int]) -> bool:
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, weakly decreasing, lexicographically descending."""
-    if n < 0:
+    """All partitions of n with at most max_parts parts (any number when
+    None), weakly decreasing, lexicographically descending; none when n < 0."""
+    n = _integer(n, "size n")
+    room = n if max_parts is None else _integer(max_parts, "max_parts", least=0)
+    return _partitions(n, n, room, []) if n >= 0 else iter(())
+
+
+def _partitions(remaining: int, cap: int, room: int, acc: list[int]) -> Iterator[Partition]:
+    """acc extended by each partition of remaining into at most room parts
+    of at most cap each."""
+    if remaining == 0:
+        yield tuple(acc)
         return
-    bound_parts = n if max_parts is None else max_parts
-
-    def rec(remaining: int, cap: int, room: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if room == 0:
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            acc.append(part)
-            yield from rec(remaining - part, part, room - 1, acc)
-            acc.pop()
-
-    yield from rec(n, n, bound_parts, [])
+    if room == 0:
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        acc.append(part)
+        yield from _partitions(remaining - part, part, room - 1, acc)
+        acc.pop()
 
 
 def partitions_up_to(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of sizes 0 through n inclusive (the empty one first)."""
-    for size in range(n + 1):
-        yield from partitions_of(size, max_parts=max_parts)
+    sizes = range(_integer(n, "size n") + 1)
+    return chain.from_iterable(partitions_of(size, max_parts) for size in sizes)

@@ -4,14 +4,16 @@ and principal specializations of Schur polynomials.
 The q-dimension of the crystal with highest weight L is the Weyl-type product
 over positive roots of (1 - q^((beta, L + rho))) / (1 - q^((beta, rho))).
 Every such product, and its value at q = 1, goes through the one exact
-routine ``q_ratio`` (``q_ratio_at_one``), whose quotients never leave Z[q]:
+routine ``q_ratio`` (``_q_ratio_at_one``), whose quotients never leave Z[q]:
 it checks that the quotient is a polynomial by counting cyclotomic factors,
 computes the lower half of its coefficients and mirrors them, since every
 such product is palindromic up to sign. The numerator of that lower half is
 one packed integer with a slot of w >= F + 2 bits per coefficient for F
 factors, which is exact because a product of F factors 1 - q^a has
-coefficient L1 norm at most 2^F; the denominators divide it out as running
-sums.
+coefficient L1 norm at most 2^F. A denominator copy 1 - q^b paired with a
+numerator copy 1 - q^(tb), 2 <= t <= ``qpoly._PAIR_CAP``, divides it as
+t - 1 shift-adds inside the packed product; the copies left divide the
+decoded coefficients as running sums.
 The output degree is known from the exponents before any product work, and
 a degree above ``qpoly.MAX_DEGREE`` raises ResourceLimit.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _beta_numbers, _integer, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, as_partition
 from .qpoly import (
     MAX_DEGREE,
     ZERO,
@@ -36,7 +38,7 @@ from .qpoly import (
     orbit_basis_element,
     poly_to_json_coeffs,
     q_ratio,
-    q_ratio_at_one,
+    _q_ratio_at_one,
 )
 
 
@@ -94,14 +96,12 @@ def qdim_dual(datum: CartanDatum, lam: Weight) -> IntPoly:
 def weyl_dim(datum: CartanDatum, lam: Weight) -> int:
     """Classical dimension: product over positive roots of
     (beta, lam + rho) / (beta, rho)."""
-    return q_ratio_at_one(*_exponents(datum, lam, dual=False, dominant=True))
+    return _q_ratio_at_one(*_exponents(datum, lam, dual=False, dominant=True))
 
 
 def _divisible(nums, dens, n: int) -> bool:
     """Whether n divides every num - den; ValueError unless n is a positive integer."""
-    n = _integer(n, "order")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _integer(n, "order", least=1)
     return all((x - y) % n == 0 for x, y in zip(nums, dens))
 
 
@@ -142,12 +142,17 @@ class CongruenceResult:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CongruenceResult":
+        """The inverse of ``to_json_dict``: each integer is a JSON integer or
+        a decimal string, read by ``_decimal``, and dual a JSON bool."""
+        dual = data.get("dual", False)
+        if type(dual) is not bool:
+            raise ValueError(f"dual {dual!r} is not a bool")
         return cls(
-            n=int(data["n"]),
-            b={int(d): int(v) for d, v in data["b"].items()},
-            a={int(d): int(v) for d, v in data["a"].items()},
-            residue=IntPoly([int(c) for c in data["residue"]]),
-            dual=bool(data.get("dual", False)),
+            n=_decimal(data["n"], "order", least=1),
+            b={_decimal(d, "divisor d", least=1): _decimal(v, "fixed count", least=0) for d, v in data["b"].items()},
+            a={_decimal(d, "divisor d", least=1): _decimal(v, "orbit count", least=0) for d, v in data["a"].items()},
+            residue=IntPoly([_decimal(c, "coefficient") for c in data["residue"]]),
+            dual=dual,
         )
 
 
@@ -158,23 +163,24 @@ def _fixed_and_orbit_counts(nums, dens, n: int):
     b: dict[int, int] = {}
     for d in divisors(n):
         k = n // d
-        b[d] = q_ratio_at_one(
+        b[d] = _q_ratio_at_one(
             [x for x, y in zip(nums, dens) if y % k == 0], [y for y in dens if y % k == 0]
         )
     return b, _orbits_from_fixed(b)
 
 
 def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
-    """Exponents of the whole (dual) q-dimension product, the fixed counts b
-    and the orbit counts a at order n, after every check ``congruence``
-    makes before its product: the order cap, the weight gate, dominance, the
-    degree cap, the divisibility condition, exact, nonnegative Mobius sums."""
+    """The order n as read, the exponents of the whole (dual) q-dimension
+    product, the fixed counts b and the orbit counts a at n, after every
+    check ``congruence`` makes before its product: the order cap, the weight
+    gate, dominance, the degree cap, the divisibility condition, exact,
+    nonnegative Mobius sums."""
     kind = "dual q-dimension" if dual else "q-dimension"
     n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
     nums, dens = _qdim_exponents(datum, lam, dual)
     if not _divisible(nums, dens, n):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
-    return (nums, dens, *_fixed_and_orbit_counts(nums, dens, n))
+    return (n, nums, dens, *_fixed_and_orbit_counts(nums, dens, n))
 
 
 def orbit_counts(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> dict[int, int]:
@@ -182,7 +188,7 @@ def orbit_counts(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) ->
     each b_d is the product over the roots whose rho pairing n/d divides,
     and the a_d follow by Mobius inversion. Raises what ``congruence``
     raises before its product."""
-    return _orbit_data(datum, lam, n, dual)[3]
+    return _orbit_data(datum, lam, n, dual)[4]
 
 
 def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> CongruenceResult:
@@ -195,7 +201,7 @@ def congruence(datum: CartanDatum, lam: Weight, n: int, dual: bool = False) -> C
     An order above qpoly.MAX_ORDER or a q-dimension of degree above
     MAX_DEGREE raises ResourceLimit before any product is taken.
     """
-    nums, dens, b, a = _orbit_data(datum, lam, n, dual)
+    n, nums, dens, b, a = _orbit_data(datum, lam, n, dual)
     residue = _residue(q_ratio(nums, dens).coeffs, n)
     recon = ZERO
     for d, coeff in a.items():

@@ -18,11 +18,12 @@ import json
 import math
 import operator
 import re
+import sys
 from collections import Counter
 from typing import Callable
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import _integer
+from .partitions import _decimal, _integer
 
 # Largest order n of a root-of-unity value table or a residue mod q^n - 1.
 # Above 720,720 (240 divisors) and above 156,240, the order of promotion on
@@ -44,7 +45,7 @@ _PAIR_CAP = 6
 
 # The host's byte order, in which q_ratio writes the bytes that
 # memoryview.cast reads back natively.
-_NATIVE_ORDER = "little" if memoryview(b"\x01\x00").cast("H")[0] == 1 else "big"
+_NATIVE_ORDER = sys.byteorder
 
 
 class IntPoly:
@@ -71,10 +72,7 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "IntPoly":
-        k = _integer(k, "exponent")
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls([0] * k + [c])
+        return cls([0] * _integer(k, "exponent", least=0) + [c])
 
     @property
     def degree(self) -> int:
@@ -138,9 +136,7 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        e = _integer(e, "exponent")
-        if e < 0:
-            raise ValueError("negative power")
+        e = _integer(e, "exponent", least=0)
         result = ONE
         base = self
         while e:
@@ -159,9 +155,7 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q^k."""
-        k = _integer(k, "exponent")
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
+        k = _integer(k, "exponent", least=0)
         if self.is_zero:
             return self
         return _from_ints([0] * k + list(self.coeffs))
@@ -235,11 +229,8 @@ def parse_poly(text: str) -> IntPoly:
     """
     text = text.strip()
     if text.startswith("["):
-        coeffs = json.loads(text)
-        for c in coeffs:
-            if not (type(c) is int or isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+", c)):
-                raise ValueError(f"coefficient {c!r} in {text!r} is not an integer")
-        f = IntPoly([int(c) for c in coeffs])
+        what = f"in {text!r}, coefficient"
+        f = IntPoly([_decimal(c, what) for c in json.loads(text)])
         _check_degree(f.degree, f"polynomial {text!r}")
         return f
     if re.search(r"\d\s+\d", text):
@@ -444,7 +435,7 @@ def _slot(bits: int) -> tuple[int, int]:
     return (8 if words > 1 else 1 << max(0, (bits - 1).bit_length() - 3)), words
 
 
-def q_ratio_at_one(nums, dens) -> int:
+def _q_ratio_at_one(nums, dens) -> int:
     """Value of q_ratio(nums, dens) at q = 1: prod of nums over prod of dens,
     which must divide exactly (InternalError otherwise)."""
     quot, rem = divmod(math.prod(nums), math.prod(dens))
@@ -478,9 +469,7 @@ def _rem(rem: list[int], g: tuple[int, ...]) -> list[int]:
 @functools.cache
 def divisors(n: int) -> tuple[int, ...]:
     """Positive divisors of n in increasing order."""
-    n = _integer(n, "argument n")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _integer(n, "argument n", least=1)
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -495,9 +484,7 @@ def divisors(n: int) -> tuple[int, ...]:
 @functools.cache
 def mobius(k: int) -> int:
     """Mobius function: 0 on non-squarefree k, else (-1)^(number of prime factors)."""
-    k = _integer(k, "argument k")
-    if k <= 0:
-        raise ValueError("k must be positive")
+    k = _integer(k, "argument k", least=1)
     out = 1
     p = 2
     while p * p <= k:
@@ -547,9 +534,7 @@ def cyclotomic(d: int) -> IntPoly:
 
     Memoized per process; readers only, so shared use is safe.
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    if d == 1:
+    if _integer(d, "argument d", least=1) == 1:
         return Q - ONE
     nums = [e for e in divisors(d) if mobius(d // e) == 1]
     dens = [e for e in divisors(d) if mobius(d // e) == -1]
@@ -557,12 +542,10 @@ def cyclotomic(d: int) -> IntPoly:
 
 
 def check_order(n: int, what: Callable[[], str]) -> int:
-    """n read through operator.index: ValueError unless it is a positive
+    """n read through ``_integer``: ValueError unless it is a positive
     integer; ResourceLimit when it is above MAX_ORDER, with a message that
     names the input by calling what."""
-    n = _integer(n, "order")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    n = _integer(n, "order", least=1)
     if n > MAX_ORDER:
         raise ResourceLimit(f"{what()} at order n = {n}: above the order cap {MAX_ORDER}")
     return n
@@ -636,6 +619,7 @@ def root_values(f: IntPoly, n: int) -> tuple[int | None, ...]:
 
 def orbit_basis_element(n: int, d: int) -> IntPoly:
     """(q^n - 1)/(q^(n/d) - 1) = 1 + q^(n/d) + ... + q^(n - n/d), for d | n."""
+    n, d = _integer(n, "order", least=1), _integer(d, "divisor d", least=1)
     if n % d:
         raise ValueError(f"{d} does not divide {n}")
     step = n // d

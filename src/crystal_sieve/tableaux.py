@@ -58,16 +58,15 @@ from __future__ import annotations
 
 import functools
 import os
-import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, _beta_numbers, _integer, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, as_partition
 from .qdim import _gl_exponents
-from .qpoly import divisors, q_ratio_at_one
+from .qpoly import _q_ratio_at_one, divisors
 
 DEFAULT_ENUM_CAP = 10**7
 ENUM_CAP_ENV = "CRYSTAL_SIEVE_MAX_ENUM"
@@ -81,10 +80,7 @@ def _enum_cap() -> tuple[int, str]:
     env = os.environ.get(ENUM_CAP_ENV)
     if not env:
         return DEFAULT_ENUM_CAP, "by default"
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(f"{ENUM_CAP_ENV}={env!r} is not an integer") from None
+    cap = _decimal(env, ENUM_CAP_ENV)
     if cap < 0:
         raise ValueError(f"{ENUM_CAP_ENV}={env!r} is negative")
     return cap, f"set by {ENUM_CAP_ENV}"
@@ -106,8 +102,7 @@ class Tableau:
     m: int
 
     def __post_init__(self):
-        if _integer(self.m, "entry bound m") < 1:
-            raise ValueError("entry bound m must be positive")
+        _integer(self.m, "entry bound m", least=1)
         prev_len = None
         for r, row in enumerate(self.rows):
             if not row:
@@ -153,15 +148,11 @@ class Tableau:
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "Tableau":
-        """Entries are ASCII [+-]?[0-9]+: int() also reads 1_0 and other digits."""
+        """Rows split by "/", entries by ",", each read by ``_decimal``."""
         text = text.strip()
         if text in ("", "-"):
             return cls((), m)
-        rows = [row.split(",") for row in text.split("/")]
-        for v in chain.from_iterable(rows):
-            if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", v):
-                raise ValueError(f"entry {v!r} is not an integer")
-        return cls(tuple(tuple(map(int, row)) for row in rows), m)
+        return cls(tuple(tuple(_decimal(v, "entry") for v in row.split(",")) for row in text.split("/")), m)
 
     def __str__(self):
         return self.to_text()
@@ -173,7 +164,7 @@ def ssyt_count(lam: Partition, m: int) -> int:
     lam = _on_letters(lam, m)
     if len(lam) > m:
         return 0
-    return q_ratio_at_one(*_gl_exponents(lam, m))
+    return _q_ratio_at_one(*_gl_exponents(lam, m))
 
 
 def _check_count(lam: Partition, m: int, count: int) -> int:

@@ -618,6 +618,8 @@ class TestExitCodes:
             (["specialize", "\uff13", "-m", "2"], {}),
             (["aa-check", "\uff13", "-n", "2"], {}),
             (["roots", "A\uff13"], {}),
+            (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "1_000"}),
+            (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "\u0665\u0660"}),
         ],
     )
     def test_malformed_input(self, args, env):

@@ -82,6 +82,34 @@ class TestCspCheck:
         assert report.predicted_a == {1: 1, 3: 3}
         assert csp_check((2, 1), 3).predicted_a is None
 
+    @pytest.mark.parametrize("action", ["c", "pr"])
+    def test_census_is_checked_against_the_prediction(self, monkeypatch, capsys, action):
+        # with the specialization, a census that the predicted orbit counts
+        # miss contradicts a passing verdict: a bug, exit 5
+        from crystal_sieve import csp
+        from crystal_sieve.cli import main
+
+        monkeypatch.setattr(csp, "predicted_orbit_counts", lambda lam, m, n: dict.fromkeys(divisors(n), 0))
+        with pytest.raises(InternalError, match=r"^census comparison \(False\) disagrees with the sieving verdict \(True\)$"):
+            csp_check((3, 3), 3, action)
+        assert main(["csp-check", "3,3", "-m", "3", "--action", action]) == 5
+        assert "internal error: census comparison" in capsys.readouterr().err
+        # a polynomial of the caller's is not checked against the census
+        assert csp_check((3, 3), 3, action, f=principal_specialization((3, 3), 3)).verdict
+
+    def test_census_matches_the_prediction_exactly_when_sieving_holds(self):
+        # every shape of size <= 5 on 2..5 letters whose counts are predicted
+        checked = 0
+        for m in range(2, 6):
+            for lam in partitions_up_to(5, max_parts=m):
+                for action in ("c", "pr"):
+                    report = csp_check(lam, m, action)
+                    if report.predicted_a is not None:
+                        checked += 1
+                        census = {d: a for d, a in report.predicted_a.items() if a}
+                        assert (report.census.by_size == census) == report.verdict
+        assert checked == 30
+
     def test_json_shape(self):
         blob = csp_check((2,), 2).to_json_dict()
         assert blob["partition"] == [2]
@@ -226,6 +254,9 @@ class TestOrderCap:
             pytest.param(lambda: eval_root_of_unity(IntPoly([1, 1]), 4, 1.0), "exponent j 1.0", id="eval-j"),
             pytest.param(lambda: prime_specialization_criterion((2,), 2, 3.0), "order 3.0", id="prime"),
             pytest.param(lambda: orbit_formula(1.5, 2), "multiple a 1.5", id="orbit_formula-a"),
+            pytest.param(lambda: qpoly.orbit_basis_element(4.0, 2), "order 4.0", id="orbit_basis-n"),
+            pytest.param(lambda: qpoly.orbit_basis_element(4, 2.0), "divisor d 2.0", id="orbit_basis-d"),
+            pytest.param(lambda: cyclotomic(2.0), "argument d 2.0", id="cyclotomic"),
         ],
     )
     def test_orders_are_integers(self, call, value):
@@ -263,13 +294,11 @@ class TestCensusVsA:
             call((3,), "3")
 
     def test_census_is_checked_against_the_verdict(self, monkeypatch):
-        import dataclasses
-
+        # csp_check makes the comparison: a wrong prediction trips it
         from crystal_sieve import csp
 
-        check = csp.csp_check
-        monkeypatch.setattr(csp, "csp_check", lambda *a, **k: dataclasses.replace(check(*a, **k), verdict=False))
-        with pytest.raises(InternalError, match=r"census comparison \(True\) disagrees with the sieving verdict \(False\)"):
+        monkeypatch.setattr(csp, "predicted_orbit_counts", lambda lam, m, n: {1: 1, 3: 4})
+        with pytest.raises(InternalError, match=r"census comparison \(False\) disagrees with the sieving verdict \(True\)"):
             census_vs_a((3,), 3)
 
     def test_cycle_length_off_the_order(self):

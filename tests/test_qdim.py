@@ -199,7 +199,7 @@ class TestDivisibilityCondition:
     )
     def test_order_must_be_positive(self, call):
         # every test of n | (beta, lam) refuses an order n <= 0 the same way
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="^order must be positive$"):
             call()
 
 
@@ -357,6 +357,33 @@ class TestCongruence:
         blob = r.to_json_dict()
         assert blob["b"] == {"1": "2", "2": "14"}
         assert CongruenceResult.from_json_dict(blob) == r
+
+    def test_json_roundtrip_keeps_the_order_as_read(self):
+        # a bool is an int subclass: the result holds the plain int read
+        r = congruence(build_cartan_datum("A1"), (2,), True)
+        assert type(r.n) is int and r.to_json_dict()["n"] == 1
+        assert CongruenceResult.from_json_dict(r.to_json_dict()) == r
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 4.7}, "^order 4.7 is not an integer$"),
+            ({"n": "1_0"}, "^order '1_0' is not an integer$"),
+            ({"n": True}, "^order True is not an integer$"),
+            ({"n": 0}, "^order must be positive$"),
+            ({"a": {"1": 2.9, "2": "6"}}, "^orbit count 2.9 is not an integer$"),
+            ({"b": {"1": "2", "\u0662": "14"}}, "^divisor d '\u0662' is not an integer$"),
+            ({"b": {"1": "-2", "2": "14"}}, "^fixed count must be nonnegative$"),
+            ({"residue": ["\u0663", "1"]}, "^coefficient '\u0663' is not an integer$"),
+            ({"dual": "no"}, "^dual 'no' is not a bool$"),
+        ],
+        ids=["n-float", "n-underscore", "n-bool", "n-zero", "a-float", "b-arabic-indic", "b-negative", "residue", "dual"],
+    )
+    def test_json_reads_integers(self, change, message):
+        # int() would read each of these values, and bool() any dual
+        blob = {**congruence(build_cartan_datum("B2"), (2, 0), 2, dual=True).to_json_dict(), **change}
+        with pytest.raises(ValueError, match=message):
+            CongruenceResult.from_json_dict(blob)
 
 
 class TestOrbitCounts:

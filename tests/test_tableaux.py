@@ -71,6 +71,9 @@ TYPE_A_ENTRIES = [
         pytest.param(lambda: Tableau(((1,),), 2.0), "entry bound m 2.0", id="Tableau-m"),
         pytest.param(lambda: Tableau.from_text("1,\u0662", 2), "entry '\u0662'", id="from_text-arabic-indic"),
         pytest.param(lambda: Tableau.from_text("1_0", 10), "entry '1_0'", id="from_text-underscore"),
+        pytest.param(lambda: partitions_of(2.5), "size n 2.5", id="partitions_of-n"),
+        pytest.param(lambda: partitions_of(3, 1.5), "max_parts 1.5", id="partitions_of-max_parts"),
+        pytest.param(lambda: partitions_up_to(2.5), "size n 2.5", id="partitions_up_to-n"),
     ],
 )
 def test_type_a_inputs_are_integers(call, value):
