@@ -16,7 +16,7 @@ import re
 import sys
 
 from .cartan import build_cartan_datum, corho_pairing, rho_pairing
-from .csp import _exponent_checks, aa_criterion, csp_check, orbit_formula
+from .csp import _sieves, aa_criterion, csp_check, orbit_formula
 from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
@@ -245,7 +245,8 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
     one gate and one exponent list give the specialization, the crystal size
     and each n's ``predicted_orbit_counts`` (counts stretch a row), checked
     in the public entry points' order. Each n takes one ``aa_criterion`` table:
-    its verdict is ``aa_exists``; at n = m its values against the census give ``csp_c``."""
+    its verdict is ``aa_exists``; at n = m its values, the census and the
+    counts give ``csp_c`` by ``csp_check``'s rule, ``_sieves``."""
     lam, m, ns = cell
     lam = _on_letters(lam, m)
     nums, dens = _gl_exponents(lam, m)
@@ -263,7 +264,7 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
             census.total,
             a is not None,
             aa.exists,
-            str(all(e.match for e in _exponent_checks(aa.values, census))) if n == m else "",
+            str(_sieves(aa.values, census, a)) if n == m else "",
             sizes,
             "" if a is None else ";".join(f"{d}:{v}" for d, v in a.items()),
         ])

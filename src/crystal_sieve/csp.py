@@ -31,20 +31,29 @@ class ExponentCheck:
 
 @dataclass(frozen=True)
 class CspReport:
-    """Verdict of an exact sieving check for one shape, letter bound, and action."""
+    """Verdict of an exact sieving check for one shape, letter bound, and action.
+
+    values[j-1] is the value of f at the j-th power of a primitive n-th root
+    of unity, or None, as in ``AaResult``, and n is their number; the rows
+    of ``per_exponent`` are read off them and the census."""
 
     lam: Partition
     m: int
     action: str
     n: int
-    per_exponent: tuple[ExponentCheck, ...]
+    values: tuple[int | None, ...]
     verdict: bool
     census: OrbitCensus
     predicted_a: dict[int, int] | None
 
     @property
     def nonrational(self) -> bool:
-        return any(e.evaluation is None for e in self.per_exponent)
+        return None in self.values
+
+    @property
+    def per_exponent(self) -> tuple[ExponentCheck, ...]:
+        rows = ((j, self.census.fixed_by_power(j), value) for j, value in enumerate(self.values, 1))
+        return tuple(ExponentCheck(j, fixed, value, value == fixed) for j, fixed, value in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,50 +93,38 @@ def csp_check(
     f defaults to the principal specialization of the shape; n defaults to
     the group order (m for the cycle operator, the cycle lcm for promotion).
     The values come from one ``root_values`` table, computed once per
-    divisor of n. The verdict is true only when every evaluation is an
-    integer equal to the fixed-point count. The predicted orbit counts are
-    those of ``predicted_orbit_counts`` at the same n, whatever f is. When f
-    is the specialization, the counts exist and every cycle length divides
-    n, the paper's identity holds: the census equals the predicted counts
-    exactly when the verdict holds (InternalError otherwise).
+    divisor of n, and the report keeps that table as its values. The
+    predicted orbit counts are those of ``predicted_orbit_counts`` at the
+    same n, whatever f is. The verdict is ``_sieves``: true only when every
+    evaluation is an integer equal to the fixed-point count, and, when f is
+    the specialization, checked against the census identity of the paper.
     """
     lam = as_partition(lam)
     census = orbit_census(lam, m, action)
     if n is None:
-        if action == "c":
-            n = m
-        else:
-            n = math.lcm(*census.by_size)
+        n = m if action == "c" else math.lcm(*census.by_size)
     specialized = f is None
     if specialized:
         f = principal_specialization(lam, m)
-    checks = _exponent_checks(root_values(f, n), census)
-    verdict = all(c.match for c in checks)
+    values = root_values(f, n)
     predicted = predicted_orbit_counts(lam, m, n)
-    if specialized and predicted is not None and not any(n % d for d in census.by_size):
+    verdict = _sieves(values, census, predicted if specialized else None)
+    return CspReport(lam, m, action, len(values), values, verdict, census, predicted)
+
+
+def _sieves(values: tuple[int | None, ...], census: OrbitCensus, predicted: dict[int, int] | None = None) -> bool:
+    """Whether f sieves the census at order n = len(values): every value
+    f(w^j) = values[j-1], j = 1..n, is the count fixed by the j-th power (an
+    irrational value, None, is no count). Given orbit counts predicted at n,
+    which callers pass only when f is the specialization, and every cycle
+    length dividing n, the paper's identity holds: the census equals them
+    exactly when f sieves (InternalError otherwise)."""
+    verdict = all(value == census.fixed_by_power(j) for j, value in enumerate(values, 1))
+    if predicted is not None and not any(len(values) % d for d in census.by_size):
         matches = all(census.by_size.get(d, 0) == a for d, a in predicted.items())
         if matches != verdict:
             raise InternalError(f"census comparison ({matches}) disagrees with the sieving verdict ({verdict})")
-    return CspReport(
-        lam=lam,
-        m=m,
-        action=action,
-        n=n,
-        per_exponent=checks,
-        verdict=verdict,
-        census=census,
-        predicted_a=predicted,
-    )
-
-
-def _exponent_checks(values: tuple[int | None, ...], census: OrbitCensus) -> tuple[ExponentCheck, ...]:
-    """One check per power j = 1..len(values) of the generator: the value at
-    w^j against the count fixed by the j-th power, a match only when equal."""
-    checks = []
-    for j, value in enumerate(values, 1):
-        fixed = census.fixed_by_power(j)
-        checks.append(ExponentCheck(j, fixed, value, value is not None and value == fixed))
-    return tuple(checks)
+    return verdict
 
 
 class AaResult(NamedTuple):
@@ -187,7 +184,7 @@ def orbit_formula(a: int, d: int) -> int:
     """Number of size-d orbits of the cycle operator on the one-row shape (a*d),
     letters d: ``predicted_orbit_counts`` at order d without its degree cap.
     An order d above MAX_ORDER or above MAX_LETTERS raises ResourceLimit."""
-    a = _integer(a, "multiple a")
+    a, d = _integer(a, "multiple a"), _integer(d, "order")
     if a < 0 or d <= 0:
         raise ValueError("need a >= 0 and d > 0")
     d = check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")

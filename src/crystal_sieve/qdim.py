@@ -50,7 +50,9 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
     integer, since (beta, beta) is 2, 4 or 6). Root data come from the
     datum's caches; only the weight is checked, with the errors of
     ``pairing`` and ``copairing`` (a coroot height is always an integer),
-    and, when dominant is set, then checked to have no negative coordinate."""
+    and, when dominant is set, then checked to have no negative coordinate.
+    dual is read by ``_dual``."""
+    dual = _dual(dual)
     lam = _check_len(datum, lam, "weight")
     if dominant and not is_dominant(lam):
         raise ConditionViolated(f"{lam} has a negative coordinate")
@@ -66,6 +68,14 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
         dens.append(den)
         nums.append(pair + den)
     return nums, dens
+
+
+def _dual(dual) -> bool:
+    """dual as given when it is a bool, so that a result stores and writes
+    a bool; ValueError otherwise."""
+    if type(dual) is not bool:
+        raise ValueError(f"dual {dual!r} is not a bool")
+    return dual
 
 
 def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
@@ -144,9 +154,7 @@ class CongruenceResult:
     def from_json_dict(cls, data: dict) -> "CongruenceResult":
         """The inverse of ``to_json_dict``: each integer is a JSON integer or
         a decimal string, read by ``_decimal``, and dual a JSON bool."""
-        dual = data.get("dual", False)
-        if type(dual) is not bool:
-            raise ValueError(f"dual {dual!r} is not a bool")
+        dual = _dual(data.get("dual", False))
         return cls(
             n=_decimal(data["n"], "order", least=1),
             b={_decimal(d, "divisor d", least=1): _decimal(v, "fixed count", least=0) for d, v in data["b"].items()},

@@ -420,8 +420,8 @@ def crystal_e(i: int, t: Tableau) -> Tableau | None:
 def _rewrite(rule: RowRule, t: Tableau, i: int | None = None) -> Tableau | None:
     """Apply the row rule to G[i], or to G[m-1], ..., G[1] in turn when i
     is None; None as soon as the rule returns None. ValueError when i is
-    outside 1..m-1."""
-    if i is not None and not 1 <= i < t.m:
+    not an integer or outside 1..m-1."""
+    if i is not None and not 1 <= (i := _integer(i, "index")) < t.m:
         raise ValueError(f"index {i} outside 1..{t.m - 1}")
     g = _gt(t)
     for j in range(t.m - 1, 0, -1) if i is None else (i,):

@@ -456,6 +456,28 @@ class TestSweep:
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
+    def test_census_is_checked_against_the_prediction(self, monkeypatch):
+        # a cell at n = m checks the paper's identity as csp_check does:
+        # counts that miss the census of a crystal that sieves are a bug
+        from crystal_sieve import cli
+        from crystal_sieve.qpoly import divisors
+
+        monkeypatch.setattr(cli, "_predicted_orbit_counts", lambda lam, m, n, nums, dens: dict.fromkeys(divisors(n), 0))
+        assert run_cli("sweep", "--max-size", "3", "--m", "3") == (
+            5, "", "internal error: census comparison (False) disagrees with the sieving verdict (True)\n"
+        )
+
+    def test_csp_c_is_the_csp_check_verdict(self):
+        # one sieving rule serves the sweep and csp_check
+        from crystal_sieve.csp import csp_check
+
+        with open(DATA / "sweep_8_m3456.csv", newline="") as f:
+            rows = [r for r in csv.DictReader(f) if r["n"] == r["m"]]
+        assert len(rows) == 218
+        for r in rows:
+            lam = () if r["partition"] == "0" else tuple(map(int, r["partition"].split(",")))
+            assert r["csp_c"] == str(csp_check(lam, int(r["m"])).verdict)
+
     def test_enumeration_cap_stops_the_sweep(self, monkeypatch):
         # (1,) on 3 letters has 3 tableaux and (2,) has 6, the first above
         # the cap; no row is written before every cell is computed

@@ -110,6 +110,37 @@ class TestCspCheck:
                         assert (report.census.by_size == census) == report.verdict
         assert checked == 30
 
+    @pytest.mark.parametrize(
+        "lam, m, action, kwargs",
+        [
+            ((3, 3), 3, "c", {}),
+            ((2, 1), 3, "pr", {}),
+            ((2,), 2, "c", {"f": IntPoly([3])}),
+            ((2,), 2, "c", {"n": 4}),
+            ((2, 1), 3, "c", {}),
+        ],
+        ids=["c", "pr", "explicit-f", "explicit-n", "irrational"],
+    )
+    def test_rows_are_read_off_the_values(self, lam, m, action, kwargs):
+        # the report keeps the root_values table; each row pairs one of its
+        # values with the census's fixed count
+        report = csp_check(lam, m, action, **kwargs)
+        f = kwargs.get("f") or principal_specialization(lam, m)
+        assert report.values == qpoly.root_values(f, report.n)
+        rows = []
+        for j in range(1, report.n + 1):
+            fixed, value = report.census.fixed_by_power(j), report.values[j - 1]
+            rows.append((j, fixed, value, value is not None and value == fixed))
+        assert [(e.j, e.fixed, e.evaluation, e.match) for e in report.per_exponent] == rows
+        assert report.verdict == all(row[3] for row in rows)
+        assert report.nonrational == (None in report.values)
+
+    def test_order_is_kept_as_read(self):
+        # a bool is an int subclass: the report holds the plain int read
+        report = csp_check((2,), 2, n=True)
+        assert type(report.n) is int and report.n == 1
+        assert report.to_json_dict()["n"] == 1 and type(report.to_json_dict()["n"]) is int
+
     def test_json_shape(self):
         blob = csp_check((2,), 2).to_json_dict()
         assert blob["partition"] == [2]
@@ -254,6 +285,8 @@ class TestOrderCap:
             pytest.param(lambda: eval_root_of_unity(IntPoly([1, 1]), 4, 1.0), "exponent j 1.0", id="eval-j"),
             pytest.param(lambda: prime_specialization_criterion((2,), 2, 3.0), "order 3.0", id="prime"),
             pytest.param(lambda: orbit_formula(1.5, 2), "multiple a 1.5", id="orbit_formula-a"),
+            pytest.param(lambda: orbit_formula(1, "3"), "order '3'", id="orbit_formula-d"),
+            pytest.param(lambda: orbit_formula(1, None), "order None", id="orbit_formula-d-none"),
             pytest.param(lambda: qpoly.orbit_basis_element(4.0, 2), "order 4.0", id="orbit_basis-n"),
             pytest.param(lambda: qpoly.orbit_basis_element(4, 2.0), "divisor d 2.0", id="orbit_basis-d"),
             pytest.param(lambda: cyclotomic(2.0), "argument d 2.0", id="cyclotomic"),

@@ -365,6 +365,26 @@ class TestCongruence:
         assert CongruenceResult.from_json_dict(r.to_json_dict()) == r
 
     @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda datum: congruence(datum, (2,), 2, dual=1), id="congruence"),
+            pytest.param(lambda datum: orbit_counts(datum, (2,), 2, dual=1), id="orbit_counts"),
+            pytest.param(lambda datum: divisibility_condition(datum, (2,), 2, dual=1), id="condition"),
+        ],
+    )
+    def test_dual_is_a_bool(self, call):
+        # an int dual would be stored as given and written as a JSON number,
+        # which from_json_dict refuses
+        with pytest.raises(ValueError, match="^dual 1 is not a bool$"):
+            call(build_cartan_datum("A1"))
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_json_roundtrip_keeps_dual_a_bool(self, dual):
+        r = congruence(build_cartan_datum("A1"), (2,), 2, dual=dual)
+        assert r.to_json_dict()["dual"] is dual
+        assert CongruenceResult.from_json_dict(r.to_json_dict()) == r
+
+    @pytest.mark.parametrize(
         "change, message",
         [
             ({"n": 4.7}, "^order 4.7 is not an integer$"),

@@ -265,6 +265,16 @@ class TestCrystalOperators:
                 with pytest.raises(ValueError, match=rf"index {bad} outside 1\.\.2"):
                     op(bad, t)
 
+    @pytest.mark.parametrize(
+        "op, bad",
+        [(weyl_s, 2.0), (crystal_e, "1"), (bender_knuth, 1.0), (crystal_f, "2")],
+        ids=["weyl_s-float", "crystal_e-text", "bender_knuth-float", "crystal_f-text"],
+    )
+    def test_index_is_an_integer(self, op, bad):
+        # the range check compared the index before reading it
+        with pytest.raises(ValueError, match=f"^index {bad!r} is not an integer$"):
+            op(bad, tab("1,2", 3))
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_axioms_small_sweep(self, m):
         for lam in partitions_up_to(5, max_parts=m):
