@@ -5,9 +5,9 @@ Everything here is exact. Floats never enter; rationality questions are
 settled by polynomial remainders, not numerics.
 
 Coefficients are checked once, where they enter: ``IntPoly(...)`` (which
-``parse_poly`` goes through) requires ints. A polynomial this module computes
-from ints it already holds is only trimmed to canonical form, not checked
-again.
+``parse_poly`` goes through) reads each through ``partitions._integer``, so a
+bool enters as the int it stands for. A polynomial this module computes from
+ints it already holds is only trimmed to canonical form, not checked again.
 """
 
 from __future__ import annotations
@@ -59,10 +59,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficient required, got {c!r}")
+        cs = [_integer(c, "coefficient", TypeError) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -170,7 +167,7 @@ class IntPoly:
 def _as_poly(x) -> IntPoly | None:
     """x as an IntPoly when it is an int or an IntPoly, else None."""
     if isinstance(x, int):
-        return _from_ints([x])
+        return _from_ints([_integer(x, "coefficient")])
     return x if isinstance(x, IntPoly) else None
 
 

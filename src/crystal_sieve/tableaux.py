@@ -20,13 +20,15 @@ on the triple (G[i-1], G[i], G[i+1]). Two row rules compute it: the
 signature move, one bracket pass that reads the rows in one direction for
 the unmatched letters and turns k of them (all for s_i, one for f_i or
 e_i) taking the rows in the other, and the piecewise-linear reflection for
-t_i. The public operators convert a ``Tableau`` to GT rows and back; the
-way back builds the result without validating it again, since it comes
-from a valid pattern. A census never builds a ``Tableau``: one row table
-interns each row of the enumerated patterns as a small int for the length
-of the call and memoizes each move of G[i] under its triple. Each census is
-a permutation of ranks, a pattern's rank being its index in the order of
-enumeration: the images' ranks fill an array, and one reader,
+t_i. Each operator is a word of row indices under one row rule, applied by
+``_rewrite``: (i,) for s_i, e_i, f_i and t_i, and ``_cycle_word``, m-1, ..., 1,
+for c and promotion. The public operators convert a ``Tableau`` to GT rows
+and back, the way back unchecked as it comes from a valid pattern. A census
+never builds a ``Tableau``: one row table interns each row of the enumerated
+patterns as an int from 1 on for the length of the call and memoizes each
+move of G[i] under its triple, so a move is moves.get(key) or move(key).
+Each census is a permutation of ranks, a pattern's rank being its index in
+the order of enumeration: the images' ranks fill an array, and one reader,
 ``_cycle_lengths``, reads the cycles off it and checks that the images
 form a permutation.
 
@@ -61,7 +63,7 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
 from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, as_partition
@@ -102,7 +104,8 @@ class Tableau:
     m: int
 
     def __post_init__(self):
-        _integer(self.m, "entry bound m", least=1)
+        object.__setattr__(self, "m", _integer(self.m, "entry bound m", least=1))
+        object.__setattr__(self, "rows", tuple(tuple(_integer(v, "entry") for v in row) for row in self.rows))
         prev_len = None
         for r, row in enumerate(self.rows):
             if not row:
@@ -111,7 +114,7 @@ class Tableau:
                 raise ConditionViolated(f"row {r + 1} longer than the row above")
             prev_len = len(row)
             for c, v in enumerate(row):
-                if not 1 <= _integer(v, "entry") <= self.m:
+                if not 1 <= v <= self.m:
                     raise ConditionViolated(f"entry {v} outside 1..{self.m}")
                 if c and row[c - 1] > v:
                     raise ConditionViolated(f"row {r + 1} decreases at column {c + 1}")
@@ -197,10 +200,11 @@ def _rows_below(upper: Row, v: int, total: int | None = None) -> Iterator[Row]:
 class _RowTable:
     """The GT rows met in one call as small ints, rows[k] the row of id k and
     ids its inverse, and moves from a triple of ids (G[i-1], G[i], G[i+1]) to
-    the new G[i] under rule: look one up with moves.get, call move on a miss."""
+    the new G[i] under rule. Ids start at 1, rows[0] being no row, so that
+    every id is true and a move is moves.get(key) or move(key)."""
 
     rule: RowRule | None = None
-    rows: list[Row] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=lambda: [()])
     ids: dict[Row, int] = field(default_factory=dict)
     moves: dict[tuple[int, int, int], int] = field(default_factory=dict)
 
@@ -405,59 +409,64 @@ def _bender_knuth_row(lo: Row, row: Row, hi: Row) -> Row:
     return tuple(out)
 
 
+def _rewrite(rule: RowRule, t: Tableau, word: Iterable[int]) -> Tableau | None:
+    """Apply the row rule to G[i] for each index i of word in turn, the
+    first index first; None as soon as the rule returns None. ValueError
+    when an index is not an integer or outside 1..m-1."""
+    g = _gt(t)
+    for i in word:
+        if not 1 <= (i := _integer(i, "index")) < t.m:
+            raise ValueError(f"index {i} outside 1..{t.m - 1}")
+        g[i] = rule(g[i - 1], g[i], g[i + 1])
+        if g[i] is None:
+            return None
+    return _from_gt(g, t.m)
+
+
+def _cycle_word(m: int) -> range:
+    """The indices m-1, ..., 1 of the factors of c = s_1 ... s_(m-1) and
+    pr = t_1 ... t_(m-1), the rightmost factor first. ValueError on fewer
+    than two letters."""
+    if m < 2:
+        raise ValueError("the cycle operator and promotion need at least two letters")
+    return range(m - 1, 0, -1)
+
+
 def crystal_f(i: int, t: Tableau) -> Tableau | None:
     """Lowering operator: turns the rightmost unmatched i into i+1,
     or None when there is none."""
-    return _rewrite(functools.partial(_reflect_row, k=1), t, i)
+    return _rewrite(functools.partial(_reflect_row, k=1), t, (i,))
 
 
 def crystal_e(i: int, t: Tableau) -> Tableau | None:
     """Raising operator: turns the leftmost unmatched i+1 into i,
     or None when there is none."""
-    return _rewrite(functools.partial(_reflect_row, k=-1), t, i)
-
-
-def _rewrite(rule: RowRule, t: Tableau, i: int | None = None) -> Tableau | None:
-    """Apply the row rule to G[i], or to G[m-1], ..., G[1] in turn when i
-    is None; None as soon as the rule returns None. ValueError when i is
-    not an integer or outside 1..m-1."""
-    if i is not None and not 1 <= (i := _integer(i, "index")) < t.m:
-        raise ValueError(f"index {i} outside 1..{t.m - 1}")
-    g = _gt(t)
-    for j in range(t.m - 1, 0, -1) if i is None else (i,):
-        g[j] = rule(g[j - 1], g[j], g[j + 1])
-        if g[j] is None:
-            return None
-    return _from_gt(g, t.m)
+    return _rewrite(functools.partial(_reflect_row, k=-1), t, (i,))
 
 
 def weyl_s(i: int, t: Tableau) -> Tableau:
     """Simple reflection on the crystal: the lowering operator applied
     <h_i, wt> times when that pairing is nonnegative, else the raising
     operator as many times. An involution swapping the i and i+1 counts."""
-    return _rewrite(_reflect_row, t, i)
+    return _rewrite(_reflect_row, t, (i,))
 
 
 def c_action(t: Tableau) -> Tableau:
     """Product of all simple reflections, rightmost factor first:
     reflection m-1 is applied first, reflection 1 last. Order m on the
     whole crystal."""
-    if t.m < 2:
-        raise ValueError("the cycle operator needs at least two letters")
-    return _rewrite(_reflect_row, t)
+    return _rewrite(_reflect_row, t, _cycle_word(t.m))
 
 
 def bender_knuth(i: int, t: Tableau) -> Tableau:
     """Involution swapping the counts of i and i+1 row by row (see
     _bender_knuth_row)."""
-    return _rewrite(_bender_knuth_row, t, i)
+    return _rewrite(_bender_knuth_row, t, (i,))
 
 
 def promotion(t: Tableau) -> Tableau:
     """Product of the Bender-Knuth involutions, rightmost factor first."""
-    if t.m < 2:
-        raise ValueError("promotion needs at least two letters")
-    return _rewrite(_bender_knuth_row, t)
+    return _rewrite(_bender_knuth_row, t, _cycle_word(t.m))
 
 
 def superstandard(lam: Partition, m: int) -> Tableau:
@@ -647,8 +656,7 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     if action not in _ROW_RULES:
         raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
     lam = _on_letters(lam, m)
-    if m < 2:
-        raise ValueError("the cycle operator and promotion need at least two letters")
+    _cycle_word(m)  # refuses one letter
     return _orbit_census(lam, m, action, _check_count(lam, m, ssyt_count(lam, m)))
 
 
@@ -677,16 +685,13 @@ def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     if len(rank) != expected:
         raise InternalError(f"walked {len(rank)} tableaux of shape {lam} on {m} letters, expected {expected}")
     moves, move = table.moves, table.move
-    factors = range(m - 1, 0, -1)
+    factors = _cycle_word(m)
     image = array("q")
     for pattern in rank:
         g = list(pattern)
         for i in factors:
             key = (g[i - 1], g[i], g[i + 1])
-            new = moves.get(key)
-            if new is None:
-                new = move(key)
-            g[i] = new
+            g[i] = moves.get(key) or move(key)
         k = rank.get(tuple(g))
         if k is None:
             raise InternalError(f"cycles of c on shape {lam} on {m} letters leave the {len(rank)} patterns enumerated")
@@ -784,16 +789,10 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
         out = []
         at2, at3 = place[2], place[3][n3] if m > 2 else {top: 0}
         for g1 in at2[g2]:
-            n2 = top
-            if m > 2:
-                key = (g1, g2, n3)
-                n2 = moves.get(key)
-                if n2 is None:
-                    n2 = move(key)
+            key = (g1, g2, n3)
+            n2 = (moves.get(key) or move(key)) if m > 2 else top
             key = (zero, g1, n2)
-            n1 = moves.get(key)
-            if n1 is None:
-                n1 = move(key)
+            n1 = moves.get(key) or move(key)
             o2 = at3.get(n2)
             o1 = None if o2 is None else at2[n2].get(n1)
             if o1 is None:
@@ -819,9 +818,7 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
         g[v] = c
         if v < m - 1:
             key = (c, g[v + 1], new[v + 2])
-            n = moves.get(key)
-            if n is None:
-                n = move(key)
+            n = moves.get(key) or move(key)
             o = place[v + 2][new[v + 2]].get(n)
             if o is None:
                 raise outside()

@@ -72,6 +72,17 @@ class TestIntPoly:
         with pytest.raises(TypeError):
             IntPoly(["3"])
 
+    def test_bool_coefficients_are_read_as_ints(self):
+        # a bool passed as an int but was stored as it came, so its JSON
+        # coefficients read "True", which parse_poly refuses
+        f = IntPoly([True, 0, True])
+        assert f.coeffs == (1, 0, 1) and all(type(c) is int for c in f.coeffs)
+        assert poly_to_json_coeffs(f) == ["1", "0", "1"]
+        g = parse_poly(json.dumps(poly_to_json_coeffs(f)))
+        assert g == f and all(type(c) is int for c in g.coeffs)
+        for h in (ZERO + True, True + ZERO, ZERO - False + True):
+            assert h.coeffs == (1,) and type(h.coeffs[0]) is int
+
     def test_immutable(self):
         f = IntPoly([1, 2])
         with pytest.raises(AttributeError):

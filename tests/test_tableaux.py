@@ -128,6 +128,16 @@ class TestTableauType:
         with pytest.raises(Exception):
             t.rows = ()
 
+    def test_rows_are_stored_as_tuples_of_ints(self):
+        # list rows were kept as given: unequal to the tuple form, unhashable
+        t = Tableau(([1, 2], [True + 1]), 3)
+        assert t.rows == ((1, 2), (2,)) and all(type(row) is tuple for row in t.rows)
+        assert t == Tableau(((1, 2), (2,)), 3)
+        assert hash(t) == hash(Tableau(((1, 2), (2,)), 3))
+        assert len({t, Tableau(((1, 2), (2,)), 3)}) == 1
+        u = Tableau([(True, True)], True + 1)
+        assert u == tab("1,1", 2) and type(u.m) is int and type(u.rows[0][0]) is int
+
 
 class TestEnumeration:
     def test_counts(self):
@@ -267,8 +277,27 @@ class TestCrystalOperators:
 
     @pytest.mark.parametrize(
         "op, bad",
-        [(weyl_s, 2.0), (crystal_e, "1"), (bender_knuth, 1.0), (crystal_f, "2")],
-        ids=["weyl_s-float", "crystal_e-text", "bender_knuth-float", "crystal_f-text"],
+        [
+            (weyl_s, 2.0),
+            (crystal_e, "1"),
+            (bender_knuth, 1.0),
+            (crystal_f, "2"),
+            # None once meant every row, m-1 down to 1: c, promotion or f_(m-1) ... f_1
+            (weyl_s, None),
+            (crystal_e, None),
+            (bender_knuth, None),
+            (crystal_f, None),
+        ],
+        ids=[
+            "weyl_s-float",
+            "crystal_e-text",
+            "bender_knuth-float",
+            "crystal_f-text",
+            "weyl_s-None",
+            "crystal_e-None",
+            "bender_knuth-None",
+            "crystal_f-None",
+        ],
     )
     def test_index_is_an_integer(self, op, bad):
         # the range check compared the index before reading it
@@ -352,7 +381,7 @@ class TestCycleOperator:
         assert c_action(tab("1,2", 2)) == tab("1,2", 2)
 
     def test_requires_two_letters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the cycle operator and promotion need at least two letters$"):
             c_action(tab("1,1", 1))
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -388,8 +417,9 @@ class TestCycleOperator:
             orbit_census((2,), 2, action="rot")
 
     def test_census_needs_two_letters(self):
-        with pytest.raises(ValueError, match="at least two letters"):
-            orbit_census((1,), 1)
+        for action in ("c", "pr"):
+            with pytest.raises(ValueError, match="^the cycle operator and promotion need at least two letters$"):
+                orbit_census((1,), 1, action)
 
     def test_census_cap(self, monkeypatch):
         monkeypatch.setenv("CRYSTAL_SIEVE_MAX_ENUM", "10")
@@ -590,7 +620,7 @@ class TestPromotion:
         assert images == set(tabs)
 
     def test_requires_two_letters(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the cycle operator and promotion need at least two letters$"):
             promotion(tab("1,1", 1))
 
     def test_promotion_census_checks_that_images_stay_in_the_crystal(self, monkeypatch):
@@ -601,6 +631,17 @@ class TestPromotion:
         monkeypatch.setitem(tableaux._ROW_RULES, "pr", lambda lo, row, hi: hi)
         with pytest.raises(InternalError, match=r"takes a tableau of shape \(2, 1\) on 3 letters out of its crystal"):
             orbit_census((2, 1), 3, "pr")
+
+    def test_promotion_census_checks_the_upper_levels_too(self, monkeypatch):
+        from crystal_sieve import tableaux
+
+        # copying the row above makes new G[3] = lam = (2, 1, 1, 1), whose
+        # fourth part puts it outside the rows at level 3, so the image
+        # leaves the crystal above the last two levels, where the census
+        # looks each new row up once per prefix
+        monkeypatch.setitem(tableaux._ROW_RULES, "pr", lambda lo, row, hi: hi)
+        with pytest.raises(InternalError, match=r"takes a tableau of shape \(2, 1, 1, 1\) on 4 letters out of its crystal"):
+            orbit_census((2, 1, 1, 1), 4, "pr")
 
     def test_promotion_census_checks_that_images_are_a_permutation(self, monkeypatch):
         from crystal_sieve import tableaux
