@@ -1,6 +1,7 @@
 """Command-line frontend.
 
-Every subcommand supports --format plain or json (sweep and roots add csv).
+Every subcommand but sweep, which writes CSV, takes --format plain or json;
+roots adds csv.
 Exit codes: 0 success, 2 unparseable input, 3 domain condition violated,
 4 resource cap exceeded, 5 internal assertion failure.
 """
@@ -20,8 +21,8 @@ from .csp import _sieves, aa_criterion, csp_check, orbit_formula
 from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
-from .partitions import _decimal, _on_letters, as_partition, partitions_up_to
-from .qpoly import IntPoly, _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
+from .partitions import _decimal, _decimals, _on_letters, as_partition, partitions_up_to
+from .qpoly import _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import _check_count, _orbit_census, fixed_points, orbit_census
 
 
@@ -34,21 +35,24 @@ def _integer(text: str, least: int | None = None) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if least is None else 'a positive'} integer") from None
 
 
+def _read(what: str, text: str, reader, *args, **kwargs):
+    """reader(text, *args, **kwargs), its ValueError reworded as
+    "bad <what> <text>: <reason>"."""
+    try:
+        return reader(text, *args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"bad {what} {text!r}: {exc}") from None
+
+
 def _parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
-    try:
-        if text in ("", "-", "0"):
-            return ()
-        return as_partition(_integer(x) for x in text.split(","))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"bad partition {text!r}: {exc}") from None
+    if text in ("", "-", "0"):
+        return ()
+    return _read("partition", text, lambda t: as_partition(_decimals(t, "part")))
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(_integer(x) for x in text.strip().split(","))
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(f"bad weight {text!r}") from None
+    coords = tuple(_read("weight", text, _decimals, "coordinate"))
     if len(coords) != rank:
         raise ValueError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
     return coords
@@ -56,20 +60,6 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 # argparse type for counts and orders
 _positive_int = functools.partial(_integer, least=1)
-
-
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [_positive_int(x) for x in text.split(",")]
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"bad {what} list {text!r}: {exc}") from None
-
-
-def _parse_poly_arg(text: str) -> IntPoly:
-    try:
-        return parse_poly(text)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ValueError(f"bad polynomial {text!r}: {exc}") from None
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -201,14 +191,14 @@ def cmd_crystal(args) -> int:
 
 def cmd_csp_check(args) -> int:
     lam = _parse_partition(args.partition)
-    f = _parse_poly_arg(args.f) if args.f else None
+    f = _read("polynomial", args.f, parse_poly) if args.f else None
     report = csp_check(lam, args.m, args.action, f=f, n=args.n)
     _emit(args, report.to_json_dict(), _csp_plain(report, args.table))
     return 0
 
 
 def cmd_aa_check(args) -> int:
-    f = _parse_poly_arg(args.poly)
+    f = _read("polynomial", args.poly, parse_poly)
     result = aa_criterion(f, args.n)
     payload = {
         "n": args.n,
@@ -272,8 +262,8 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
 
 
 def cmd_sweep(args) -> int:
-    ms = _parse_int_list(args.m, "letter count")
-    ns = _parse_int_list(args.n, "order") if args.n else None
+    ms = _read("letter count list", args.m, _decimals, "letter count", least=1)
+    ns = _read("order list", args.n, _decimals, "order", least=1) if args.n else None
     if args.max_size < 0:
         raise ValueError(f"sweep needs --max-size >= 0, got {args.max_size}")
     cells = []

@@ -161,11 +161,9 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
 
     Requires the divisibility condition for the shape's weight. The match
     is the csp_check verdict, the same statement read through the sieving
-    polynomial; csp_check verifies that the two coincide.
+    polynomial; csp_check verifies that the two coincide. The shape and m
+    pass the gates of ``orbit_census``, through csp_check.
     """
-    lam = _on_letters(lam, m)
-    if m < 2:
-        raise ConditionViolated("need at least two letters for a cyclic action")
     report = csp_check(lam, m, action, n=m)
     if report.predicted_a is None:
         # the divisibility condition fails, so no orbit-count prediction
@@ -173,7 +171,7 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
         # passing one leaves nothing to compare
         if not report.verdict:
             return False
-        raise ConditionViolated(f"differences of padded parts of {lam} are not all divisible by {m}")
+        raise ConditionViolated(f"differences of padded parts of {report.lam} are not all divisible by {m}")
     if any(m % d for d in report.census.by_size):
         raise ConditionViolated(f"a cycle length does not divide the order {m}")
     # csp_check has compared the census with the prediction

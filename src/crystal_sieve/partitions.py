@@ -3,8 +3,8 @@ point passes its shape through one gate, ``_on_letters``, and reads what it
 needs of it off one list, ``_beta_numbers``.
 
 Every count, order and exponent of the package is read here too: a value
-through ``_integer``, an integer written as text through ``_decimal``, each
-with its lower bound, if any."""
+through ``_integer``, an integer written as text through ``_decimal`` and a
+comma list of them through ``_decimals``, each with its lower bound, if any."""
 
 from __future__ import annotations
 
@@ -46,6 +46,11 @@ def _decimal(text, what: str, *, least: int | None = None) -> int:
             raise ValueError(f"{what} {text!r} is not an integer")
         text = int(text)
     return _integer(text, what, least=least)
+
+
+def _decimals(text: str, what: str, *, least: int | None = None) -> list[int]:
+    """A comma list of integers written as text, each read by ``_decimal``."""
+    return [_decimal(x, what, least=least) for x in text.split(",")]
 
 
 def as_partition(parts: Iterable[int]) -> Partition:

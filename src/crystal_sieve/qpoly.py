@@ -209,9 +209,12 @@ def format_poly(f: IntPoly) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<coeff>[0-9]+)?(?P<star>\*)?(?P<var>q(?:\^(?P<exp>[0-9]+))?)?$"
-)
+# One signed term of the text form: a coefficient c, q^k, or both as c*q^k
+# or cq^k, with ^k left out for k = 1. The lookahead asks for a digit or q
+# first, so that no term is empty and * comes only after a coefficient.
+# Every term after the first begins with a sign.
+_TERM_RE = re.compile(r"(?P<sign>^[+-]?|[+-])(?=[0-9q])(?P<coeff>[0-9]+)?(?P<var>\*?q(?:\^(?P<exp>[0-9]+))?)?")
+_POLY_RE = re.compile(f"(?:{_TERM_RE.pattern})+")
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -219,10 +222,10 @@ def parse_poly(text: str) -> IntPoly:
 
     JSON coefficients must be integers or decimal strings (big values survive
     a round trip through text that way); a float, bool, list or other string
-    is junk. The text form ignores spaces, except that whitespace between
-    two digits is junk. Raises ValueError on junk, and ResourceLimit for a
-    degree above MAX_DEGREE, in the text form before the coefficient list is
-    allocated.
+    is junk. The text form is terms of ``_TERM_RE`` in a row; it ignores
+    spaces, except that whitespace between two digits is junk. Raises
+    ValueError on junk, and ResourceLimit for a degree above MAX_DEGREE, in
+    the text form before the coefficient list is allocated.
     """
     text = text.strip()
     if text.startswith("["):
@@ -233,29 +236,13 @@ def parse_poly(text: str) -> IntPoly:
     if re.search(r"\d\s+\d", text):
         raise ValueError(f"whitespace between two digits in {text!r}")
     compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial text")
-    # split into signed terms, keeping the signs with each term
-    terms = re.findall(r"[+-]?[^+-]+", compact)
-    if "".join(terms) != compact:
+    if not _POLY_RE.fullmatch(compact):
         raise ValueError(f"cannot parse polynomial: {text!r}")
-    coeffs: dict[int, int] = {}
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"cannot parse term {term!r} in {text!r}")
-        if m.group("star") and (m.group("coeff") is None or m.group("var") is None):
-            raise ValueError(f"cannot parse term {term!r} in {text!r}")
-        coeff = int(m.group("coeff")) if m.group("coeff") is not None else 1
-        if m.group("sign") == "-":
-            coeff = -coeff
-        if m.group("var") is None:
-            k = 0
-        elif m.group("exp") is None:
-            k = 1
-        else:
-            k = int(m.group("exp"))
-        coeffs[k] = coeffs.get(k, 0) + coeff
+    coeffs = Counter()
+    for term in _TERM_RE.finditer(compact):
+        c = int(term.group("coeff")) if term["coeff"] else 1
+        k = (int(term.group("exp")) if term["exp"] else 1) if term["var"] else 0
+        coeffs[k] += -c if term["sign"] == "-" else c
     top = max(coeffs)
     _check_degree(top, f"polynomial {text!r}")
     out = [0] * (top + 1)

@@ -66,7 +66,7 @@ from itertools import accumulate, chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _decimals, _integer, _on_letters, as_partition
 from .qdim import _gl_exponents
 from .qpoly import _q_ratio_at_one, divisors
 
@@ -105,6 +105,8 @@ class Tableau:
 
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "entry bound m", least=1))
+        if not (isinstance(self.rows, (tuple, list)) and all(isinstance(row, (tuple, list)) for row in self.rows)):
+            raise ValueError(f"rows {self.rows!r} are not a tuple or list of tuples or lists")
         object.__setattr__(self, "rows", tuple(tuple(_integer(v, "entry") for v in row) for row in self.rows))
         prev_len = None
         for r, row in enumerate(self.rows):
@@ -151,11 +153,11 @@ class Tableau:
 
     @classmethod
     def from_text(cls, text: str, m: int) -> "Tableau":
-        """Rows split by "/", entries by ",", each read by ``_decimal``."""
+        """Rows split by "/", each a comma list read by ``_decimals``."""
         text = text.strip()
         if text in ("", "-"):
             return cls((), m)
-        return cls(tuple(tuple(_decimal(v, "entry") for v in row.split(",")) for row in text.split("/")), m)
+        return cls(tuple(_decimals(row, "entry") for row in text.split("/")), m)
 
     def __str__(self):
         return self.to_text()

@@ -9,8 +9,11 @@ import pathlib
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import crystal_sieve
 from crystal_sieve.cli import build_parser, main
@@ -725,3 +728,80 @@ class TestExitCodes:
         code, out, err = run_cli("congruence", "B2", "2,0", "-n", "2")
         assert (code, out) == (5, "")
         assert err.startswith("internal error: residue 11 + 4*q differs from orbit reconstruction")
+
+
+# Tokens for the in-process exit-code property. JUNK holds text that
+# parse_poly rejects, integers that int() alone would read (1_0, non-ASCII
+# digits), signs and empty text; each slot draws it one time in four.
+JUNK = ["", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0", "2*", "*q"]
+JUNK += ["1_0", "\uff13", "\u0663", "-1,2", "-1"]
+TYPES = ["A1", "A3", "A8", "B2", "C3", "D4", "D8", "E6", "E8", "F4", "G2"]
+COUNTS = ["0", "1", "2", "+3", " 4", "6", "-1"]
+
+
+def slot(good):
+    good = st.sampled_from(good) if isinstance(good, list) else good
+    return st.sampled_from([good] * 3 + [st.sampled_from(JUNK)]).flatmap(lambda strategy: strategy)
+
+
+def lists(values, min_size, max_size):
+    return st.lists(st.sampled_from(values), min_size=min_size, max_size=max_size).map(",".join)
+
+
+@st.composite
+def argvs(draw):
+    partition = slot(st.one_of(lists(["0", "1", "2", "3", "4", "+2"], 1, 3), st.sampled_from(["-", "0"])))
+    m = slot(["1", "2", "3", "4", "5", "6", "+2"])
+    n = slot([str(k) for k in (1, 2, 3, 4, 6, 12, 60)])
+    poly = slot(["1+q", "-1+q+q^2", "2q", "q^2", "2 q^3 - q", "[1, 1]", "[1.5,1]", "[[1]]"])
+    fmt = draw(st.sampled_from([[], [], ["--format", "plain"], ["--format", "json"], ["--format", "csv"]]))
+    command = draw(st.sampled_from(["roots", "qdim", "specialize", "congruence", "crystal", "csp-check", "aa-check",
+                                    "orbit-formula", "sweep"]))
+    if command == "roots":
+        argv = [draw(slot(TYPES + ["A0", "A9", "Z2", "a2", "A\uff13"]))]
+    elif command in ("qdim", "congruence"):
+        cartan_type = draw(st.sampled_from(TYPES))
+        rank = int(cartan_type[1:]) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+        argv = [cartan_type, draw(slot(lists(["0", "1", "2", " 1", "+1", "-1"], rank, rank)))]
+        argv += ["-n", draw(n)] if command == "congruence" else draw(st.sampled_from([[], ["--mod", draw(n)]]))
+        argv += draw(st.sampled_from([[], ["--dual"]]))
+    elif command == "specialize":
+        argv = [draw(partition), "-m", draw(m)]
+    elif command == "crystal":
+        argv = [draw(partition), draw(slot(["orbits", "fixed", "csp"])), "-m", draw(m)]
+        argv += draw(st.sampled_from([[], ["--action", "pr"], ["--table"]]))
+    elif command == "csp-check":
+        argv = [draw(partition), "-m", draw(m), "--action", draw(st.sampled_from(["c", "pr"]))]
+        argv += draw(st.sampled_from([[], ["--f", draw(poly)], ["-n", draw(n)], ["--table"]]))
+    elif command == "aa-check":
+        argv = [draw(poly), "-n", draw(n)]
+    elif command == "orbit-formula":
+        argv = [draw(slot(COUNTS)), draw(slot(COUNTS + ["12", "60"]))]
+    else:
+        # --jobs above 1 starts worker processes: never drawn
+        argv = ["--max-size", draw(slot(["0", "2", "4", "+3"]))]
+        argv += ["--m", draw(slot(lists(["1", "2", "3", "+3", " 4", "5", "6"], 1, 3)))]
+        argv += draw(st.sampled_from([[], ["--n", draw(slot(lists(["1", "2", "6", "60"], 1, 3)))]]))
+        argv += draw(st.sampled_from([[], ["--jobs", "1"], ["--jobs", "0"]]))
+        return ["sweep", *argv]
+    return [command, *argv, *fmt]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(argvs())
+@example(["orbit-formula", "1", "20160"])
+@example(["sweep", "--m", "1"])
+def test_every_argv_exits_within_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with mock.patch.dict(os.environ, {"CRYSTAL_SIEVE_MAX_ENUM": "500"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+    assert code == 0 or out.getvalue() == "", argv
+    # a generous bound, so that an input that runs away fails here rather
+    # than stalling the suite
+    assert time.monotonic() - start < 30, argv

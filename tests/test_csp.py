@@ -317,7 +317,7 @@ class TestCensusVsA:
             census_vs_a((2, 1), 2)
 
     def test_needs_two_letters(self):
-        with pytest.raises(ConditionViolated):
+        with pytest.raises(ValueError, match="^the cycle operator and promotion need at least two letters$"):
             census_vs_a((2,), 1)
 
     @pytest.mark.parametrize("call", [census_vs_a, rect_characterization])

@@ -858,9 +858,44 @@ class TestTextFormats:
         assert coeff in str(exc.value) and text in str(exc.value)
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0", "2*", "*q"):
+        for bad in ("", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0", "2*", "*q", "q2", "+-2", "q^2^3",
+                    "2*q*q", "1 + + q", "2*3"):
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+    def test_parse_rejects_whitespace_other_than_spaces_inside(self):
+        # spaces are the only whitespace the text form ignores, also where
+        # a term ends before a sign
+        for bad in ("q\n+1", "1\n-q", "q\t+1"):
+            with pytest.raises(ValueError, match="^cannot parse polynomial: "):
+                parse_poly(bad)
+
+    def test_parse_reads_a_coefficient_before_q(self):
+        assert parse_poly("2q") == parse_poly("2 q") == parse_poly("2*q") == IntPoly([0, 2])
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_parse_sums_random_terms(self, data):
+        # each term: a sign, a coefficient written with or without *, then q,
+        # q^k or a constant; spaces between tokens, never inside a number
+        want = collections.Counter()
+        tokens = []
+        for i in range(data.draw(st.integers(1, 6))):
+            sign = data.draw(st.sampled_from(["", "+", "-"] if i == 0 else ["+", "-"]))
+            c = data.draw(st.integers(0, 10**20))
+            digits = "0" * data.draw(st.integers(0, 2)) + str(c)
+            kind = data.draw(st.sampled_from(["constant", "q", "q^k"]))
+            if kind == "constant":
+                term, k = [digits], 0
+            else:
+                written = data.draw(st.sampled_from(["", "c", "c*"]))
+                c = c if written else 1
+                k = data.draw(st.integers(0, 40)) if kind == "q^k" else 1
+                term = [digits] * bool(written) + ["*"] * (written == "c*") + ["q"] + ["^", str(k)] * (kind == "q^k")
+            want[k] += -c if sign == "-" else c
+            tokens += [sign] * bool(sign) + term
+        text = "".join(data.draw(st.sampled_from(["", " ", "  "])) + token for token in tokens)
+        assert parse_poly(text) == IntPoly([want[k] for k in range(max(want) + 1)])
 
     def test_degree_cap(self):
         assert parse_poly("q^100000") == IntPoly.monomial(qpoly.MAX_DEGREE)

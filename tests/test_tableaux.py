@@ -83,6 +83,15 @@ def test_type_a_inputs_are_integers(call, value):
         call()
 
 
+@pytest.mark.parametrize("rows", [(5,), None, ("12",), ((1,), 2), "1"])
+def test_tableau_rows_are_rows(rows):
+    # refused as a whole: a string row is not read as its characters, and
+    # an int row or None raises no bare TypeError
+    with pytest.raises(ValueError, match="^rows .* are not a tuple or list of tuples or lists$") as exc:
+        Tableau(rows, 2)
+    assert repr(rows) in str(exc.value)
+
+
 class TestTableauType:
     def test_text_roundtrip(self):
         t = tab("1,1,2/2,3,3", 3)
@@ -91,6 +100,9 @@ class TestTableauType:
         assert str(t) == "1,1,2/2,3,3"
         assert tab("-", 3).rows == ()
         assert tab("-", 3).to_text() == "-"
+
+    def test_rows_as_lists(self):
+        assert Tableau([[1, 2]], 3) == Tableau(((1, 2),), 3)
 
     def test_shape_size_content(self):
         t = tab("1,1,2/2,3,3", 3)
