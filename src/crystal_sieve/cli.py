@@ -22,7 +22,7 @@ from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congr
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
 from .partitions import _decimal, _decimals, _on_letters, as_partition, partitions_up_to
-from .qpoly import _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
+from .qpoly import _q_ratio_at_one, _shown, format_poly, parse_poly, poly_to_json_coeffs
 from .tableaux import _check_count, _orbit_census, fixed_points, orbit_census
 
 
@@ -37,11 +37,11 @@ def _integer(text: str, least: int | None = None) -> int:
 
 def _read(what: str, text: str, reader, *args, **kwargs):
     """reader(text, *args, **kwargs), its ValueError reworded as
-    "bad <what> <text>: <reason>"."""
+    "bad <what> <text>: <reason>", a long text shortened."""
     try:
         return reader(text, *args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"bad {what} {text!r}: {exc}") from None
+        raise ValueError(f"bad {what} {_shown(text)}: {exc}") from None
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:

@@ -4,16 +4,8 @@ and principal specializations of Schur polynomials.
 The q-dimension of the crystal with highest weight L is the Weyl-type product
 over positive roots of (1 - q^((beta, L + rho))) / (1 - q^((beta, rho))).
 Every such product, and its value at q = 1, goes through the one exact
-routine ``q_ratio`` (``_q_ratio_at_one``), whose quotients never leave Z[q]:
-it checks that the quotient is a polynomial by counting cyclotomic factors,
-computes the lower half of its coefficients and mirrors them, since every
-such product is palindromic up to sign. The numerator of that lower half is
-one packed integer with a slot of w >= F + 2 bits per coefficient for F
-factors, which is exact because a product of F factors 1 - q^a has
-coefficient L1 norm at most 2^F. A denominator copy 1 - q^b paired with a
-numerator copy 1 - q^(tb), 2 <= t <= ``qpoly._PAIR_CAP``, divides it as
-t - 1 shift-adds inside the packed product; the copies left divide the
-decoded coefficients as running sums.
+routine ``q_ratio`` (``_q_ratio_at_one``), whose quotients never leave Z[q];
+its docstring in ``qpoly`` describes the packed-product kernel.
 The output degree is known from the exponents before any product work, and
 a degree above ``qpoly.MAX_DEGREE`` raises ResourceLimit.
 """

@@ -221,16 +221,21 @@ def parse_poly(text: str) -> IntPoly:
     """Parse ``c0 + c1*q + c2*q^2 + ...`` or a JSON array of coefficients.
 
     JSON coefficients must be integers or decimal strings (big values survive
-    a round trip through text that way); a float, bool, list or other string
-    is junk. The text form is terms of ``_TERM_RE`` in a row; it ignores
-    spaces, except that whitespace between two digits is junk. Raises
-    ValueError on junk, and ResourceLimit for a degree above MAX_DEGREE, in
-    the text form before the coefficient list is allocated.
+    a round trip through text that way); a float, bool, list, other string or
+    nesting past the recursion limit is junk. The text form is terms of
+    ``_TERM_RE`` in a row; it ignores spaces, except that whitespace between
+    two digits is junk. Raises ValueError on junk, and ResourceLimit for a
+    degree above MAX_DEGREE, in the text form before the coefficient list is
+    allocated.
     """
     text = text.strip()
     if text.startswith("["):
+        try:
+            items = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"in {_shown(text)}, lists nest too deeply to read") from None
         what = f"in {text!r}, coefficient"
-        f = IntPoly([_decimal(c, what) for c in json.loads(text)])
+        f = IntPoly([_decimal(c, what) for c in items])
         _check_degree(f.degree, f"polynomial {text!r}")
         return f
     if re.search(r"\d\s+\d", text):
@@ -249,6 +254,11 @@ def parse_poly(text: str) -> IntPoly:
     for k, c in coeffs.items():
         out[k] = c
     return IntPoly(out)
+
+
+def _shown(text: str) -> str:
+    """repr of text, or of its first 40 characters and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
 
 
 def _check_degree(degree: int, what: str) -> None:

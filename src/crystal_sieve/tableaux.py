@@ -835,25 +835,3 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
         image.extend(map(base[3].__add__, offsets))
     return _cycle_lengths(image, f"promotion on shape {lam} on {m} letters")
 
-
-__all__ = [
-    "Tableau",
-    "OrbitCensus",
-    "MCoreResult",
-    "ssyt_count",
-    "enumerate_ssyt",
-    "kostka",
-    "crystal_e",
-    "crystal_f",
-    "weyl_s",
-    "c_action",
-    "bender_knuth",
-    "promotion",
-    "superstandard",
-    "fixed_points",
-    "m_core",
-    "orbit_census",
-    "ACTIONS",
-    "DEFAULT_ENUM_CAP",
-    "ENUM_CAP_ENV",
-]

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -418,11 +419,9 @@ class TestSweep:
     def test_one_orbit_count_per_weight_and_order(self, monkeypatch):
         # 16 (lam, m, n) with every padded difference divisible by n, each
         # with its orbit counts. No residue is taken.
-        import importlib
-
         import crystal_sieve.cli as cli
+        import crystal_sieve.qdim as qdim
 
-        qdim = importlib.import_module("crystal_sieve.qdim")
         residues = []
 
         def counted(real, log):
@@ -563,7 +562,63 @@ class TestLetterCap:
         assert f"order n = {self.HUGE}: above the order cap 1000000" in err
 
 
+def readme_transcripts():
+    """(command, printed lines) for each ``$ crystal-sieve`` line in the
+    README's Command line block; blank lines end a transcript."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n")[1]
+    transcripts = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            transcripts.append((line[2:], []))
+        elif line:
+            transcripts[-1][1].append(line)
+    return transcripts
+
+
+class TestReadme:
+    TRANSCRIPTS = readme_transcripts()
+
+    def test_every_transcript_is_found(self):
+        assert len(self.TRANSCRIPTS) == 5
+
+    @pytest.mark.parametrize("command, lines", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])
+    def test_transcript_is_what_the_command_prints(self, command, lines):
+        command, _, pipe = command.partition(" | ")
+        program, *argv = shlex.split(command)
+        assert program == "crystal-sieve"
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        printed = out.splitlines()
+        if pipe:
+            head, count = shlex.split(pipe)
+            assert head == "head"
+            printed = printed[: int(count.removeprefix("-"))]
+        assert printed == lines
+
+
 class TestTopLevel:
+    def test_a_module_path_binds_the_module(self):
+        # the package binds no name of its own over a submodule's
+        import crystal_sieve.qdim as Q
+
+        assert Q is sys.modules["crystal_sieve.qdim"]
+
+    def test_a_module_loads_only_what_it_imports(self):
+        probe = (
+            "import sys, crystal_sieve.partitions; "
+            "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'crystal_sieve'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env=process_env({}),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['crystal_sieve', 'crystal_sieve.errors', 'crystal_sieve.partitions']"
+
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli()
@@ -700,6 +755,23 @@ class TestExitCodes:
         assert got == want
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            ["aa-check", "[" * 100_000, "-n", "2"],
+            ["csp-check", "2", "-m", "2", "--f", "[" * 999 + "]" * 999],
+        ],
+        ids=["unclosed", "well-formed"],
+    )
+    def test_deeply_nested_json(self, args):
+        # json.loads meets the recursion limit: a usage error whose one line
+        # shortens the text
+        proc = run_process(args, {})
+        assert proc.returncode == 2, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < 500
+
+    @pytest.mark.parametrize(
         "error, code, prefix",
         [
             (InvalidRank, 2, "error"),
@@ -720,9 +792,8 @@ class TestExitCodes:
 
     def test_failed_identity_check_exits_5(self, monkeypatch):
         # a residue one off its orbit reconstruction trips the check
-        import importlib
+        import crystal_sieve.qdim as qdim
 
-        qdim = importlib.import_module("crystal_sieve.qdim")
         residue = qdim._residue
         monkeypatch.setattr(qdim, "_residue", lambda coeffs, n: residue(coeffs, n) + ONE)
         code, out, err = run_cli("congruence", "B2", "2,0", "-n", "2")
@@ -732,9 +803,10 @@ class TestExitCodes:
 
 # Tokens for the in-process exit-code property. JUNK holds text that
 # parse_poly rejects, integers that int() alone would read (1_0, non-ASCII
-# digits), signs and empty text; each slot draws it one time in four.
+# digits), signs, empty text and lists nested past the recursion limit; each
+# slot draws it one time in four.
 JUNK = ["", "q^", "2**q", "1++q", "x+1", "q^-1", "1.5", "1 2", "q^1 0", "2*", "*q"]
-JUNK += ["1_0", "\uff13", "\u0663", "-1,2", "-1"]
+JUNK += ["1_0", "\uff13", "\u0663", "-1,2", "-1", "[" * 1000 + "]" * 1000]
 TYPES = ["A1", "A3", "A8", "B2", "C3", "D4", "D8", "E6", "E8", "F4", "G2"]
 COUNTS = ["0", "1", "2", "+3", " 4", "6", "-1"]
 

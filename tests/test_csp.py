@@ -357,9 +357,9 @@ class TestOrbitFormula:
         assert value == expected and value > 10**4300
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^multiple a must be nonnegative$"):
             orbit_formula(-1, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order must be positive$"):
             orbit_formula(2, 0)
 
     @pytest.mark.parametrize("a", [1, 2])

@@ -79,8 +79,8 @@ def test_every_type_a_entry_reads_the_shape_on_m_letters(lam, m):
             lambda lam, m: orbit_formula(sum(lam), m),
         ]
         for call in calls:
-            # orbit_formula words its own check of a and d
-            with pytest.raises(ValueError, match=r"m must be positive|and d > 0"):
+            # orbit_formula reads d as an order, not as a letter count
+            with pytest.raises(ValueError, match=r"m must be positive|^order must be positive$"):
                 call(lam, m)
     elif len(lam) > m:
         assert ssyt_count(lam, m) == 0

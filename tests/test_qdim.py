@@ -333,9 +333,8 @@ class TestCongruence:
         assert rebuilt == r.residue
 
     def test_residue_is_checked_against_its_orbit_reconstruction(self, monkeypatch):
-        import importlib
+        import crystal_sieve.qdim as qdim_module
 
-        qdim_module = importlib.import_module("crystal_sieve.qdim")
         residue = qdim_module._residue
         monkeypatch.setattr(qdim_module, "_residue", lambda coeffs, n: residue(coeffs, n) + ONE)
         with pytest.raises(InternalError, match=r"^residue 11 \+ 4\*q differs from orbit reconstruction 10 \+ 4\*q$"):

@@ -712,8 +712,8 @@ class TestFixedPoints:
     @pytest.mark.parametrize("call", TYPE_A_ENTRIES)
     @pytest.mark.parametrize("lam, m", [((2,), 0), ((1,), -1)])
     def test_letter_count_must_be_positive(self, lam, m, call):
-        # orbit_formula words its own check of a and d
-        with pytest.raises(ValueError, match=r"m must be positive|and d > 0"):
+        # orbit_formula reads d as an order, not as a letter count
+        with pytest.raises(ValueError, match=r"m must be positive|^order must be positive$"):
             call(lam, m)
 
     @pytest.mark.parametrize("call", TYPE_A_ENTRIES)
