@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ConditionViolated, InvalidRank, ResourceLimit
-from .partitions import Partition, _beta_numbers, _integer, _on_letters
+from .partitions import Partition, _beta_numbers, _integer, _on_letters, _shown
 
 Root = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -51,7 +51,7 @@ class CartanType:
 
     def __post_init__(self):
         if self.family not in _RANK_RANGE:
-            raise InvalidRank(f"unknown family {self.family!r}")
+            raise InvalidRank(f"unknown family {_shown(self.family)}")
         object.__setattr__(self, "rank", _integer(self.rank, "rank", InvalidRank))
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
@@ -63,7 +63,7 @@ class CartanType:
     def parse(cls, text: str) -> "CartanType":
         m = _TYPE_RE.match(text.strip().upper())
         if not m:
-            raise InvalidRank(f"cannot parse Cartan type {text!r}")
+            raise InvalidRank(f"cannot parse Cartan type {_shown(text)}")
         return cls(m.group(1), int(m.group(2)))
 
     def __str__(self):
@@ -169,10 +169,11 @@ def build_cartan_datum(ct: CartanType | str) -> CartanDatum:
 
 
 def _check_len(datum: CartanDatum, v: tuple[int, ...], what: str) -> tuple[int, ...]:
-    """v's coordinates as integers; ConditionViolated on any other or a wrong length."""
-    v = tuple([_integer(c, f"{what} coordinate", ConditionViolated) for c in v])
+    """v's coordinates as integers; ValueError on any other, as every reader
+    of ``partitions`` raises, or on a length other than the rank."""
+    v = tuple([_integer(c, f"{what} coordinate") for c in v])
     if len(v) != datum.rank:
-        raise ConditionViolated(f"{what} has length {len(v)}, rank is {datum.rank}")
+        raise ValueError(f"{what} has length {len(v)}, rank is {datum.rank}")
     return v
 
 

@@ -21,9 +21,9 @@ from .csp import _sieves, aa_criterion, csp_check, orbit_formula
 from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
-from .partitions import _decimal, _decimals, _on_letters, as_partition, partitions_up_to
-from .qpoly import _q_ratio_at_one, _shown, format_poly, parse_poly, poly_to_json_coeffs
-from .tableaux import _check_count, _orbit_census, fixed_points, orbit_census
+from .partitions import _decimal, _decimals, _on_letters, _shown, as_partition, partitions_up_to
+from .qpoly import _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
+from .tableaux import _check_count, _cycle_word, _orbit_census, fixed_points, orbit_census
 
 
 def _integer(text: str, least: int | None = None) -> int:
@@ -32,7 +32,8 @@ def _integer(text: str, least: int | None = None) -> int:
     try:
         return _decimal(text, "argument", least=least)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not {'an' if least is None else 'a positive'} integer") from None
+        kind = "an" if least is None else ("a nonnegative", "a positive")[least]
+        raise argparse.ArgumentTypeError(f"{_shown(text)} is not {kind} integer") from None
 
 
 def _read(what: str, text: str, reader, *args, **kwargs):
@@ -51,11 +52,8 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     return _read("partition", text, lambda t: as_partition(_decimals(t, "part")))
 
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
-    coords = tuple(_read("weight", text, _decimals, "coordinate"))
-    if len(coords) != rank:
-        raise ValueError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
-    return coords
+def _parse_weight(text: str) -> tuple[int, ...]:
+    return tuple(_read("weight", text, _decimals, "coordinate"))
 
 
 # argparse type for counts and orders
@@ -109,7 +107,7 @@ def _congruence_lines(result) -> list[str]:
 
 def cmd_qdim(args) -> int:
     datum = build_cartan_datum(args.type)
-    weight = _parse_weight(args.weight, datum.rank)
+    weight = _parse_weight(args.weight)
     poly = qdim_dual(datum, weight) if args.dual else qdim(datum, weight)
     payload: dict = {
         "type": str(datum.cartan_type),
@@ -145,7 +143,7 @@ def cmd_specialize(args) -> int:
 
 def cmd_congruence(args) -> int:
     datum = build_cartan_datum(args.type)
-    weight = _parse_weight(args.weight, datum.rank)
+    weight = _parse_weight(args.weight)
     result = congruence(datum, weight, args.n, dual=args.dual)
     _emit(args, result.to_json_dict(), "\n".join(_congruence_lines(result)))
     return 0
@@ -264,12 +262,9 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
 def cmd_sweep(args) -> int:
     ms = _read("letter count list", args.m, _decimals, "letter count", least=1)
     ns = _read("order list", args.n, _decimals, "order", least=1) if args.n else None
-    if args.max_size < 0:
-        raise ValueError(f"sweep needs --max-size >= 0, got {args.max_size}")
     cells = []
     for m in ms:
-        if m < 2:
-            raise ValueError("sweep needs m >= 2")
+        _cycle_word(m)  # refuses one letter
         for lam in partitions_up_to(args.max_size, max_parts=m):
             cells.append((lam, m, ns or [m]))
     if args.jobs > 1:
@@ -370,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit_formula)
 
     p = sub.add_parser("sweep", help="CSV sweep over shapes, letter counts, and orders")
-    p.add_argument("--max-size", type=_integer, default=8)
+    p.add_argument("--max-size", type=functools.partial(_integer, least=0), default=8)
     p.add_argument("--m", default="2,3,4", help="comma list of letter counts")
     p.add_argument("--n", help="comma list of orders (default: n = m)")
     p.add_argument("--jobs", type=_positive_int, default=1)

@@ -182,7 +182,7 @@ def orbit_formula(a: int, d: int) -> int:
     """Number of size-d orbits of the cycle operator on the one-row shape (a*d),
     letters d: ``predicted_orbit_counts`` at order d without its degree cap.
     An order d above MAX_ORDER or above MAX_LETTERS raises ResourceLimit."""
-    a, d = _integer(a, "multiple a", least=0), _integer(d, "order", least=1)
+    a = _integer(a, "multiple a", least=0)
     d = check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
     return _fixed_and_orbit_counts(*_gl_exponents(_on_letters((a * d,), d), d), d)[1][d]
 

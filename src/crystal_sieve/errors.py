@@ -1,7 +1,8 @@
 """Exception types shared across the library: one class per outcome, each
 carrying in ``exit_code`` the exit code the command line gives it.
-Unreadable input other than a Cartan type is a ``ValueError``, which exits
-2 like ``InvalidRank``."""
+Unreadable input other than a Cartan type, a weight or root of the wrong
+length among it, is a ``ValueError``, which exits 2 like ``InvalidRank``;
+a message quotes the input through ``partitions._shown``."""
 
 
 class CrystalSieveError(Exception):

@@ -4,7 +4,9 @@ needs of it off one list, ``_beta_numbers``.
 
 Every count, order and exponent of the package is read here too: a value
 through ``_integer``, an integer written as text through ``_decimal`` and a
-comma list of them through ``_decimals``, each with its lower bound, if any."""
+comma list of them through ``_decimals``, each with its lower bound, if any.
+Every message that quotes a value the caller handed in quotes it through
+``_shown``, so that no input, however long, makes a long message."""
 
 from __future__ import annotations
 
@@ -22,6 +24,13 @@ Partition = tuple[int, ...]
 MAX_LETTERS = 100_000
 
 
+def _shown(x) -> str:
+    """repr of x, or, when its text (x itself for a str, else its repr) is
+    longer than 40 characters, the repr of the first 40 and the length."""
+    text = x if isinstance(x, str) else repr(x)
+    return repr(x) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
+
+
 def _integer(x, what: str, error: type[Exception] = ValueError, *, least: int | None = None) -> int:
     """x through operator.index, so that no float or string passes as an int;
     anything else raises error, a ValueError unless given, naming x. A lower
@@ -30,7 +39,7 @@ def _integer(x, what: str, error: type[Exception] = ValueError, *, least: int | 
     try:
         x = operator.index(x)
     except TypeError:
-        raise error(f"{what} {x!r} is not an integer") from None
+        raise error(f"{what} {_shown(x)} is not an integer") from None
     if least is not None and x < least:
         raise error(f"{what} must be {('nonnegative', 'positive')[least]}")
     return x
@@ -43,7 +52,7 @@ def _decimal(text, what: str, *, least: int | None = None) -> int:
     string or an int that is not a bool, which passes as it is."""
     if type(text) is not int:
         if not (isinstance(text, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", text)):
-            raise ValueError(f"{what} {text!r} is not an integer")
+            raise ValueError(f"{what} {_shown(text)} is not an integer")
         text = int(text)
     return _integer(text, what, least=least)
 
@@ -65,9 +74,9 @@ def as_partition(parts: Iterable[int]) -> Partition:
     p = tuple(p)
     for k, part in enumerate(p):
         if part <= 0:
-            raise ValueError(f"part {part} is not positive in {p}")
+            raise ValueError(f"part {part} is not positive in {_shown(p)}")
         if k and p[k - 1] < part:
-            raise ValueError(f"parts not weakly decreasing in {p}")
+            raise ValueError(f"parts not weakly decreasing in {_shown(p)}")
     return p
 
 

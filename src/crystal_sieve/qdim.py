@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, _shown, as_partition
 from .qpoly import (
     MAX_DEGREE,
     ZERO,
@@ -41,9 +41,9 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
     divide (beta, .) by half, which is 1, or (beta, beta)/2 when dual (an
     integer, since (beta, beta) is 2, 4 or 6). Root data come from the
     datum's caches; only the weight is checked, with the errors of
-    ``pairing`` and ``copairing`` (a coroot height is always an integer),
-    and, when dominant is set, then checked to have no negative coordinate.
-    dual is read by ``_dual``."""
+    ``pairing``, and, when dominant is set, then checked to have no negative
+    coordinate. A coroot pairing of an integral weight is an integer, so a
+    remainder is an InternalError. dual is read by ``_dual``."""
     dual = _dual(dual)
     lam = _check_len(datum, lam, "weight")
     if dominant and not is_dominant(lam):
@@ -55,7 +55,7 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
         half = norms[beta] // 2 if dual else 1
         pair, rem = divmod(sum(map(operator.mul, beta, w)), half)
         if rem:
-            raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
+            raise InternalError(f"coroot pairing of {beta} with {lam} is not integral")
         den = rho[beta] // half
         dens.append(den)
         nums.append(pair + den)
@@ -66,7 +66,7 @@ def _dual(dual) -> bool:
     """dual as given when it is a bool, so that a result stores and writes
     a bool; ValueError otherwise."""
     if type(dual) is not bool:
-        raise ValueError(f"dual {dual!r} is not a bool")
+        raise ValueError(f"dual {_shown(dual)} is not a bool")
     return dual
 
 
@@ -176,7 +176,7 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     gate, dominance, the degree cap, the divisibility condition, exact,
     nonnegative Mobius sums."""
     kind = "dual q-dimension" if dual else "q-dimension"
-    n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {lam}")
+    n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {_shown(lam)}")
     nums, dens = _qdim_exponents(datum, lam, dual)
     if not _divisible(nums, dens, n):
         raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")

@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Callable
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import _decimal, _integer
+from .partitions import _decimal, _integer, _shown
 
 # Largest order n of a root-of-unity value table or a residue mod q^n - 1.
 # Above 720,720 (240 divisors) and above 156,240, the order of promotion on
@@ -234,31 +234,26 @@ def parse_poly(text: str) -> IntPoly:
             items = json.loads(text)
         except RecursionError:
             raise ValueError(f"in {_shown(text)}, lists nest too deeply to read") from None
-        what = f"in {text!r}, coefficient"
+        what = f"in {_shown(text)}, coefficient"
         f = IntPoly([_decimal(c, what) for c in items])
-        _check_degree(f.degree, f"polynomial {text!r}")
+        _check_degree(f.degree, f"polynomial {_shown(text)}")
         return f
     if re.search(r"\d\s+\d", text):
-        raise ValueError(f"whitespace between two digits in {text!r}")
+        raise ValueError(f"whitespace between two digits in {_shown(text)}")
     compact = text.replace(" ", "")
     if not _POLY_RE.fullmatch(compact):
-        raise ValueError(f"cannot parse polynomial: {text!r}")
+        raise ValueError(f"cannot parse polynomial: {_shown(text)}")
     coeffs = Counter()
     for term in _TERM_RE.finditer(compact):
         c = int(term.group("coeff")) if term["coeff"] else 1
         k = (int(term.group("exp")) if term["exp"] else 1) if term["var"] else 0
         coeffs[k] += -c if term["sign"] == "-" else c
     top = max(coeffs)
-    _check_degree(top, f"polynomial {text!r}")
+    _check_degree(top, f"polynomial {_shown(text)}")
     out = [0] * (top + 1)
     for k, c in coeffs.items():
         out[k] = c
     return IntPoly(out)
-
-
-def _shown(text: str) -> str:
-    """repr of text, or of its first 40 characters and its length."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
 
 
 def _check_degree(degree: int, what: str) -> None:
@@ -546,8 +541,7 @@ def check_order(n: int, what: Callable[[], str]) -> int:
 
 
 def _values_of(f: IntPoly) -> str:
-    text = format_poly(f)
-    return f"values of {text if len(text) <= 60 else text[:57] + '...'} at roots of unity"
+    return f"values of {_shown(format_poly(f))} at roots of unity"
 
 
 def _fold(coeffs, n: int) -> list[int]:

@@ -66,7 +66,7 @@ from itertools import accumulate, chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, _beta_numbers, _decimal, _decimals, _integer, _on_letters, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _decimals, _integer, _on_letters, _shown, as_partition
 from .qdim import _gl_exponents
 from .qpoly import _q_ratio_at_one, divisors
 
@@ -84,7 +84,7 @@ def _enum_cap() -> tuple[int, str]:
         return DEFAULT_ENUM_CAP, "by default"
     cap = _decimal(env, ENUM_CAP_ENV)
     if cap < 0:
-        raise ValueError(f"{ENUM_CAP_ENV}={env!r} is negative")
+        raise ValueError(f"{ENUM_CAP_ENV}={_shown(env)} is negative")
     return cap, f"set by {ENUM_CAP_ENV}"
 
 
@@ -106,7 +106,7 @@ class Tableau:
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "entry bound m", least=1))
         if not (isinstance(self.rows, (tuple, list)) and all(isinstance(row, (tuple, list)) for row in self.rows)):
-            raise ValueError(f"rows {self.rows!r} are not a tuple or list of tuples or lists")
+            raise ValueError(f"rows {_shown(self.rows)} are not a tuple or list of tuples or lists")
         object.__setattr__(self, "rows", tuple(tuple(_integer(v, "entry") for v in row) for row in self.rows))
         prev_len = None
         for r, row in enumerate(self.rows):
@@ -307,9 +307,7 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
     exactly dominance of lam over mu.
     """
     lam = as_partition(lam)
-    mu = tuple(_integer(x, "multiplicity") for x in mu)
-    if any(x < 0 for x in mu):
-        raise ValueError(f"negative multiplicity in {mu}")
+    mu = tuple(_integer(x, "multiplicity", least=0) for x in mu)
     if sum(lam) != sum(mu):
         raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
     count = _content_count(lam, mu)
@@ -656,7 +654,7 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
     and the rest count as orbits of size m; see _c_cycles for its checks.
     """
     if action not in _ROW_RULES:
-        raise ValueError(f"unknown action {action!r}; choose from {sorted(ACTIONS)}")
+        raise ValueError(f"unknown action {_shown(action)}; choose from {sorted(ACTIONS)}")
     lam = _on_letters(lam, m)
     _cycle_word(m)  # refuses one letter
     return _orbit_census(lam, m, action, _check_count(lam, m, ssyt_count(lam, m)))

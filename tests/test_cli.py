@@ -31,6 +31,17 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_argv(argv, env=None):
+    """As run_cli, with env set and an argparse exit read as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def process_env(env):
     src = str(pathlib.Path(crystal_sieve.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -323,8 +334,14 @@ class TestSweep:
         code, out, _ = run_cli("sweep", "--max-size", "0", "--m", "2")
         assert code == 0
         assert [r["partition"] for r in csv.DictReader(io.StringIO(out))] == ["0"]
-        assert run_cli("sweep", "--max-size", "-1", "--m", "2") == (
-            2, "", "error: sweep needs --max-size >= 0, got -1\n"
+        code, out, err = run_argv(["sweep", "--max-size", "-1", "--m", "2"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --max-size: '-1' is not a nonnegative integer\n")
+
+    def test_one_letter(self):
+        # the two-letter rule of the cycle operator, read where c is
+        assert run_cli("sweep", "--m", "3,1") == (
+            2, "", "error: the cycle operator and promotion need at least two letters\n"
         )
 
     def test_parallel_jobs_match_serial(self):
@@ -770,6 +787,42 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert len(proc.stderr) < 500
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            (["qdim", "A2", "1"], 2, "weight has length 1, rank is 2"),
+            (["qdim", "B2", "1,0,0", "--dual"], 2, "weight has length 3, rank is 2"),
+            (["congruence", "A2", "1", "-n", "2"], 2, "weight has length 1, rank is 2"),
+            # the order cap is read before the weight
+            (["congruence", "A2", "1", "-n", "2000000"], 4, "residue of the q-dimension of A2 at weight (1,)"),
+            (["congruence", "A2", "1," * 50_000 + "1", "-n", "2000000"], 4, "... (150,003 characters) at order"),
+        ],
+    )
+    def test_weight_of_the_wrong_length(self, args, code, message):
+        got, out, err = run_cli(*args)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and message in err and len(err) < 500
+
+    @pytest.mark.parametrize(
+        "args, env, code",
+        [
+            (["aa-check", "[" + "1," * 50_000 + "1.5]", "-n", "2"], {}, 2),
+            (["aa-check", "1+" * 100_000 + "q^100001", "-n", "2"], {}, 4),
+            (["aa-check", "x" * 100_000, "-n", "2"], {}, 2),
+            (["crystal", "1," + "x" * 100_000, "orbits", "-m", "2"], {}, 2),
+            (["crystal", "1," * 50_000 + "2", "orbits", "-m", "100000"], {}, 2),
+            (["roots", "A" + "1" * 5000 + "x"], {}, 2),
+            (["crystal", "2", "orbits", "-m", "x" * 5000], {}, 2),
+            (["crystal", "2", "orbits", "-m", "2"], {"CRYSTAL_SIEVE_MAX_ENUM": "x" * 5000}, 2),
+        ],
+        ids=["json-coefficient", "degree-cap", "polynomial", "part", "part-order", "cartan-type", "argparse", "env"],
+    )
+    def test_long_input_is_quoted_short(self, args, env, code):
+        # each message quotes the input by its first 40 characters and length
+        got, out, err = run_argv(args, env)
+        assert (got, out) == (code, "")
+        assert err and all(len(line) < 500 for line in err.splitlines())
 
     @pytest.mark.parametrize(
         "error, code, prefix",

@@ -2,7 +2,12 @@
 module of the package for the constructs that read an integer by hand,
 ``operator.index`` and ``int()``. ``partitions._integer`` reads a value and
 ``partitions._decimal`` an integer written as text; ``int()`` elsewhere may
-only read a group of a regular expression that has just matched."""
+only read a group of a regular expression that has just matched.
+
+The rest of the rule for refusing input is held the same way: a message
+quotes a value with ``!r`` only in ``partitions._shown``, which shortens a
+long one, and ``_integer`` raises its ValueError everywhere but for an
+``IntPoly`` coefficient (TypeError) and a Cartan type's rank (InvalidRank)."""
 
 import ast
 from pathlib import Path
@@ -92,3 +97,58 @@ def test_scanner_passes_a_matched_group_and_type_tests():
         "y = operator.add(n, 1)\n"
     )
     assert integer_sites(source) == []
+
+
+# (module, qualified name, construct) of the one quote and of IntPoly's repr,
+# which quotes no input
+QUOTES = {("partitions.py", "_shown", "!r"), ("qpoly.py", "IntPoly.__repr__", "!r")}
+INTEGER_ERRORS = {"TypeError", "InvalidRank"}
+
+
+def refusal_sites(source: str) -> list[tuple[str, str]]:
+    """(qualified name of the enclosing def or class, construct) for each !r
+    conversion in an f-string and each call to _integer given an error class
+    outside INTEGER_ERRORS, in the source."""
+    sites = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FormattedValue) and child.conversion == ord("r"):
+                sites.append((owner, "!r"))
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_integer":
+                errors = child.args[2:3] + [k.value for k in child.keywords if k.arg == "error"]
+                sites.extend((owner, f"_integer error {ast.unparse(e)}") for e in errors
+                             if ast.unparse(e) not in INTEGER_ERRORS)
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_refuses_input_by_the_one_rule(path):
+    sites = {(path.name, owner, what) for owner, what in refusal_sites(path.read_text())}
+    assert sites - QUOTES == set()
+
+
+def test_the_quotes_are_still_there():
+    for module, owner, what in QUOTES:
+        assert (owner, what) in refusal_sites((PACKAGE / module).read_text())
+
+
+def test_scanner_flags_a_bare_quote_and_a_foreign_error_class():
+    source = (
+        "def f(x):\n    return _integer(x, 'n', ConditionViolated)\n"
+        "class C:\n    def g(self, x):\n        raise ValueError(f'bad {x!r}')\n"
+        "y = _integer(1, 'k', error=KeyError)\n"
+        "z = _integer(1, 'k', TypeError) + _integer(2, 'r', InvalidRank) + _integer(3, 'v', least=0)\n"
+        "w = f'{y!s} {y} {repr(y)}'\n"
+    )
+    assert refusal_sites(source) == [
+        ("f", "_integer error ConditionViolated"),
+        ("C.g", "!r"),
+        ("<module>", "_integer error KeyError"),
+    ]

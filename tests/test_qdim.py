@@ -7,6 +7,7 @@ checked by identities that tie independently computed quantities together
 values vs the b coefficients).
 """
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -232,16 +233,24 @@ class TestExponents:
         # a weight of the wrong length, on both sides, and a weight whose
         # coroot pairing with the long simple root is not an integer
         for lam, duals in [((1, 0, 2), (False, True)), ((Fraction(1, 2), 0), (True,))]:
-            with pytest.raises(ConditionViolated) as want:
+            with pytest.raises(ValueError) as want:
                 for beta in datum.positive_roots:
                     copairing(datum, beta, lam)
             for dual in duals:
-                with pytest.raises(ConditionViolated) as got:
+                with pytest.raises(ValueError) as got:
                     _exponents(datum, lam, dual)
                 assert str(got.value) == str(want.value)
-            with pytest.raises(ConditionViolated) as got:
+            with pytest.raises(ValueError) as got:
                 qdim_dual(datum, lam)
             assert str(got.value) == str(want.value)
+
+    def test_a_coroot_pairing_that_is_not_integral_is_internal(self):
+        # no weight reaches it: every coordinate is an int and a positive
+        # root's coroot pairs to an integer, so a corrupt cached norm trips it
+        datum = build_cartan_datum("B2")
+        bad = dataclasses.replace(datum, root_norms={**datum.root_norms, (1, 0): 6})
+        with pytest.raises(InternalError, match=r"^coroot pairing of \(1, 0\) with \(1, 1\) is not integral$"):
+            _exponents(bad, (1, 1), True)
 
     @pytest.mark.parametrize("weight", [("1", 0), (1, 0, 0), (-1, 0, 0)])
     @pytest.mark.parametrize(
@@ -261,9 +270,9 @@ class TestExponents:
         # length, negative or not, raises the weight error of pairing, never
         # a TypeError from the dominance test or the dominance error
         datum = build_cartan_datum("A2")
-        with pytest.raises(ConditionViolated) as want:
+        with pytest.raises(ValueError) as want:
             pairing(datum, (1, 0), weight)
-        with pytest.raises(ConditionViolated) as got:
+        with pytest.raises(ValueError) as got:
             call(datum, weight)
         assert str(got.value) == str(want.value)
 

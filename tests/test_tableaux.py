@@ -246,7 +246,7 @@ class TestKostka:
             kostka((2,), (1,))
 
     def test_negative_multiplicity(self):
-        with pytest.raises(ValueError, match=r"negative multiplicity in \(3, -1\)"):
+        with pytest.raises(ValueError, match="^multiplicity must be nonnegative$"):
             kostka((2,), (3, -1))
 
     @pytest.mark.parametrize("upper", [(), (3,), (4, 2), (5, 3, 3, 1), (6, 4, 2, 2, 0)])
