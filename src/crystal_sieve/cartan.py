@@ -21,7 +21,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .errors import ConditionViolated, InvalidRank, ResourceLimit
+from .errors import ConditionViolated, ResourceLimit
 from .partitions import Partition, _beta_numbers, _integer, _on_letters, _shown
 
 Root = tuple[int, ...]
@@ -51,19 +51,20 @@ class CartanType:
 
     def __post_init__(self):
         if self.family not in _RANK_RANGE:
-            raise InvalidRank(f"unknown family {_shown(self.family)}")
-        object.__setattr__(self, "rank", _integer(self.rank, "rank", InvalidRank))
+            raise ValueError(f"unknown family {_shown(self.family)}")
+        object.__setattr__(self, "rank", _integer(self.rank, "rank"))
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRank(f"{self.family}{self.rank} is not a finite type here")
+            raise ValueError(f"{self.family}{_shown(self.rank)} is not a finite type here")
         if self.rank > MAX_RANK:
-            raise ResourceLimit(f"{self.family}{self.rank}: rank {self.rank} is above the rank cap {MAX_RANK}")
+            rank = _shown(self.rank)
+            raise ResourceLimit(f"{self.family}{rank}: rank {rank} is above the rank cap {MAX_RANK}")
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
         m = _TYPE_RE.match(text.strip().upper())
         if not m:
-            raise InvalidRank(f"cannot parse Cartan type {_shown(text)}")
+            raise ValueError(f"cannot parse Cartan type {_shown(text)}")
         return cls(m.group(1), int(m.group(2)))
 
     def __str__(self):
@@ -216,10 +217,10 @@ def copairing(datum: CartanDatum, beta: Root, lam: Weight) -> int:
     """<beta^vee, lam> = 2 (beta, lam) / (beta, beta); integral for real roots."""
     norm = root_norm(datum, beta)
     if norm <= 0:
-        raise ConditionViolated(f"{beta} has nonpositive norm {norm}")
+        raise ConditionViolated(f"{_shown(beta)} has nonpositive norm {norm}")
     num = 2 * pairing(datum, beta, lam)
     if num % norm:
-        raise ConditionViolated(f"coroot pairing of {beta} with {lam} is not integral")
+        raise ConditionViolated(f"coroot pairing of {_shown(beta)} with {_shown(lam)} is not integral")
     return num // norm
 
 

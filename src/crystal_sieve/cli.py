@@ -21,12 +21,12 @@ from .csp import _sieves, aa_criterion, csp_check, orbit_formula
 from .qdim import _gl_exponents, _predicted_orbit_counts, _specialization, congruence, kappa, principal_specialization
 from .qdim import qdim, qdim_dual, weyl_dim
 from .errors import CrystalSieveError, InternalError, ResourceLimit
-from .partitions import _decimal, _decimals, _on_letters, _shown, as_partition, partitions_up_to
+from .partitions import _decimal, _decimals, _on_letters, _shape_on, _shown, as_partition, partitions_up_to
 from .qpoly import _q_ratio_at_one, format_poly, parse_poly, poly_to_json_coeffs
-from .tableaux import _check_count, _cycle_word, _orbit_census, fixed_points, orbit_census
+from .tableaux import _check_cap, _cycle_word, _orbit_census, fixed_points, orbit_census
 
 
-def _integer(text: str, least: int | None = None) -> int:
+def _argument(text: str, least: int | None = None) -> int:
     """argparse type: text read by ``_decimal``, at least least when given;
     a bad value is a usage error."""
     try:
@@ -34,6 +34,15 @@ def _integer(text: str, least: int | None = None) -> int:
     except ValueError:
         kind = "an" if least is None else ("a nonnegative", "a positive")[least]
         raise argparse.ArgumentTypeError(f"{_shown(text)} is not {kind} integer") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its subcommands' too, with an invalid choice quoted by ``_shown``, not whole."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_shown(value)} (choose from {choices})")
 
 
 def _read(what: str, text: str, reader, *args, **kwargs):
@@ -57,7 +66,7 @@ def _parse_weight(text: str) -> tuple[int, ...]:
 
 
 # argparse type for counts and orders
-_positive_int = functools.partial(_integer, least=1)
+_positive_int = functools.partial(_argument, least=1)
 
 
 def _emit(args, payload: dict, plain: str) -> None:
@@ -221,7 +230,7 @@ def cmd_orbit_formula(args) -> int:
     except ValueError:
         # only interpreters with sys.get_int_max_str_digits refuse the conversion
         raise ResourceLimit(
-            f"orbit count for a = {args.a}, d = {args.d} has more decimal digits than "
+            f"orbit count for a = {_shown(args.a)}, d = {args.d} has more decimal digits than "
             f"the integer string limit {sys.get_int_max_str_digits()}"
         ) from None
     _emit(args, {"a": args.a, "d": args.d, "orbits": text}, text)
@@ -239,7 +248,7 @@ def _sweep_cell(cell: tuple[tuple[int, ...], int, list[int]]) -> list[list]:
     lam = _on_letters(lam, m)
     nums, dens = _gl_exponents(lam, m)
     spoly = _specialization(lam, m, nums, dens)
-    census = _orbit_census(lam, m, "c", _check_count(lam, m, _q_ratio_at_one(nums, dens)))
+    census = _orbit_census(lam, m, "c", _check_cap(_q_ratio_at_one(nums, dens), lambda: _shape_on(lam, m)))
     sizes = ";".join(f"{d}:{v}" for d, v in census.by_size.items())
     rows = []
     for n in ns:
@@ -287,7 +296,7 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then reused: it holds no
     input and no result."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crystal-sieve",
         description="Exact q-dimensions, residues mod q^n - 1, and cyclic sieving checks",
     )
@@ -359,13 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_aa_check)
 
     p = sub.add_parser("orbit-formula", help="predicted count of size-d orbits on one-row shapes")
-    p.add_argument("a", type=_integer)
-    p.add_argument("d", type=_integer)
+    p.add_argument("a", type=_argument)
+    p.add_argument("d", type=_argument)
     add_format(p)
     p.set_defaults(func=cmd_orbit_formula)
 
     p = sub.add_parser("sweep", help="CSV sweep over shapes, letter counts, and orders")
-    p.add_argument("--max-size", type=functools.partial(_integer, least=0), default=8)
+    p.add_argument("--max-size", type=functools.partial(_argument, least=0), default=8)
     p.add_argument("--m", default="2,3,4", help="comma list of letter counts")
     p.add_argument("--n", help="comma list of orders (default: n = m)")
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -385,14 +394,7 @@ def main(argv=None) -> int:
         # stdout at devnull so that the flush at shutdown cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CrystalSieveError as exc:
+    except (ValueError, CrystalSieveError) as exc:
         prefix = "internal error" if isinstance(exc, InternalError) else "error"
         print(f"{prefix}: {exc}", file=sys.stderr)
-        return exc.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return exc.exit_code if isinstance(exc, CrystalSieveError) else 2

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _integer, _on_letters, as_partition
+from .partitions import Partition, _integer, _on_letters, _shape_on, _shown, as_partition
 from .qdim import _fixed_and_orbit_counts, _gl_exponents, kappa, predicted_orbit_counts, principal_specialization
 from .qpoly import IntPoly, _mobius_sums, check_order, divisors, root_values
 from .tableaux import OrbitCensus, orbit_census
@@ -171,7 +171,7 @@ def census_vs_a(lam: Partition, m: int, action: str = "c") -> bool:
         # passing one leaves nothing to compare
         if not report.verdict:
             return False
-        raise ConditionViolated(f"differences of padded parts of {report.lam} are not all divisible by {m}")
+        raise ConditionViolated(f"differences of padded parts of {_shown(report.lam)} are not all divisible by {m}")
     if any(m % d for d in report.census.by_size):
         raise ConditionViolated(f"a cycle length does not divide the order {m}")
     # csp_check has compared the census with the prediction
@@ -183,7 +183,7 @@ def orbit_formula(a: int, d: int) -> int:
     letters d: ``predicted_orbit_counts`` at order d without its degree cap.
     An order d above MAX_ORDER or above MAX_LETTERS raises ResourceLimit."""
     a = _integer(a, "multiple a", least=0)
-    d = check_order(d, lambda: f"orbit count of shape ({a * d},) on {d} letters")
+    d = check_order(d, lambda: f"orbit count of {_shape_on((a * d,), d)}")
     return _fixed_and_orbit_counts(*_gl_exponents(_on_letters((a * d,), d), d), d)[1][d]
 
 
@@ -209,7 +209,7 @@ def rect_characterization(lam: Partition, m: int) -> RectVerdict:
     if len(lam) >= m:
         raise ConditionViolated(f"need fewer than {m} rows, got {len(lam)}")
     if sum(lam) % m:
-        raise ConditionViolated(f"{m} must divide |{lam}| = {sum(lam)}")
+        raise ConditionViolated(f"{m} must divide |{_shown(lam)}| = {_shown(sum(lam))}")
     predicted = len(lam) in (1, m - 1) and len(set(lam)) == 1
     verdict = csp_check(lam, m, "c").verdict
     return RectVerdict(verdict, predicted, verdict == predicted)
@@ -235,7 +235,7 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     ResourceLimit before the primality test.
     """
     lam = _on_letters(lam, m)
-    p = check_order(p, lambda: f"prime criterion of shape {lam} on {m} letters")
+    p = check_order(p, lambda: f"prime criterion of {_shape_on(lam, m)}")
     if len(divisors(p)) != 2:
         raise ConditionViolated(f"{p} is not prime")
     if p < m:
@@ -250,6 +250,6 @@ def prime_specialization_criterion(lam: Partition, m: int, p: int) -> PrimeCrite
     if divides != residues_collide:
         raise InternalError(
             f"residue collision ({residues_collide}) disagrees with "
-            f"cyclotomic divisibility ({divides}) for {lam}, m={m}, p={p}"
+            f"cyclotomic divisibility ({divides}) for {_shown(lam)}, m={m}, p={p}"
         )
     return PrimeCriterion(residues_collide, divides, aa.exists)

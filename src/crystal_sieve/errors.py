@@ -1,18 +1,13 @@
 """Exception types shared across the library: one class per outcome, each
 carrying in ``exit_code`` the exit code the command line gives it.
-Unreadable input other than a Cartan type, a weight or root of the wrong
-length among it, is a ``ValueError``, which exits 2 like ``InvalidRank``;
-a message quotes the input through ``partitions._shown``."""
+Unreadable input, a Cartan type or a weight or root of the wrong length
+among it, is a plain ``ValueError``, which exits 2; every value a message
+prints that grows with the input goes through ``partitions._shown``."""
 
 
 class CrystalSieveError(Exception):
     """Base class for all library errors."""
     exit_code: int
-
-
-class InvalidRank(CrystalSieveError):
-    """Cartan type string is malformed or its rank is outside the family's range."""
-    exit_code = 2
 
 
 class ConditionViolated(CrystalSieveError):

@@ -5,8 +5,8 @@ needs of it off one list, ``_beta_numbers``.
 Every count, order and exponent of the package is read here too: a value
 through ``_integer``, an integer written as text through ``_decimal`` and a
 comma list of them through ``_decimals``, each with its lower bound, if any.
-Every message that quotes a value the caller handed in quotes it through
-``_shown``, so that no input, however long, makes a long message."""
+A message prints every value that grows with the input through ``_shown``,
+and only when its check fails, so that no input makes a long message."""
 
 from __future__ import annotations
 
@@ -26,22 +26,30 @@ MAX_LETTERS = 100_000
 
 def _shown(x) -> str:
     """repr of x, or, when its text (x itself for a str, else its repr) is
-    longer than 40 characters, the repr of the first 40 and the length."""
-    text = x if isinstance(x, str) else repr(x)
+    longer than 40 characters, the repr of the first 40 and the length; its
+    type alone when its repr has an int past the integer string limit."""
+    try:
+        text = x if isinstance(x, str) else repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} past the integer string limit>"
     return repr(x) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
 
 
-def _integer(x, what: str, error: type[Exception] = ValueError, *, least: int | None = None) -> int:
+def _shape_on(lam: Partition, m: int) -> str:
+    """The words that name the shape lam on m letters in a message."""
+    return f"shape {_shown(lam)} on {_shown(m)} letters"
+
+
+def _integer(x, what: str, *, least: int | None = None) -> int:
     """x through operator.index, so that no float or string passes as an int;
-    anything else raises error, a ValueError unless given, naming x. A lower
-    bound least of 0 or 1 raises error "<what> must be nonnegative" or
-    "<what> must be positive" below it."""
+    anything else raises ValueError naming x. A lower bound least of 0 or 1
+    raises "<what> must be nonnegative" or "<what> must be positive" below it."""
     try:
         x = operator.index(x)
     except TypeError:
-        raise error(f"{what} {_shown(x)} is not an integer") from None
+        raise ValueError(f"{what} {_shown(x)} is not an integer") from None
     if least is not None and x < least:
-        raise error(f"{what} must be {('nonnegative', 'positive')[least]}")
+        raise ValueError(f"{what} must be {('nonnegative', 'positive')[least]}")
     return x
 
 
@@ -74,7 +82,7 @@ def as_partition(parts: Iterable[int]) -> Partition:
     p = tuple(p)
     for k, part in enumerate(p):
         if part <= 0:
-            raise ValueError(f"part {part} is not positive in {_shown(p)}")
+            raise ValueError(f"part {_shown(part)} is not positive in {_shown(p)}")
         if k and p[k - 1] < part:
             raise ValueError(f"parts not weakly decreasing in {_shown(p)}")
     return p
@@ -84,8 +92,8 @@ def _on_letters(parts: Iterable[int], m: int) -> Partition:
     """The shape parts as a partition on m letters: ValueError unless m is
     a positive integer, ResourceLimit when m is above MAX_LETTERS."""
     lam = as_partition(parts)
-    if _integer(m, "letter count m", least=1) > MAX_LETTERS:
-        raise ResourceLimit(f"shape {lam} on {m} letters: above the letter cap {MAX_LETTERS}")
+    if (m := _integer(m, "letter count m", least=1)) > MAX_LETTERS:
+        raise ResourceLimit(f"{_shape_on(lam, m)}: above the letter cap {MAX_LETTERS}")
     return lam
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanDatum, Weight, _check_len, is_dominant
 from .errors import ConditionViolated, InternalError
-from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, _shown, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _integer, _on_letters, _shape_on, _shown, as_partition
 from .qpoly import (
     MAX_DEGREE,
     ZERO,
@@ -47,7 +47,7 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
     dual = _dual(dual)
     lam = _check_len(datum, lam, "weight")
     if dominant and not is_dominant(lam):
-        raise ConditionViolated(f"{lam} has a negative coordinate")
+        raise ConditionViolated(f"{_shown(lam)} has a negative coordinate")
     w = [di * c for di, c in zip(datum.symmetrizers, lam)]
     rho, norms = datum.rho_pairings, datum.root_norms
     nums, dens = [], []
@@ -55,7 +55,7 @@ def _exponents(datum: CartanDatum, lam: Weight, dual: bool, dominant: bool = Fal
         half = norms[beta] // 2 if dual else 1
         pair, rem = divmod(sum(map(operator.mul, beta, w)), half)
         if rem:
-            raise InternalError(f"coroot pairing of {beta} with {lam} is not integral")
+            raise InternalError(f"coroot pairing of {beta} with {_shown(lam)} is not integral")
         den = rho[beta] // half
         dens.append(den)
         nums.append(pair + den)
@@ -75,7 +75,7 @@ def _qdim_exponents(datum: CartanDatum, lam: Weight, dual: bool):
     dominance and degree checks."""
     nums, dens = _exponents(datum, lam, dual, dominant=True)
     kind = "dual q-dimension" if dual else "q-dimension"
-    _check_degree(sum(nums) - sum(dens), f"{kind} of {datum.cartan_type} at weight {lam}")
+    _check_degree(sum(nums) - sum(dens), lambda: f"{kind} of {datum.cartan_type} at weight {_shown(lam)}")
     return nums, dens
 
 
@@ -179,7 +179,7 @@ def _orbit_data(datum: CartanDatum, lam: Weight, n: int, dual: bool):
     n = check_order(n, lambda: f"residue of the {kind} of {datum.cartan_type} at weight {_shown(lam)}")
     nums, dens = _qdim_exponents(datum, lam, dual)
     if not _divisible(nums, dens, n):
-        raise ConditionViolated(f"weight {lam} fails the divisibility condition for n={n}")
+        raise ConditionViolated(f"weight {_shown(lam)} fails the divisibility condition for n={n}")
     return (n, nums, dens, *_fixed_and_orbit_counts(nums, dens, n))
 
 
@@ -234,7 +234,7 @@ def principal_specialization(lam: Partition, m: int) -> IntPoly:
 
 def _specialization(lam: Partition, m: int, nums, dens) -> IntPoly:
     """``principal_specialization`` past its gate, from the shape's exponents."""
-    _check_degree(sum(nums) - sum(dens), f"principal specialization of shape {lam} on {m} letters")
+    _check_degree(sum(nums) - sum(dens), lambda: f"principal specialization of {_shape_on(lam, m)}")
     return q_ratio(nums, dens)
 
 
@@ -265,7 +265,6 @@ def _predicted_orbit_counts(lam: Partition, m: int, n: int, nums, dens) -> dict[
     """``predicted_orbit_counts`` past its gate, from the shape's exponents."""
     if not _divisible(nums, dens, n):
         return None
-    what = f"orbit counts of shape {lam} on {m} letters"
-    n = check_order(n, lambda: what)
-    _check_degree(sum(nums) - sum(dens), what)
+    n = check_order(n, lambda: f"orbit counts of {_shape_on(lam, m)}")
+    _check_degree(sum(nums) - sum(dens), lambda: f"orbit counts of {_shape_on(lam, m)}")
     return _fixed_and_orbit_counts(nums, dens, n)[1]

@@ -6,8 +6,9 @@ settled by polynomial remainders, not numerics.
 
 Coefficients are checked once, where they enter: ``IntPoly(...)`` (which
 ``parse_poly`` goes through) reads each through ``partitions._integer``, so a
-bool enters as the int it stands for. A polynomial this module computes from
-ints it already holds is only trimmed to canonical form, not checked again.
+bool enters as the int it stands for and any other non-integer raises
+ValueError. A polynomial this module computes from ints it already holds is
+only trimmed to canonical form, not checked again.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_integer(c, "coefficient", TypeError) for c in coeffs]
+        cs = [_integer(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -234,9 +235,11 @@ def parse_poly(text: str) -> IntPoly:
             items = json.loads(text)
         except RecursionError:
             raise ValueError(f"in {_shown(text)}, lists nest too deeply to read") from None
-        what = f"in {_shown(text)}, coefficient"
-        f = IntPoly([_decimal(c, what) for c in items])
-        _check_degree(f.degree, f"polynomial {_shown(text)}")
+        try:
+            f = IntPoly([_decimal(c, "coefficient") for c in items])
+        except ValueError as exc:
+            raise ValueError(f"in {_shown(text)}, {exc}") from None
+        _check_degree(f.degree, lambda: f"polynomial {_shown(text)}")
         return f
     if re.search(r"\d\s+\d", text):
         raise ValueError(f"whitespace between two digits in {_shown(text)}")
@@ -249,17 +252,18 @@ def parse_poly(text: str) -> IntPoly:
         k = (int(term.group("exp")) if term["exp"] else 1) if term["var"] else 0
         coeffs[k] += -c if term["sign"] == "-" else c
     top = max(coeffs)
-    _check_degree(top, f"polynomial {_shown(text)}")
+    _check_degree(top, lambda: f"polynomial {_shown(text)}")
     out = [0] * (top + 1)
     for k, c in coeffs.items():
         out[k] = c
     return IntPoly(out)
 
 
-def _check_degree(degree: int, what: str) -> None:
-    """ResourceLimit when degree is above MAX_DEGREE; what names the input."""
+def _check_degree(degree: int, what: Callable[[], str]) -> None:
+    """ResourceLimit when degree is above MAX_DEGREE, with a message that
+    names the input by calling what."""
     if degree > MAX_DEGREE:
-        raise ResourceLimit(f"{what} has degree {degree}, above the degree cap {MAX_DEGREE}")
+        raise ResourceLimit(f"{what()} has degree {_shown(degree)}, above the degree cap {MAX_DEGREE}")
 
 
 def poly_to_json_coeffs(f: IntPoly) -> list[str]:
@@ -328,8 +332,8 @@ def q_ratio(nums, dens) -> IntPoly:
     top = max(count, default=0)
     if degree < 0 or top > 2 * degree * degree:
         raise InternalError(
-            f"Phi_{top} has degree at least sqrt({top}/2), above the quotient's "
-            f"degree D = {degree}: the quotient is not a polynomial"
+            f"Phi_{_shown(top)} has degree at least sqrt({_shown(top)}/2), above the quotient's "
+            f"degree D = {_shown(degree)}: the quotient is not a polynomial"
         )
     excess = {}
     for a, k in count.items():
@@ -438,7 +442,7 @@ def rem_mod(f: IntPoly, g: IntPoly) -> IntPoly:
     if g.is_zero or g.degree < 1:
         raise ConditionViolated("modulus must have positive degree")
     if g.coeffs[-1] != 1:
-        raise ConditionViolated(f"modulus has leading coefficient {g.coeffs[-1]}")
+        raise ConditionViolated(f"modulus has leading coefficient {_shown(g.coeffs[-1])}")
     return _from_ints(_rem(list(f.coeffs), g.coeffs))
 
 
@@ -536,7 +540,7 @@ def check_order(n: int, what: Callable[[], str]) -> int:
     names the input by calling what."""
     n = _integer(n, "order", least=1)
     if n > MAX_ORDER:
-        raise ResourceLimit(f"{what()} at order n = {n}: above the order cap {MAX_ORDER}")
+        raise ResourceLimit(f"{what()} at order n = {_shown(n)}: above the order cap {MAX_ORDER}")
     return n
 
 
@@ -609,7 +613,7 @@ def orbit_basis_element(n: int, d: int) -> IntPoly:
     """(q^n - 1)/(q^(n/d) - 1) = 1 + q^(n/d) + ... + q^(n - n/d), for d | n."""
     n, d = _integer(n, "order", least=1), _integer(d, "divisor d", least=1)
     if n % d:
-        raise ValueError(f"{d} does not divide {n}")
+        raise ValueError(f"{_shown(d)} does not divide {_shown(n)}")
     step = n // d
     out = [0] * (n - step + 1)
     for k in range(0, n, step):

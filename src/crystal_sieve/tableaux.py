@@ -66,7 +66,8 @@ from itertools import accumulate, chain, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConditionViolated, InternalError, ResourceLimit
-from .partitions import Partition, _beta_numbers, _decimal, _decimals, _integer, _on_letters, _shown, as_partition
+from .partitions import Partition, _beta_numbers, _decimal, _decimals, _integer, _on_letters, _shape_on, _shown
+from .partitions import as_partition
 from .qdim import _gl_exponents
 from .qpoly import _q_ratio_at_one, divisors
 
@@ -77,22 +78,17 @@ Row = tuple[int, ...]
 RowRule = Callable[[Row, Row, Row], Row | None]
 
 
-def _enum_cap() -> tuple[int, str]:
-    """The enumeration cap and what set it."""
+def _check_cap(count: int, what: Callable[[], str]) -> int:
+    """count, a number of tableaux of what(), within the enumeration cap,
+    ENUM_CAP_ENV when set and else DEFAULT_ENUM_CAP: ResourceLimit above it."""
     env = os.environ.get(ENUM_CAP_ENV)
-    if not env:
-        return DEFAULT_ENUM_CAP, "by default"
-    cap = _decimal(env, ENUM_CAP_ENV)
-    if cap < 0:
+    limit = _decimal(env, ENUM_CAP_ENV) if env else DEFAULT_ENUM_CAP
+    if limit < 0:
         raise ValueError(f"{ENUM_CAP_ENV}={_shown(env)} is negative")
-    return cap, f"set by {ENUM_CAP_ENV}"
-
-
-def _check_cap(count: int, what: str) -> None:
-    """ResourceLimit when count tableaux of what exceed the enumeration cap."""
-    limit, source = _enum_cap()
     if count > limit:
-        raise ResourceLimit(f"{count} tableaux of {what} exceed the cap {limit} {source}")
+        source = f"set by {ENUM_CAP_ENV}" if env else "by default"
+        raise ResourceLimit(f"{_shown(count)} tableaux of {what()} exceed the cap {_shown(limit)} {source}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ class Tableau:
             prev_len = len(row)
             for c, v in enumerate(row):
                 if not 1 <= v <= self.m:
-                    raise ConditionViolated(f"entry {v} outside 1..{self.m}")
+                    raise ConditionViolated(f"entry {_shown(v)} outside 1..{_shown(self.m)}")
                 if c and row[c - 1] > v:
                     raise ConditionViolated(f"row {r + 1} decreases at column {c + 1}")
                 if r and self.rows[r - 1][c] >= v:
@@ -170,12 +166,6 @@ def ssyt_count(lam: Partition, m: int) -> int:
     if len(lam) > m:
         return 0
     return _q_ratio_at_one(*_gl_exponents(lam, m))
-
-
-def _check_count(lam: Partition, m: int, count: int) -> int:
-    """count, the size of the crystal of lam on m letters, within the cap."""
-    _check_cap(count, f"shape {lam} on {m} letters")
-    return count
 
 
 def _rows_below(upper: Row, v: int, total: int | None = None) -> Iterator[Row]:
@@ -281,7 +271,7 @@ def enumerate_ssyt(lam: Partition, m: int) -> list[Tableau]:
     CRYSTAL_SIEVE_MAX_ENUM environment variable, else 10^7).
     """
     lam = as_partition(lam)
-    _check_count(lam, m, ssyt_count(lam, m))
+    _check_cap(ssyt_count(lam, m), lambda: _shape_on(lam, m))
     return _tableaux(lam, m)
 
 
@@ -309,10 +299,8 @@ def kostka(lam: Partition, mu: tuple[int, ...]) -> int:
     lam = as_partition(lam)
     mu = tuple(_integer(x, "multiplicity", least=0) for x in mu)
     if sum(lam) != sum(mu):
-        raise ConditionViolated(f"|{lam}| = {sum(lam)} but content sums to {sum(mu)}")
-    count = _content_count(lam, mu)
-    _check_cap(count, f"shape {lam} on {len(mu)} letters with content {mu}")
-    return count
+        raise ConditionViolated(f"|{_shown(lam)}| = {_shown(sum(lam))} but content sums to {_shown(sum(mu))}")
+    return _check_cap(_content_count(lam, mu), lambda: f"{_shape_on(lam, len(mu))} with content {_shown(mu)}")
 
 
 def _gt(t: Tableau) -> list[Row]:
@@ -416,7 +404,7 @@ def _rewrite(rule: RowRule, t: Tableau, word: Iterable[int]) -> Tableau | None:
     g = _gt(t)
     for i in word:
         if not 1 <= (i := _integer(i, "index")) < t.m:
-            raise ValueError(f"index {i} outside 1..{t.m - 1}")
+            raise ValueError(f"index {_shown(i)} outside 1..{t.m - 1}")
         g[i] = rule(g[i - 1], g[i], g[i + 1])
         if g[i] is None:
             return None
@@ -480,7 +468,7 @@ def superstandard(lam: Partition, m: int) -> Tableau:
     _beta_numbers(lam, m)  # refuses more than m rows
     size = sum(lam)
     if size % m:
-        raise ConditionViolated(f"{m} does not divide |{lam}| = {size}")
+        raise ConditionViolated(f"{m} does not divide |{_shown(lam)}| = {_shown(size)}")
     k = size // m
     entries = [v for v in range(1, m + 1) for _ in range(k)]
     rows = []
@@ -500,7 +488,7 @@ def fixed_points(lam: Partition, m: int) -> list[Tableau]:
     if size % m:
         return []
     mu = (size // m,) * m
-    _check_cap(_content_count(lam, mu), f"shape {lam} on {m} letters with uniform content")
+    _check_cap(_content_count(lam, mu), lambda: f"{_shape_on(lam, m)} with uniform content")
     return _tableaux(lam, m, mu)
 
 
@@ -657,7 +645,7 @@ def orbit_census(lam: Partition, m: int, action: str = "c") -> OrbitCensus:
         raise ValueError(f"unknown action {_shown(action)}; choose from {sorted(ACTIONS)}")
     lam = _on_letters(lam, m)
     _cycle_word(m)  # refuses one letter
-    return _orbit_census(lam, m, action, _check_count(lam, m, ssyt_count(lam, m)))
+    return _orbit_census(lam, m, action, _check_cap(ssyt_count(lam, m), lambda: _shape_on(lam, m)))
 
 
 def _orbit_census(lam: Partition, m: int, action: str, count: int) -> OrbitCensus:
@@ -683,7 +671,7 @@ def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     count_of = {mu: _content_count(lam, mu) for mu in set(sorted_mus)}
     expected = sum(map(count_of.__getitem__, sorted_mus))
     if len(rank) != expected:
-        raise InternalError(f"walked {len(rank)} tableaux of shape {lam} on {m} letters, expected {expected}")
+        raise InternalError(f"walked {len(rank)} tableaux of {_shape_on(lam, m)}, expected {expected}")
     moves, move = table.moves, table.move
     factors = _cycle_word(m)
     image = array("q")
@@ -694,16 +682,16 @@ def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
             g[i] = moves.get(key) or move(key)
         k = rank.get(tuple(g))
         if k is None:
-            raise InternalError(f"cycles of c on shape {lam} on {m} letters leave the {len(rank)} patterns enumerated")
+            raise InternalError(f"cycles of c on {_shape_on(lam, m)} leave the {len(rank)} patterns enumerated")
         image.append(k)
-    by_size = _cycle_lengths(image, f"c on shape {lam} on {m} letters")
+    by_size = _cycle_lengths(image, lambda: f"c on {_shape_on(lam, m)}")
     for length in by_size:
         if m % length:
-            raise InternalError(f"c on shape {lam} on {m} letters returns after {length} steps, not a divisor of {m}")
+            raise InternalError(f"c on {_shape_on(lam, m)} returns after {length} steps, not a divisor of {m}")
     rest, stray = divmod(count - len(rank), m)
     if rest < 0 or stray:
         raise InternalError(
-            f"{count - len(rank)} tableaux of shape {lam} on {m} letters have aperiodic content, "
+            f"{count - len(rank)} tableaux of {_shape_on(lam, m)} have aperiodic content, "
             f"not a multiple of {m}"
         )
     if rest:
@@ -711,9 +699,9 @@ def _c_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     return by_size
 
 
-def _cycle_lengths(image: array, what: str) -> dict[int, int]:
+def _cycle_lengths(image: array, what: Callable[[], str]) -> dict[int, int]:
     """The cycle lengths of k -> image[k] on range(len(image)), as {length:
-    count}, read with one mark per rank; InternalError naming what when a
+    count}, read with one mark per rank; InternalError naming what() when a
     cycle reaches a marked rank other than its start, so no permutation."""
     marks = bytearray(len(image))
     by_size: dict[int, int] = {}
@@ -724,7 +712,7 @@ def _cycle_lengths(image: array, what: str) -> dict[int, int]:
         k, length = image[start], 1
         while k != start:
             if marks[k]:
-                raise InternalError(f"{what} is not a permutation of the {len(image)} patterns enumerated")
+                raise InternalError(f"{what()} is not a permutation of the {len(image)} patterns enumerated")
             marks[k] = 1
             k, length = image[k], length + 1
         by_size[length] = by_size.get(length, 0) + 1
@@ -759,7 +747,7 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
     rows, moves, intern, move = table.rows, table.moves, table.intern, table.move
 
     def outside() -> InternalError:
-        return InternalError(f"promotion takes a tableau of shape {lam} on {m} letters out of its crystal")
+        return InternalError(f"promotion takes a tableau of {_shape_on(lam, m)} out of its crystal")
 
     zero, top = intern((0,) * len(lam)), intern(lam)
     place: list[dict[int, dict[int, int]]] = [{} for _ in range(m + 1)]
@@ -780,7 +768,7 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
             up[p] = at
         size = up
     if size[top] != count:
-        raise InternalError(f"the rank tables count {size[top]} tableaux of shape {lam} on {m} letters, not {count}")
+        raise InternalError(f"the rank tables count {size[top]} tableaux of {_shape_on(lam, m)}, not {count}")
 
     def block(g2: int, n3: int) -> list[int]:
         """The offsets at levels 2 and 1 of the images of the patterns under
@@ -831,5 +819,5 @@ def _promotion_cycles(lam: Partition, m: int, count: int) -> dict[int, int]:
         if offsets is None:
             offsets = blocks[c, new[3]] = block(c, new[3])
         image.extend(map(base[3].__add__, offsets))
-    return _cycle_lengths(image, f"promotion on shape {lam} on {m} letters")
+    return _cycle_lengths(image, lambda: f"promotion on {_shape_on(lam, m)}")
 

@@ -2,7 +2,8 @@
 one leading underscore that a module defines at its top level is loaded
 somewhere in the package outside its own definition, as a plain name, an
 attribute or an imported name. A helper that outlives the last call to it
-fails here."""
+fails here. Each such name is defined in one module only, so that a name
+read in the package, or by a scan of its syntax, means one thing."""
 
 import ast
 from collections import Counter
@@ -53,6 +54,16 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def private_names_defined_twice(sources: dict[str, str]) -> list[str]:
+    """Each private top-level name that more than one module defines."""
+    modules = Counter(
+        name
+        for text in sources.values()
+        for name in {n for stmt in ast.parse(text).body for n in _defined(stmt) if _is_private(n)}
+    )
+    return sorted(name for name, count in modules.items() if count > 1)
+
+
 def package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -76,3 +87,17 @@ def test_an_unused_helper_is_flagged():
     # _helper calls only itself, so it is flagged with the two names no
     # code reads; the others are loaded
     assert unused_private_names(sources) == ["a.py:_helper", "a.py:_RULES", "a.py:_Spare"]
+
+
+def test_no_private_name_is_defined_in_two_modules():
+    assert private_names_defined_twice(package_sources()) == []
+
+
+def test_a_private_name_defined_twice_is_flagged():
+    sources = {
+        "a.py": "def _read(x):\n    return x\n_CAP = 1\n_CAP = 2\ndef public():\n    pass\n",
+        "b.py": "from a import _CAP\ndef _read(text, least=None):\n    return text\ndef public():\n    pass\n",
+    }
+    # _CAP is bound twice in one module and imported by the other: one home;
+    # public names may repeat
+    assert private_names_defined_twice(sources) == ["_read"]

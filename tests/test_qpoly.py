@@ -67,9 +67,9 @@ class TestIntPoly:
         assert IntPoly([7]).degree == 0
 
     def test_rejects_non_integer_coefficients(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             IntPoly([1, 0.5])
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             IntPoly(["3"])
 
     def test_bool_coefficients_are_read_as_ints(self):

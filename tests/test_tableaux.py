@@ -466,14 +466,14 @@ class TestCycleOperator:
     def test_cycle_lengths_of_a_permutation(self, image, by_size):
         from crystal_sieve import tableaux
 
-        assert tableaux._cycle_lengths(array("q", image), "a map") == by_size
+        assert tableaux._cycle_lengths(array("q", image), lambda: "a map") == by_size
 
     @pytest.mark.parametrize("image", [[0, 0], [1, 1, 2], [1, 2, 1], [2, 0, 0]])
     def test_cycle_lengths_refuse_a_map_that_is_not_injective(self, image):
         from crystal_sieve import tableaux
 
         with pytest.raises(InternalError, match=f"a map is not a permutation of the {len(image)} patterns"):
-            tableaux._cycle_lengths(array("q", image), "a map")
+            tableaux._cycle_lengths(array("q", image), lambda: "a map")
 
 
     @staticmethod
